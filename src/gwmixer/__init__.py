@@ -35,13 +35,11 @@ from .filterbank import (
     FilterBank,
     FilterMlp,
     MixGrads,
-    MixMode,
     bank_responses,
     build_filter_bank,
     filter_eval,
     filter_eval_grad,
     init_filter_mlp,
-    parse_mix_mode,
     spectrum_csv,
     wavelet_mix,
     wavelet_mix_backward,
@@ -62,6 +60,7 @@ from .graphs import (
 from .spectral import (
     ChebyshevFilter,
     EigenSystem,
+    MixMode,
     NumericalError,
     SpectrumCache,
     apply_filter_exact,
@@ -70,6 +69,7 @@ from .spectral import (
     eigendecompose,
     gft,
     igft,
+    parse_mix_mode,
     truncate,
 )
 from .tasks import TaskSample, TaskSpec, fixed_samples, gen_task_batch, task_stream

@@ -14,17 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filterbank import (
-    FilterBank,
-    MixMode,
-    build_filter_bank,
-    filter_eval,
-    parse_mix_mode,
-    wavelet_mix,
-)
+from .filterbank import FilterBank, build_filter_bank, filter_eval, wavelet_mix
 from .graphs import build_chain_graph, normalized_laplacian, symmetrize
 from .serialize import fmt_float
-from .spectral import EigenSystem, chebyshev_fit, eigendecompose, truncate
+from .spectral import EigenSystem, MixMode, chebyshev_fit, eigendecompose, parse_mix_mode, truncate
 
 DEFAULT_SIZES = (64, 128, 256, 512, 1024)
 DEFAULT_MODES = ("exact", "truncated:16", "chebyshev:16", "attention")

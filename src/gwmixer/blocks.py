@@ -158,22 +158,23 @@ class ModelTape:
     token_ids: np.ndarray
     layer_tapes: list
     h_final: np.ndarray
-    eig: EigenSystem
+    eig: EigenSystem | None  # None in chebyshev mode
     mode: MixMode
 
 
 def model_forward(model: WaveletModel, graph: TokenGraph, token_ids,
                   mode: MixMode, cache: SpectrumCache | None = None):
     """Embeds ids, runs the layer stack over the graph spectrum, projects
-    to logits. Returns (logits, ModelTape). The Laplacian/eigensystem come
-    from the cache (the shared default when none is given)."""
+    to logits. Returns (logits, ModelTape). The Laplacian and whatever
+    spectrum the mode needs (none for chebyshev) come from the cache (the
+    shared default when none is given)."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.ndim != 1 or len(token_ids) != graph.n:
         raise ValueError(f"need {graph.n} token ids, got shape {token_ids.shape}")
     if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= model.vocab:
         raise ValueError("token id out of vocabulary range")
     cache = cache if cache is not None else DEFAULT_CACHE
-    lap, eig = cache.get_or_compute(graph)
+    lap, eig = cache.get_or_compute(graph, mode)
     x = model.embed[token_ids]
     tapes = []
     for layer in model.layers:

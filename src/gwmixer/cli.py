@@ -87,7 +87,7 @@ def _cmd_eval(args) -> int:
     model = model_from_params(config, params)
     mode = cfg.mix_mode()
     if args.mode:
-        from .filterbank import parse_mix_mode
+        from .spectral import parse_mix_mode
 
         mode = parse_mix_mode(args.mode)
     samples = fixed_samples(cfg.task_spec(), args.seed, args.samples, "eval")

@@ -6,8 +6,11 @@ features as
 
     Y = sum_k U g_k(Lam) U^T X diag(alpha_k)
 
-evaluated exactly, on a truncated eigenbasis, or through the Chebyshev
-recurrence (inference only). Backward treats U and Lam as constants.
+evaluated exactly on the full eigenbasis, on the m smoothest modes
+(truncated), or, inference only, without any eigenbasis through one
+Chebyshev recurrence of sparse Laplacian products with the bank's
+coefficients and alpha folded together. Backward treats U and Lam as
+constants.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .graphs import NormalizedLaplacian
-from .spectral import EigenSystem, _chebyshev_apply_multi, chebyshev_fit
+from .spectral import EigenSystem, MixMode, chebyshev_nodes, chebyshev_series
 
 LAMBDA_MAX = 2.0
 
@@ -118,47 +121,6 @@ def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
     return np.stack([filter_eval(f, lam) for f in bank.filters])
 
 
-@dataclass(frozen=True)
-class MixMode:
-    """Evaluation strategy: exact, truncated(m), or chebyshev(order)."""
-
-    kind: str
-    param: int | None = None
-
-    @classmethod
-    def exact(cls) -> "MixMode":
-        return cls("exact")
-
-    @classmethod
-    def truncated(cls, m: int) -> "MixMode":
-        if m < 1:
-            raise ValueError(f"truncation size must be >= 1, got {m}")
-        return cls("truncated", int(m))
-
-    @classmethod
-    def chebyshev(cls, order: int) -> "MixMode":
-        if order < 0:
-            raise ValueError(f"chebyshev order must be >= 0, got {order}")
-        return cls("chebyshev", int(order))
-
-    def __str__(self) -> str:
-        return self.kind if self.param is None else f"{self.kind}:{self.param}"
-
-
-def parse_mix_mode(text: str) -> MixMode:
-    """Inverse of str(MixMode): "exact", "truncated:M", "chebyshev:P"."""
-    kind, _, arg = text.partition(":")
-    if kind == "exact":
-        if arg:
-            raise ValueError("exact mode takes no parameter")
-        return MixMode.exact()
-    if kind == "truncated":
-        return MixMode.truncated(int(arg) if arg else 16)
-    if kind == "chebyshev":
-        return MixMode.chebyshev(int(arg) if arg else 16)
-    raise ValueError(f"unknown mix mode {text!r}")
-
-
 def _spectral_basis(eig: EigenSystem, mode: MixMode):
     if mode.kind == "truncated":
         if eig.m < mode.param:
@@ -183,19 +145,19 @@ def wavelet_mix(bank: FilterBank, eig: EigenSystem | None, x: np.ndarray,
                 mode: MixMode, lap: NormalizedLaplacian | None = None) -> np.ndarray:
     """Mix node features through the filter bank.
 
-    exact/truncated need an eigensystem; chebyshev needs the Laplacian and
-    never touches eigenvectors (each filter is refit per call).
+    exact/truncated need an eigensystem. chebyshev needs only the sparse
+    Laplacian: the bank is evaluated once at the P+1 Chebyshev nodes, one
+    matmul fits all K coefficient vectors c_k, alpha is folded in as
+    w_p = sum_k c_kp alpha_k, and a single recurrence sums
+    T_p(L - I) x * w_p in O(P |E| d) time and O(n d) memory.
     """
     if mode.kind == "chebyshev":
         if lap is None:
             raise ValueError("chebyshev mode needs the Laplacian")
         x = _check_mix_args(bank, x, lap.n)
-        coeffs = np.stack(
-            [chebyshev_fit(lambda t, f=f: filter_eval(f, t), mode.param)[0].coeffs
-             for f in bank.filters]
-        )
-        filtered = _chebyshev_apply_multi(lap, coeffs, x)  # (K, n, d)
-        return np.einsum("knd,kd->nd", filtered, bank.alpha)
+        nodes, fit = chebyshev_nodes(mode.param, LAMBDA_MAX)
+        coeffs = bank_responses(bank, nodes) @ fit.T  # (K, P+1)
+        return chebyshev_series(lap, coeffs.T @ bank.alpha, x)
     if eig is None:
         raise ValueError(f"{mode.kind} mode needs an eigensystem")
     x = _check_mix_args(bank, x, eig.n)

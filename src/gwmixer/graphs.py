@@ -3,14 +3,19 @@
 A TokenGraph is a small directed graph over sequence positions (chain
 neighbours, dependency arcs from a CoNLL-U parse, or anything hand built).
 Spectral code operates on the symmetrized graph through its normalized
-Laplacian L = I - D^{-1/2} A D^{-1/2}.
+Laplacian L = I - D^{-1/2} A D^{-1/2}, held as one sparse CSR matrix.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
+from scipy import sparse
+
+CHAIN_MEMO_SIZE = 64  # distinct chain lengths kept by build_chain_graph
 
 
 class ConlluParseError(ValueError):
@@ -27,7 +32,8 @@ class TokenGraph:
 
     Edges are (src, dst) index pairs. Duplicates collapse to one; self
     loops are rejected. Optional node_labels (e.g. word forms) must have
-    length n.
+    length n. The content hash of the symmetrized graph is computed once
+    per object, on first use.
     """
 
     n: int
@@ -61,9 +67,23 @@ class TokenGraph:
         es = set(self.edges)
         return all((d, s) in es for s, d in es)
 
+    @cached_property
+    def spectral_key(self) -> str:
+        """content_hash of the symmetrized graph: the spectrum cache key.
+        Only the hash is kept; holding the symmetrized graph on every
+        graph object slowed dependency-tree training through the garbage
+        collector."""
+        return content_hash(symmetrize(self))
 
+
+@lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def build_chain_graph(n: int) -> TokenGraph:
-    """Directed path over n positions: edges (i, i+1). n=1 gives no edges."""
+    """Directed path over n positions: edges (i, i+1). n=1 gives no edges.
+
+    Graphs are immutable, so one shared object is returned per length
+    (the last CHAIN_MEMO_SIZE lengths are memoized); its cached spectral
+    key makes repeated spectrum lookups for a length free of O(n) work.
+    """
     if n < 1:
         raise ValueError(f"chain length must be >= 1, got {n}")
     return TokenGraph(n, tuple((i, i + 1) for i in range(n - 1)))
@@ -82,21 +102,18 @@ def content_hash(g: TokenGraph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizedLaplacian:
-    """Dense normalized Laplacian of a symmetrized graph.
+    """Sparse normalized Laplacian of a symmetrized graph.
 
-    matrix is I - D^{-1/2} A D^{-1/2} with the convention that isolated
-    nodes get a zero row/column (diagonal 0, not 1). Arrays are frozen.
-    The private COO fields hold the off-diagonal entries for matrix-free
-    products; they are None when the Laplacian was built from a raw matrix.
+    matrix is I - D^{-1/2} A D^{-1/2} as a scipy CSR array with sorted
+    column indices, with the convention that isolated nodes get an empty
+    row/column (diagonal 0, not 1). Its arrays and degrees are frozen.
+    Products cost O(|E| d); only eigendecompose forms a dense copy.
     """
 
-    matrix: np.ndarray
+    matrix: sparse.csr_array
     degrees: np.ndarray
-    _coo_src: np.ndarray | None = field(default=None, repr=False)
-    _coo_dst: np.ndarray | None = field(default=None, repr=False)
-    _coo_val: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -106,33 +123,32 @@ class NormalizedLaplacian:
 def normalized_laplacian(g: TokenGraph) -> NormalizedLaplacian:
     """Build L = I - D^{-1/2} A D^{-1/2} from a symmetric TokenGraph.
 
-    Raises ValueError if the edge set is not closed under reversal; callers
-    with directed graphs should symmetrize() first.
+    The CSR arrays are filled directly from the sorted edge list, with
+    each non-isolated row's diagonal entry merged in by column order.
+    Raises ValueError if the edge set is not closed under reversal;
+    callers with directed graphs should symmetrize() first.
     """
-    if not g.is_symmetric():
-        raise ValueError("edge set is not symmetric; call symmetrize() first")
     n = g.n
-    deg = np.zeros(n)
-    for s, _ in g.edges:
-        deg[s] += 1.0
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    lap = np.zeros((n, n))
-    edges = sorted(g.edges)
-    if edges:
-        src = np.array([e[0] for e in edges], dtype=np.intp)
-        dst = np.array([e[1] for e in edges], dtype=np.intp)
-        val = dinv[src] * dinv[dst]
-        lap[src, dst] = -val
-    else:
-        src = np.zeros(0, dtype=np.intp)
-        dst = np.zeros(0, dtype=np.intp)
-        val = np.zeros(0)
-    lap[np.arange(n), np.arange(n)] = np.where(deg > 0, 1.0, 0.0)
-    deg = deg.copy()
-    lap.flags.writeable = False
-    deg.flags.writeable = False
-    return NormalizedLaplacian(lap, deg, src, dst, val)
+    pairs = sorted(g.edges)
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    src, dst = flat[0::2], flat[1::2]
+    key = src * n + dst  # ascending: row-major order
+    if not np.array_equal(key, np.sort(dst * n + src)):
+        raise ValueError("edge set is not symmetric; call symmetrize() first")
+    count = np.bincount(src, minlength=n)
+    deg = count.astype(np.float64)
+    diag = np.flatnonzero(count)
+    dinv = np.zeros(n)
+    dinv[diag] = 1.0 / np.sqrt(deg[diag])
+    # each non-isolated row's diagonal entry merged in by column order
+    order = np.argsort(np.concatenate((key, diag * (n + 1))), kind="stable")
+    indices = np.concatenate((dst, diag)).astype(np.int32)[order]
+    data = np.concatenate((-(dinv[src] * dinv[dst]), np.ones(len(diag))))[order]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(count + (count > 0), out=indptr[1:])
+    for arr in (data, indices, indptr, deg):
+        arr.flags.writeable = False
+    return NormalizedLaplacian(sparse.csr_array((data, indices, indptr), shape=(n, n)), deg)
 
 
 def parse_conllu(text: str) -> list[TokenGraph]:

@@ -1,19 +1,29 @@
 """Spectral machinery: eigendecomposition, graph Fourier transforms,
-exact functional-calculus filtering, and the Chebyshev fast path.
+exact functional-calculus filtering, the Chebyshev fast path, and the
+spectrum cache.
 
 Eigenvalues are ascending, eigenvectors orthonormal with a deterministic
-sign convention, so identical inputs give bit-identical systems.
+sign convention, so identical inputs give bit-identical systems. Full
+spectra come from dense eigh; a partial spectrum of the m smoothest
+modes comes from shift-invert Lanczos on the sparse Laplacian. The
+Chebyshev path needs no spectrum at all: it runs a three-term recurrence
+of sparse products.
 """
 
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .graphs import NormalizedLaplacian, TokenGraph, content_hash, normalized_laplacian, symmetrize
+from .graphs import NormalizedLaplacian, TokenGraph, normalized_laplacian, symmetrize
 
 SYMMETRY_TOL = 1e-12
 CLAMP_FLOOR = -1e-9  # round-off negatives above this are snapped to 0
+LANCZOS_MIN_N = 160  # below this dense eigh is faster than Lanczos for 16 pairs
+LANCZOS_SHIFT = -1e-5  # shift-invert target just below the smallest eigenvalue, 0
+LANCZOS_SEED = 0  # seeds the Lanczos start vector
+INERTIA_GAP = 1e-9  # the completeness count sits this far below the largest pair found
 
 
 class NumericalError(RuntimeError):
@@ -45,12 +55,13 @@ class EigenSystem:
         return self.u.shape[1]
 
 
-def _check_square_symmetric(mat: np.ndarray) -> None:
+def _check_square_symmetric(mat) -> None:
+    # mat is a dense or a sparse array
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if not np.all(np.isfinite(mat.data if sparse.issparse(mat) else mat)):
         raise ValueError("matrix has non-finite entries")
-    asym = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
+    asym = float(abs(mat - mat.T).max()) if mat.size else 0.0
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 
@@ -63,22 +74,11 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u * np.where(lead < 0, -1.0, 1.0)
 
 
-def eigendecompose(l: NormalizedLaplacian, tol: float = 1e-12,
-                   basis_seed: int | None = None) -> EigenSystem:
-    """Full symmetric eigendecomposition L = U diag(lam) U^T.
-
-    tol scales the accepted residual ||L U - U diag(lam)||_max; failure
-    raises NumericalError carrying the residual. basis_seed applies a
-    seeded random orthogonal similarity before solving, which yields an
-    independent basis in degenerate eigenspaces (useful for testing that
-    filtering does not depend on the basis choice).
-    """
-    mat = np.asarray(l.matrix, dtype=np.float64)
-    _check_square_symmetric(mat)
-    n = mat.shape[0]
+def _dense_eigh(mat: np.ndarray, basis_seed: int | None):
     q = None
     work = mat
     if basis_seed is not None:
+        n = mat.shape[0]
         rng = np.random.default_rng(basis_seed)
         g = rng.standard_normal((n, n))
         q, r = np.linalg.qr(g)
@@ -89,10 +89,72 @@ def eigendecompose(l: NormalizedLaplacian, tol: float = 1e-12,
         lam, u = np.linalg.eigh(work)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    if q is not None:
-        u = q @ u
+    return lam, (u if q is None else q @ u)
+
+
+def _lanczos(mat, m: int):
+    """The m smallest eigenpairs by shift-invert Lanczos, checked for
+    completeness. A Krylov method can miss a copy of a repeated
+    eigenvalue; by Sylvester's law of inertia the negative pivots of a
+    symmetric LDL^T factorization of L - tau I count the eigenvalues
+    below tau, which must equal the number found below tau."""
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh, splu
+
+    n = mat.shape[0]
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    try:
+        lam, u = eigsh(mat, k=m, sigma=LANCZOS_SHIFT, which="LM", v0=v0)
+        tau = float(np.max(lam)) - INERTIA_GAP
+        shifted = sparse.csc_array(mat - tau * sparse.eye_array(n, format="csr"))
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except (ArpackError, ArpackNoConvergence, RuntimeError) as exc:
+        # RuntimeError: a shifted matrix was exactly singular
+        raise NumericalError(f"Lanczos eigensolver failed for m={m}: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalError(f"could not count eigenvalues below {tau:.6g} (pivoting left the diagonal)")
+    below = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    found = int(np.count_nonzero(lam < tau))
+    if below != found:
+        raise NumericalError(
+            f"Lanczos found {found} eigenvalues below {tau:.6g} but L has {below} "
+            f"(a repeated eigenvalue among the {m} smallest); use exact mode for this graph"
+        )
+    return lam, u
+
+
+def eigendecompose(l: NormalizedLaplacian, tol: float = 1e-12,
+                   basis_seed: int | None = None, m: int | None = None) -> EigenSystem:
+    """Symmetric eigendecomposition L = U diag(lam) U^T.
+
+    With m=None the system is full, from dense eigh on l.matrix.toarray()
+    (the only place a dense Laplacian exists). With m the system holds the
+    m smallest eigenpairs and is marked truncated: for m < n-1 and
+    n >= LANCZOS_MIN_N they come from shift-invert Lanczos on the sparse
+    matrix (scipy's eigsh, shift just below 0, seeded start vector),
+    otherwise from dense eigh then truncate. Either way pairs are sorted,
+    sign-fixed and clamped alike.
+
+    tol scales the accepted residual ||L U - U diag(lam)||_max. Failure
+    of either solver, a residual over the bound (carried by the error),
+    or a Lanczos result that misses a copy of a repeated eigenvalue (an
+    inertia count below the largest pair found) raises NumericalError;
+    no solver stands in for another. basis_seed applies a seeded random
+    orthogonal similarity before a dense solve, which yields an
+    independent basis in degenerate eigenspaces (useful for testing that
+    filtering does not depend on the basis choice); it always takes the
+    dense solver.
+    """
+    n = l.n
+    if m is not None and not 1 <= m <= n:
+        raise ValueError(f"m must be in [1, {n}], got m={m} for n={n}")
+    lanczos = m is not None and LANCZOS_MIN_N <= n and m < n - 1 and basis_seed is None
+    mat = l.matrix if lanczos else l.matrix.toarray()
+    _check_square_symmetric(mat)
+    lam, u = _lanczos(mat, m) if lanczos else _dense_eigh(mat, basis_seed)
     residual = float(np.max(np.abs(mat @ u - u * lam))) if n else 0.0
-    bound = tol * max(1.0, float(np.max(np.abs(mat)))) * max(n, 1)
+    scale = float(abs(mat).max()) if mat.size else 0.0
+    bound = tol * max(1.0, scale) * max(n, 1)
     if residual > bound:
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds {bound:.3e}",
@@ -106,7 +168,11 @@ def eigendecompose(l: NormalizedLaplacian, tol: float = 1e-12,
     u = np.ascontiguousarray(u)
     lam.flags.writeable = False
     u.flags.writeable = False
-    return EigenSystem(u, lam, truncated=False)
+    if m is None:
+        return EigenSystem(u, lam, truncated=False)
+    if u.shape[1] == m:
+        return EigenSystem(u, lam, truncated=True)
+    return truncate(EigenSystem(u, lam), m)
 
 
 def truncate(eig: EigenSystem, m: int) -> EigenSystem:
@@ -164,13 +230,10 @@ class ChebyshevFilter:
         return len(self.coeffs) - 1
 
 
-def chebyshev_fit(h, order: int, lambda_max: float = 2.0):
-    """Fit h on [0, lambda_max] at order P via Chebyshev-Gauss quadrature.
-
-    Uses the P+1 first-kind Chebyshev nodes mapped onto the interval.
-    Returns (ChebyshevFilter, max_err) where max_err is the maximum
-    absolute expansion error at 1000 uniform test points.
-    """
+def chebyshev_nodes(order: int, lambda_max: float = 2.0):
+    """The P+1 first-kind Chebyshev nodes mapped onto [0, lambda_max], and
+    the (P+1, P+1) Chebyshev-Gauss matrix that takes a function's values
+    at those nodes to its degree-P expansion coefficients."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if lambda_max <= 0:
@@ -178,11 +241,23 @@ def chebyshev_fit(h, order: int, lambda_max: float = 2.0):
     p1 = order + 1
     theta = np.pi * (np.arange(p1) + 0.5) / p1
     lam_nodes = 0.5 * lambda_max * (np.cos(theta) + 1.0)
+    fit = (2.0 / p1) * np.cos(np.outer(np.arange(p1), theta))
+    fit[0] *= 0.5
+    return lam_nodes, fit
+
+
+def chebyshev_fit(h, order: int, lambda_max: float = 2.0):
+    """Fit h on [0, lambda_max] at order P via Chebyshev-Gauss quadrature.
+
+    Uses the P+1 first-kind Chebyshev nodes mapped onto the interval.
+    Returns (ChebyshevFilter, max_err) where max_err is the maximum
+    absolute expansion error at 1000 uniform test points.
+    """
+    lam_nodes, fit = chebyshev_nodes(order, lambda_max)
     fvals = np.asarray(h(lam_nodes), dtype=np.float64)
     if fvals.shape != lam_nodes.shape:
         raise ValueError(f"filter returned shape {fvals.shape}, expected {lam_nodes.shape}")
-    coeffs = (2.0 / p1) * (np.cos(np.outer(np.arange(p1), theta)) @ fvals)
-    coeffs[0] *= 0.5
+    coeffs = fit @ fvals
     filt = ChebyshevFilter(coeffs, float(lambda_max))
     grid = np.linspace(0.0, lambda_max, 1000)
     approx = np.polynomial.chebyshev.chebval(2.0 * grid / lambda_max - 1.0, coeffs)
@@ -190,43 +265,29 @@ def chebyshev_fit(h, order: int, lambda_max: float = 2.0):
     return filt, max_err
 
 
-def _scaled_matvec(l: NormalizedLaplacian, scale: float):
-    """Returns y(x) = scale * L x - x without forming dense products when the
-    Laplacian carries its edge index (O(|E| d) per call)."""
-    if l._coo_src is not None:
-        src, dst, val = l._coo_src, l._coo_dst, l._coo_val
-        active = (l.degrees > 0).astype(np.float64)[:, None]
+def chebyshev_series(l: NormalizedLaplacian, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_p T_p(Lt) x * w[p] with Lt = L - I, the [0, 2] spectrum mapped
+    onto [-1, 1].
 
-        def matvec(x):
-            y = active * x
-            if len(src):
-                np.subtract.at(y, src, val[:, None] * x[dst])
-            return scale * y - x
-
-        return matvec
+    w is (P+1, 1) for one scalar series or (P+1, d) for one series per
+    channel. Runs T_{p+1} = 2 Lt T_p - T_{p-1} with CSR products: P
+    products of O(|E| d) each, holding only T_{p-1}, T_p and the sum.
+    """
     mat = l.matrix
-
-    def matvec(x):
-        return scale * (mat @ x) - x
-
-    return matvec
-
-
-def _chebyshev_apply_multi(l: NormalizedLaplacian, coeffs: np.ndarray,
-                           x: np.ndarray) -> np.ndarray:
-    """Apply K Chebyshev filters sharing one recurrence. coeffs is (K, P+1);
-    returns (K, n, d). Only T_{p-1} and T_p are held at any time."""
-    k, p1 = coeffs.shape
-    matvec = _scaled_matvec(l, 1.0)  # 2 / lambda_max with lambda_max = 2
-    out = coeffs[:, 0][:, None, None] * x[None, :, :]
-    if p1 == 1:
+    out = w[0] * x
+    if len(w) == 1:
         return out
+    term = np.empty_like(out)  # reused: a fresh (n, d) temporary per order is slower
     t_prev = x
-    t_cur = matvec(x)
-    out += coeffs[:, 1][:, None, None] * t_cur[None, :, :]
-    for p in range(2, p1):
-        t_next = 2.0 * matvec(t_cur) - t_prev
-        out += coeffs[:, p][:, None, None] * t_next[None, :, :]
+    t_cur = mat @ x
+    t_cur -= x
+    out += np.multiply(w[1], t_cur, out=term)
+    for p in range(2, len(w)):
+        t_next = mat @ t_cur
+        t_next -= t_cur
+        t_next *= 2.0
+        t_next -= t_prev
+        out += np.multiply(w[p], t_next, out=term)
         t_prev, t_cur = t_cur, t_next
     return out
 
@@ -239,39 +300,115 @@ def chebyshev_apply(l: NormalizedLaplacian, f: ChebyshevFilter, x: np.ndarray) -
         raise ValueError(f"expected signal of shape ({l.n}, d), got {x.shape}")
     if abs(f.lambda_max - 2.0) > 1e-12:
         # spectra of normalized Laplacians live in [0, 2]; the recurrence
-        # below hard-codes that scaling
+        # hard-codes that scaling
         raise ValueError(f"unsupported lambda_max {f.lambda_max}, expected 2.0")
-    return _chebyshev_apply_multi(l, f.coeffs[None, :], x)[0]
+    return chebyshev_series(l, f.coeffs[:, None], x)
+
+
+@dataclass(frozen=True)
+class MixMode:
+    """Evaluation strategy: exact, truncated(m), or chebyshev(order).
+
+    exact takes no parameter, truncated an int m >= 1 (the smoothest
+    modes kept), chebyshev an int order >= 0; anything else is rejected
+    at construction.
+    """
+
+    kind: str
+    param: int | None = None
+
+    def __post_init__(self):
+        if self.kind == "exact":
+            if self.param is not None:
+                raise ValueError(f"exact mode takes no parameter, got {self.param!r}")
+            return
+        if self.kind == "truncated":
+            low, what = 1, "truncation size"
+        elif self.kind == "chebyshev":
+            low, what = 0, "chebyshev order"
+        else:
+            raise ValueError(
+                f"unknown mix mode {self.kind!r}; expected exact, truncated or chebyshev")
+        if (isinstance(self.param, bool) or not isinstance(self.param, (int, np.integer))
+                or self.param < low):
+            raise ValueError(f"{what} must be an integer >= {low}, got {self.param!r}")
+        object.__setattr__(self, "param", int(self.param))
+
+    @classmethod
+    def exact(cls) -> "MixMode":
+        return cls("exact")
+
+    @classmethod
+    def truncated(cls, m: int) -> "MixMode":
+        return cls("truncated", m)
+
+    @classmethod
+    def chebyshev(cls, order: int) -> "MixMode":
+        return cls("chebyshev", order)
+
+    def __str__(self) -> str:
+        return self.kind if self.param is None else f"{self.kind}:{self.param}"
+
+
+def parse_mix_mode(text: str) -> MixMode:
+    """Inverse of str(MixMode): "exact", "truncated:M", "chebyshev:P"."""
+    kind, _, arg = text.partition(":")
+    if kind == "exact":
+        if arg:
+            raise ValueError("exact mode takes no parameter")
+        return MixMode.exact()
+    if kind == "truncated":
+        return MixMode.truncated(int(arg) if arg else 16)
+    if kind == "chebyshev":
+        return MixMode.chebyshev(int(arg) if arg else 16)
+    raise ValueError(f"unknown mix mode {text!r}")
 
 
 class SpectrumCache:
-    """Laplacian + eigensystem cache keyed by graph content hash.
+    """Per-graph spectral data keyed by the symmetrized graph's content
+    hash (computed once per TokenGraph object).
 
-    Insertions are serialized behind a lock; lookups are lock-free reads
-    of an insert-only dict. In-memory only.
+    An entry holds the CSR Laplacian plus only the spectra that some mode
+    has asked for: the full system for exact, an m-pair system of its own
+    for each truncated:m, nothing for chebyshev. Entries and spectra are
+    only ever added: hits are lock-free dict reads, while computing and
+    inserting is serialized behind a lock. In-memory only.
     """
 
     def __init__(self):
-        self._entries: dict = {}
+        self._entries: dict = {}  # key -> (Laplacian, {None or m: EigenSystem})
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get_or_compute(self, g: TokenGraph):
-        """Returns (NormalizedLaplacian, EigenSystem) for the symmetrized graph."""
-        sym = symmetrize(g)
-        key = content_hash(sym)
-        hit = self._entries.get(key)
-        if hit is not None:
-            return hit
+    def get_or_compute(self, g: TokenGraph, mode: MixMode = MixMode.exact()):
+        """Returns (NormalizedLaplacian, EigenSystem or None) for the
+        symmetrized graph: the full system for exact, the m smallest pairs
+        for truncated:m (ValueError, before any solve, if m > n), None for
+        chebyshev."""
+        if mode.kind == "truncated" and mode.param > g.n:
+            raise ValueError(
+                f"truncated:{mode.param} needs m <= n, got m={mode.param} "
+                f"for a graph of n={g.n} nodes"
+            )
+        spectral = mode.kind != "chebyshev"
+        entry = self._entries.get(g.spectral_key)
+        if entry is None or spectral and mode.param not in entry[1]:
+            entry = self._fill(g, mode)
+        lap, spectra = entry
+        return lap, spectra[mode.param] if spectral else None
+
+    def _fill(self, g: TokenGraph, mode: MixMode):
         with self._lock:
-            hit = self._entries.get(key)
-            if hit is None:
-                lap = normalized_laplacian(sym)
-                hit = (lap, eigendecompose(lap))
-                self._entries[key] = hit
-        return hit
+            entry = self._entries.get(g.spectral_key)
+            if entry is None:
+                entry = (normalized_laplacian(symmetrize(g)), {})
+                self._entries[g.spectral_key] = entry
+            lap, spectra = entry
+            if mode.kind != "chebyshev" and mode.param not in spectra:
+                spectra[mode.param] = eigendecompose(lap, m=mode.param)
+        return entry
 
     def clear(self) -> None:
         with self._lock:

@@ -1,0 +1,326 @@
+"""The sub-quadratic inference path: CSR Laplacian, Lanczos partial
+spectra, the fused Chebyshev recurrence, the mode-aware spectrum cache
+and warm-request behaviour, each checked against a dense oracle."""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import gwmixer.graphs as graphs_mod
+import gwmixer.spectral as spectral_mod
+from gwmixer import (
+    MixMode,
+    NumericalError,
+    SpectrumCache,
+    TokenGraph,
+    build_chain_graph,
+    build_filter_bank,
+    build_model,
+    chebyshev_apply,
+    chebyshev_fit,
+    eigendecompose,
+    filter_eval,
+    model_forward,
+    normalized_laplacian,
+    parse_mix_mode,
+    symmetrize,
+    wavelet_mix,
+)
+from gwmixer.graphs import CHAIN_MEMO_SIZE
+from gwmixer.spectral import LANCZOS_MIN_N
+
+
+def dense_laplacian_reference(g: TokenGraph) -> np.ndarray:
+    """The dense construction the CSR form replaced, kept as an oracle."""
+    n = g.n
+    deg = np.zeros(n)
+    for s, _ in g.edges:
+        deg[s] += 1.0
+    with np.errstate(divide="ignore"):
+        dinv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    lap = np.zeros((n, n))
+    edges = sorted(g.edges)
+    if edges:
+        src = np.array([e[0] for e in edges], dtype=np.intp)
+        dst = np.array([e[1] for e in edges], dtype=np.intp)
+        lap[src, dst] = -(dinv[src] * dinv[dst])
+    lap[np.arange(n), np.arange(n)] = np.where(deg > 0, 1.0, 0.0)
+    return lap
+
+
+def random_tree(rng, n):
+    return symmetrize(TokenGraph(n, [(int(rng.integers(i)), i) for i in range(1, n)]))
+
+
+@pytest.fixture
+def lanczos_calls(monkeypatch):
+    calls = []
+    original = spectral_mod._lanczos
+
+    def spy(mat, m):
+        calls.append(m)
+        return original(mat, m)
+
+    monkeypatch.setattr(spectral_mod, "_lanczos", spy)
+    return calls
+
+
+class TestCsrLaplacian:
+    GOLDEN = [
+        TokenGraph(1),
+        TokenGraph(2, ((0, 1), (1, 0))),
+        TokenGraph(3, ((0, 1), (1, 0), (1, 2), (2, 1))),
+        TokenGraph(3, ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0))),
+        TokenGraph(3, ((0, 1), (1, 0))),  # node 2 isolated
+        TokenGraph(6, ((0, 1), (1, 0), (2, 3), (3, 2), (1, 4), (4, 1))),  # node 5 isolated
+        TokenGraph(5, ((2, 0), (0, 2), (2, 1), (1, 2), (2, 3), (3, 2), (2, 4), (4, 2))),
+    ]
+
+    @pytest.mark.parametrize("g", GOLDEN, ids=lambda g: f"n{g.n}e{len(g.edges)}")
+    def test_dense_copy_bit_identical_to_dense_construction(self, g):
+        lap = normalized_laplacian(g)
+        assert lap.matrix.toarray().tobytes() == dense_laplacian_reference(g).tobytes()
+
+    def test_random_graphs_bit_identical(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            mask = np.triu(rng.random((n, n)) < rng.uniform(0.02, 0.5), k=1)
+            g = symmetrize(TokenGraph(n, [(int(i), int(j)) for i, j in np.argwhere(mask)]))
+            lap = normalized_laplacian(g)
+            assert lap.matrix.toarray().tobytes() == dense_laplacian_reference(g).tobytes()
+            assert lap.matrix.has_sorted_indices
+
+    def test_stores_only_the_nonzeros(self):
+        lap = normalized_laplacian(symmetrize(build_chain_graph(1000)))
+        assert lap.matrix.nnz == 1000 + 2 * 999
+
+    def test_isolated_node_has_an_empty_row(self):
+        lap = normalized_laplacian(TokenGraph(3, ((0, 1), (1, 0))))
+        assert lap.matrix.indptr[3] == lap.matrix.indptr[2]
+
+
+class TestMixModeValidation:
+    @pytest.mark.parametrize("kind,param", [
+        ("bogus", 3), ("exact", 5), ("exact", 0), ("truncated", None), ("truncated", 0),
+        ("truncated", 2.0), ("truncated", True), ("chebyshev", None), ("chebyshev", -1),
+        ("chebyshev", "8"),
+    ])
+    def test_rejected_at_construction(self, kind, param):
+        with pytest.raises(ValueError):
+            MixMode(kind, param)
+
+    def test_unknown_kind_named(self):
+        with pytest.raises(ValueError, match="bogus"):
+            MixMode("bogus", 3)
+
+    def test_numpy_integer_accepted_as_int(self):
+        mode = MixMode.truncated(np.int64(4))
+        assert mode == MixMode("truncated", 4)
+        assert type(mode.param) is int
+        assert str(MixMode.chebyshev(0)) == "chebyshev:0"
+
+    def test_truncation_larger_than_graph_fails_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral_mod, "eigendecompose", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(spectral_mod, "normalized_laplacian", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=r"m=9 .*n=8"):
+            SpectrumCache().get_or_compute(build_chain_graph(8), MixMode.truncated(9))
+        model = build_model(4, 2, 1, 2, 7, seed=0)
+        with pytest.raises(ValueError, match=r"m=9 .*n=8"):
+            model_forward(model, build_chain_graph(8), np.zeros(8, dtype=int),
+                          parse_mix_mode("truncated:9"), SpectrumCache())
+        assert calls == []
+
+
+class TestPartialSpectrum:
+    def test_partial_mixing_matches_dense_then_slice(self, lanczos_calls):
+        rng = np.random.default_rng(5)
+        graphs = [symmetrize(build_chain_graph(n)) for n in (LANCZOS_MIN_N, 300, 777)]
+        graphs += [random_tree(rng, int(rng.integers(LANCZOS_MIN_N, 400))) for _ in range(12)]
+        checked = 0
+        for i, g in enumerate(graphs):
+            lap = normalized_laplacian(g)
+            full = eigendecompose(lap)
+            m = int(rng.integers(1, 25))
+            if full.lam[m] - full.lam[m - 1] <= 1e-8:
+                continue  # the m-mode subspace is not unique
+            part = eigendecompose(lap, m=m)
+            assert part.truncated and part.m == m
+            assert np.max(np.abs(part.lam - full.lam[:m])) < 1e-12
+            bank = build_filter_bank(3, 5, seed=i)
+            bank.alpha[...] = rng.standard_normal(bank.alpha.shape)
+            x = rng.standard_normal((g.n, 5))
+            mode = MixMode.truncated(m)
+            ref = wavelet_mix(bank, full, x, mode)  # dense eigh, then sliced
+            assert np.max(np.abs(wavelet_mix(bank, part, x, mode) - ref)) < 1e-10
+            checked += 1
+        assert checked >= 10
+        assert len(lanczos_calls) == checked
+
+    def test_missed_repeated_eigenvalue_raises_instead_of_answering_wrong(self, monkeypatch):
+        # Small random trees often repeat an eigenvalue; single-vector
+        # Lanczos can miss a copy, which the inertia count must catch.
+        monkeypatch.setattr(spectral_mod, "LANCZOS_MIN_N", 0)
+        raised = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(30, 120)), int(rng.integers(2, 25))
+            lap = normalized_laplacian(random_tree(rng, n))
+            try:
+                part = eigendecompose(lap, m=m)
+            except NumericalError as exc:
+                assert "eigenvalues below" in str(exc)
+                raised += 1
+                continue
+            assert np.max(np.abs(part.lam - eigendecompose(lap).lam[:m])) < 1e-9
+        assert raised >= 1
+
+    def test_deterministic_sorted_sign_fixed_read_only(self):
+        lap = normalized_laplacian(symmetrize(build_chain_graph(400)))
+        a = eigendecompose(lap, m=16)
+        b = eigendecompose(lap, m=16)
+        assert a.u.tobytes() == b.u.tobytes() and a.lam.tobytes() == b.lam.tobytes()
+        assert np.all(np.diff(a.lam) >= 0.0) and 0.0 <= a.lam[0] < 1e-12
+        lead = a.u[np.argmax(np.abs(a.u), axis=0), np.arange(16)]
+        assert np.all(lead >= 0.0)
+        assert np.allclose(a.u.T @ a.u, np.eye(16), atol=1e-12)
+        with pytest.raises(ValueError):
+            a.u[0, 0] = 1.0
+
+    def test_near_full_and_small_requests_use_dense(self, lanczos_calls):
+        big = normalized_laplacian(symmetrize(build_chain_graph(LANCZOS_MIN_N)))
+        small = normalized_laplacian(symmetrize(build_chain_graph(40)))
+        for lap, m in ((big, LANCZOS_MIN_N - 1), (big, LANCZOS_MIN_N), (small, 16)):
+            eig = eigendecompose(lap, m=m)
+            assert eig.truncated and eig.m == m
+        assert lanczos_calls == []
+
+    @pytest.mark.parametrize("m", [0, 41])
+    def test_m_out_of_range(self, m):
+        with pytest.raises(ValueError, match="m must be in"):
+            eigendecompose(normalized_laplacian(symmetrize(build_chain_graph(40))), m=m)
+
+    def test_residual_over_bound_raises_with_residual(self):
+        lap = normalized_laplacian(symmetrize(build_chain_graph(300)))
+        with pytest.raises(NumericalError) as exc:
+            eigendecompose(lap, tol=0.0, m=8)
+        assert exc.value.residual is not None and exc.value.residual > 0.0
+
+    def test_solver_failure_raises_numerical_error(self, monkeypatch):
+        from scipy.sparse import linalg
+
+        def fail(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(linalg, "eigsh", fail)
+        lap = normalized_laplacian(symmetrize(build_chain_graph(300)))
+        with pytest.raises(NumericalError, match="Lanczos"):
+            eigendecompose(lap, m=8)
+
+
+class TestFusedChebyshev:
+    def test_equals_per_filter_chebyshev_apply_sum(self):
+        rng = np.random.default_rng(2)
+        for order in (0, 1, 2, 16, 30):
+            g = random_tree(rng, 50)
+            lap = normalized_laplacian(g)
+            bank = build_filter_bank(4, 6, seed=order)
+            bank.alpha[...] = rng.standard_normal(bank.alpha.shape)
+            x = rng.standard_normal((50, 6))
+            ref = np.zeros_like(x)
+            for k, f in enumerate(bank.filters):
+                filt, _ = chebyshev_fit(lambda lam, f=f: filter_eval(f, lam), order)
+                ref += chebyshev_apply(lap, filt, x) * bank.alpha[k]
+            out = wavelet_mix(bank, None, x, MixMode.chebyshev(order), lap=lap)
+            assert np.max(np.abs(out - ref)) < 1e-12
+
+
+class TestModeAwareCache:
+    def test_chebyshev_needs_no_spectrum(self):
+        cache = SpectrumCache()
+        lap, eig = cache.get_or_compute(build_chain_graph(9), MixMode.chebyshev(4))
+        assert eig is None and lap.n == 9
+
+    def test_one_entry_per_graph_with_a_system_per_mode(self):
+        cache = SpectrumCache()
+        g = build_chain_graph(200)
+        lap_c, _ = cache.get_or_compute(g, MixMode.chebyshev(16))
+        lap_t, trunc = cache.get_or_compute(g, MixMode.truncated(16))
+        lap_e, full = cache.get_or_compute(g, MixMode.exact())
+        assert lap_c is lap_t is lap_e and len(cache) == 1
+        assert trunc.truncated and trunc.m == 16 and not full.truncated and full.m == 200
+        assert cache.get_or_compute(g, MixMode.truncated(16))[1] is trunc
+        assert cache.get_or_compute(g)[1] is full
+
+    @pytest.mark.parametrize("n", [12, 300])
+    def test_truncated_logits_independent_of_cache_history(self, n):
+        model = build_model(8, 2, 2, 2, 16, seed=3)
+        ids = np.random.default_rng(n).integers(15, size=n)
+        g = build_chain_graph(n)
+        mode = MixMode.truncated(8)
+        primed = SpectrumCache()
+        model_forward(model, g, ids, MixMode.exact(), primed)
+        a, _ = model_forward(model, g, ids, mode, primed)
+        b, _ = model_forward(model, g, ids, mode, SpectrumCache())
+        assert a.tobytes() == b.tobytes()
+
+
+class TestInferenceCost:
+    def test_chebyshev_forward_runs_no_eigendecomposition_and_no_dense_matrix(self, monkeypatch):
+        calls = []
+        original = spectral_mod.eigendecompose
+        monkeypatch.setattr(spectral_mod, "eigendecompose",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        n = 4096
+        model = build_model(8, 2, 2, 2, 16, seed=0)
+        ids = np.arange(n) % 15
+        g = TokenGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+        tracemalloc.start()
+        try:
+            logits, _ = model_forward(model, g, ids, MixMode.chebyshev(16), SpectrumCache())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < n * n * 8 / 8
+        assert np.all(np.isfinite(logits))
+
+    def test_warm_request_does_no_symmetrize_or_hash(self, monkeypatch):
+        counts = {"symmetrize": 0, "content_hash": 0}
+        for name in counts:
+            original = getattr(graphs_mod, name)
+
+            def spy(g, name=name, original=original):
+                counts[name] += 1
+                return original(g)
+
+            monkeypatch.setattr(graphs_mod, name, spy)
+        build_chain_graph.cache_clear()  # the first request below is cold
+        model = build_model(4, 2, 1, 2, 7, seed=0)
+        cache = SpectrumCache()
+        n = 257
+        for mode in (MixMode.chebyshev(8), MixMode.truncated(4)):
+            model_forward(model, build_chain_graph(n), np.zeros(n, dtype=int), mode, cache)
+        cold = dict(counts)
+        assert cold["content_hash"] == 1  # the key is computed once per graph object
+        for mode in (MixMode.chebyshev(8), MixMode.truncated(4)):
+            model_forward(model, build_chain_graph(n), np.zeros(n, dtype=int), mode, cache)
+        assert counts == cold
+
+    def test_chain_graphs_shared_and_memo_bounded(self):
+        assert build_chain_graph(33) is build_chain_graph(33)
+        assert build_chain_graph.cache_info().maxsize == CHAIN_MEMO_SIZE
+
+
+def test_import_leaves_lanczos_module_unloaded():
+    code = ("import sys, gwmixer; "
+            "sys.exit(1 if 'scipy.sparse.linalg' in sys.modules else 0)")
+    src = os.path.dirname(os.path.dirname(graphs_mod.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr or "import gwmixer loaded scipy.sparse.linalg"
