@@ -18,12 +18,13 @@ from .filterbank import (
     FilterBank,
     MixGrads,
     MixMode,
-    init_filter_mlp,
+    draw_filter_bank,
+    named_bank_tensors,
     wavelet_mix,
     wavelet_mix_backward,
 )
 from .graphs import NormalizedLaplacian, TokenGraph
-from .serialize import dumps_canonical
+from .serialize import dumps_canonical, write_text_atomic
 from .spectral import DEFAULT_CACHE, EigenSystem, SpectrumCache
 
 CHECKPOINT_VERSION = 1
@@ -130,8 +131,7 @@ def build_model(d: int, k: int, layers: int, ffn_mult: int, vocab: int,
     readout = rng.uniform(-bd, bd, (d, vocab))
     stack = []
     for _ in range(layers):
-        filters = [init_filter_mlp(rng, hidden) for _ in range(k)]
-        bank = FilterBank(filters, np.full((k, d), 1.0 / k))
+        bank = draw_filter_bank(rng, k, d, hidden)
         stack.append(WaveletLayer(bank, build_feed_forward(d, ffn_mult, rng)))
     return WaveletModel(embed, stack, readout)
 
@@ -141,13 +141,7 @@ def model_params(model: WaveletModel) -> dict:
     the model). Names are stable and double as checkpoint keys."""
     params = {"embed": model.embed, "readout": model.readout}
     for i, layer in enumerate(model.layers):
-        for k, f in enumerate(layer.bank.filters):
-            base = f"layers.{i}.bank.filters.{k}"
-            params[f"{base}.w1"] = f.w1
-            params[f"{base}.b1"] = f.b1
-            params[f"{base}.w2"] = f.w2
-            params[f"{base}.b2"] = f.b2
-        params[f"layers.{i}.bank.alpha"] = layer.bank.alpha
+        params.update(named_bank_tensors(layer.bank, f"layers.{i}.bank."))
         for name in ("w1", "b1", "w2", "b2"):
             params[f"layers.{i}.ffn.{name}"] = getattr(layer.ffn, name)
     return params
@@ -186,24 +180,23 @@ def model_forward(model: WaveletModel, graph: TokenGraph, token_ids,
 
 def model_backward(model: WaveletModel, tape: ModelTape,
                    grad_logits: np.ndarray) -> dict:
-    """Gradients for every named parameter, keyed like model_params."""
-    grads = {}
-    grads["readout"] = tape.h_final.T @ grad_logits
+    """Gradients for every named parameter, keyed and ordered like
+    model_params."""
+    grad_readout = tape.h_final.T @ grad_logits
     d_x = grad_logits @ model.readout.T
+    layer_grads = []
     for i in reversed(range(len(model.layers))):
         lg = layer_backward(model.layers[i], tape.eig, tape.layer_tapes[i], d_x)
         d_x = lg.x
-        for k, fg in enumerate(lg.mix.filters):
-            base = f"layers.{i}.bank.filters.{k}"
-            for name in ("w1", "b1", "w2", "b2"):
-                grads[f"{base}.{name}"] = fg[name]
-        grads[f"layers.{i}.bank.alpha"] = lg.mix.alpha
-        for name in ("w1", "b1", "w2", "b2"):
-            grads[f"layers.{i}.ffn.{name}"] = lg.ffn[name]
+        layer_grads.append(lg)
     grad_embed = np.zeros_like(model.embed)
     np.add.at(grad_embed, tape.token_ids, d_x)
-    grads["embed"] = grad_embed
-    return {name: grads[name] for name in model_params(model)}
+    grads = {"embed": grad_embed, "readout": grad_readout}
+    for i, lg in enumerate(reversed(layer_grads)):
+        grads.update(named_bank_tensors(lg.mix, f"layers.{i}.bank."))
+        for name in ("w1", "b1", "w2", "b2"):
+            grads[f"layers.{i}.ffn.{name}"] = lg.ffn[name]
+    return grads
 
 
 def checkpoint_text(config: dict, params: dict) -> str:
@@ -219,9 +212,9 @@ def checkpoint_text(config: dict, params: dict) -> str:
 
 
 def save_checkpoint(path, config: dict, params: dict) -> None:
-    text = checkpoint_text(config, params)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write checkpoint_text atomically: a failed write leaves the
+    previous file at path intact."""
+    write_text_atomic(path, checkpoint_text(config, params))
 
 
 def load_checkpoint(path):

@@ -11,6 +11,12 @@ evaluated exactly on the full eigenbasis, on the m smoothest modes
 Chebyshev recurrence of sparse Laplacian products with the bank's
 coefficients and alpha folded together. Backward treats U and Lam as
 constants.
+
+A bank stores its K filters stacked, as (K, H) arrays, and evaluates all
+of them in one pass (one broadcast tanh, one batched contraction): once
+for the responses in the forward mix, once for the responses plus every
+parameter Jacobian in the backward. The single-filter functions
+filter_eval and filter_eval_grad run the same code with K = 1.
 """
 
 from dataclasses import dataclass
@@ -22,6 +28,7 @@ from .graphs import NormalizedLaplacian
 from .spectral import EigenSystem, MixMode, chebyshev_nodes, chebyshev_series
 
 LAMBDA_MAX = 2.0
+FILTER_TENSORS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
@@ -51,20 +58,43 @@ def init_filter_mlp(rng: np.random.Generator, hidden: int = 16) -> FilterMlp:
     )
 
 
-def _eval_core(f: FilterMlp, lam: np.ndarray):
+def _bank_eval(w1, b1, w2, b2, lam: np.ndarray):
+    """All K filters of stacked (K, H) weights at once: one broadcast tanh
+    and one batched contraction. Returns clamped lam (m,), t (K, m, H),
+    y (K, m) before the softplus head, and g = softplus(y) (K, m)."""
     lam = np.clip(lam, 0.0, LAMBDA_MAX)
-    t = np.tanh(np.outer(f.w1, lam) + f.b1[:, None])  # (H, m)
-    y = f.w2 @ t + float(f.b2)  # (m,)
+    t = np.tanh(w1[:, None, :] * lam[:, None] + b1[:, None, :])
+    y = (t @ w2[:, :, None])[..., 0] + b2[:, None]
     return lam, t, y, np.logaddexp(0.0, y)
+
+
+def _bank_eval_grad(w1, b1, w2, b2, lam: np.ndarray):
+    """Values (K, m) and parameter Jacobians of all K filters: w1, b1, w2
+    of shape (K, m, H), b2 of shape (K, m)."""
+    lam, t, y, out = _bank_eval(w1, b1, w2, b2, lam)
+    s = expit(y)  # d softplus / dy
+    gw2 = s[..., None] * t
+    gb1 = s[..., None] * (w2[:, None, :] * (1.0 - t**2))
+    gw1 = gb1 * lam[:, None]
+    return out, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": s}
+
+
+def _finite_lambda(lam) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("lambda must be finite")
+    return arr
+
+
+def _stacked(f: FilterMlp):
+    """One filter's parameters as a K = 1 stack (views, no copies)."""
+    return f.w1[None], f.b1[None], f.w2[None], np.reshape(f.b2, 1)
 
 
 def filter_eval(f: FilterMlp, lam) -> np.ndarray:
     """g(lambda), vectorized over lambda. Input is clamped into [0, 2];
     output is strictly positive (softplus head)."""
-    arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("lambda must be finite")
-    out = _eval_core(f, arr)[3]
+    out = _bank_eval(*_stacked(f), _finite_lambda(lam))[3][0]
     return out if np.ndim(lam) else out[0]
 
 
@@ -74,35 +104,50 @@ def filter_eval_grad(f: FilterMlp, lam):
     Returns (values, grads) where grads has keys w1/b1/w2/b2. For array
     input the gradient arrays carry a leading lambda axis.
     """
-    scalar = np.ndim(lam) == 0
-    arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("lambda must be finite")
-    lam_c, t, y, out = _eval_core(f, arr)
-    s = expit(y)  # d softplus / dy
-    gb2 = s
-    gw2 = s[:, None] * t.T
-    gb1 = s[:, None] * (f.w2[None, :] * (1.0 - t.T**2))
-    gw1 = gb1 * lam_c[:, None]
-    if scalar:
-        return out[0], {"w1": gw1[0], "b1": gb1[0], "w2": gw2[0], "b2": np.array(gb2[0])}
-    return out, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+    out, jac = _bank_eval_grad(*_stacked(f), _finite_lambda(lam))
+    if np.ndim(lam):
+        return out[0], {name: g[0] for name, g in jac.items()}
+    grads = {name: g[0, 0] for name, g in jac.items()}
+    grads["b2"] = np.array(grads["b2"])
+    return out[0, 0], grads
 
 
-@dataclass
 class FilterBank:
-    """K filters plus per-filter channel gains alpha of shape (K, d)."""
+    """K filters stored as stacked arrays w1, b1, w2 of shape (K, H) and
+    b2 of shape (K,), plus per-filter channel gains alpha of shape (K, d).
 
-    filters: list
-    alpha: np.ndarray
+    Built from a sequence of FilterMlp, whose parameters are copied in.
+    filters is a tuple of FilterMlp row views into the stacked arrays (b2
+    a 0-d view), so writing through a filter writes the bank and the
+    per-filter names of model_params reach the same memory.
+    """
+
+    def __init__(self, filters, alpha: np.ndarray):
+        filters = tuple(filters)
+        if not filters:
+            raise ValueError("need at least one filter")
+        self.w1, self.b1, self.w2, self.b2 = (
+            np.array([getattr(f, name) for f in filters], dtype=np.float64)
+            for name in FILTER_TENSORS)
+        self.alpha = alpha
+        self.filters = tuple(
+            FilterMlp(self.w1[k], self.b1[k], self.w2[k], self.b2[k, ...])
+            for k in range(len(filters)))
 
     @property
     def k(self) -> int:
-        return len(self.filters)
+        return len(self.b2)
 
     @property
     def d(self) -> int:
         return self.alpha.shape[1]
+
+
+def draw_filter_bank(rng: np.random.Generator, k: int, d: int, hidden: int = 16) -> FilterBank:
+    """K filters drawn from rng in index order by init_filter_mlp, alpha
+    filled with 1/K."""
+    filters = [init_filter_mlp(rng, hidden) for _ in range(k)]
+    return FilterBank(filters, np.full((k, d), 1.0 / k))
 
 
 def build_filter_bank(k: int, d: int, seed: int = 0, hidden: int = 16) -> FilterBank:
@@ -111,14 +156,14 @@ def build_filter_bank(k: int, d: int, seed: int = 0, hidden: int = 16) -> Filter
         raise ValueError(f"need at least one filter, got k={k}")
     if d < 1:
         raise ValueError(f"need at least one channel, got d={d}")
-    rng = np.random.default_rng(seed)
-    filters = [init_filter_mlp(rng, hidden) for _ in range(k)]
-    return FilterBank(filters, np.full((k, d), 1.0 / k))
+    return draw_filter_bank(np.random.default_rng(seed), k, d, hidden)
 
 
 def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
-    """Stacked responses g_k(lam), shape (K, m)."""
-    return np.stack([filter_eval(f, lam) for f in bank.filters])
+    """Stacked responses g_k(lam), shape (K, m), from one evaluation of
+    all K filters."""
+    out = _bank_eval(bank.w1, bank.b1, bank.w2, bank.b2, _finite_lambda(lam))[3]
+    return out if np.ndim(lam) else out[:, 0]
 
 
 def _spectral_basis(eig: EigenSystem, mode: MixMode):
@@ -169,11 +214,23 @@ def wavelet_mix(bank: FilterBank, eig: EigenSystem | None, x: np.ndarray,
 
 @dataclass
 class MixGrads:
-    """Gradients of a scalar objective through wavelet_mix."""
+    """Gradients of a scalar objective through wavelet_mix. The filter
+    gradients are stacked like the bank's parameters: w1, b1, w2 of shape
+    (K, H) and b2 of shape (K,)."""
 
     x: np.ndarray
     alpha: np.ndarray
-    filters: list  # per filter: dict with w1/b1/w2/b2
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+
+    @property
+    def filters(self) -> tuple:
+        """Per filter: a dict of w1/b1/w2/b2 views into the stacked
+        gradients (b2 a 0-d view)."""
+        return tuple({name: getattr(self, name)[k, ...] for name in FILTER_TENSORS}
+                     for k in range(len(self.b2)))
 
 
 def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem, x: np.ndarray,
@@ -181,7 +238,9 @@ def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem, x: np.ndarray,
     """Reverse-mode gradients of wavelet_mix for exact/truncated modes.
 
     U and Lam are constants of the graph; gradients flow to x, alpha and
-    the filter parameters only. The chebyshev path has no backward.
+    the filter parameters only. Responses and every parameter Jacobian
+    come from one evaluation of the whole bank. The chebyshev path has no
+    backward.
     """
     if mode.kind == "chebyshev":
         raise ValueError("chebyshev mode is inference-only; no backward pass")
@@ -190,27 +249,32 @@ def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem, x: np.ndarray,
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != signal shape {x.shape}")
     u, lam = _spectral_basis(eig, mode)
-    resp = bank_responses(bank, lam)  # (K, m)
+    resp, jac = _bank_eval_grad(bank.w1, bank.b1, bank.w2, bank.b2, _finite_lambda(lam))
     xhat = u.T @ x  # (m, d)
     ghat = u.T @ upstream  # (m, d)
     prod = xhat * ghat  # (m, d)
     grad_alpha = resp @ prod  # (K, d)
     # response weights: dLoss/dg_k(lam_i) = sum_j xhat[i,j] alpha[k,j] ghat[i,j]
     wresp = bank.alpha @ prod.T  # (K, m)
-    filter_grads = []
-    for k, f in enumerate(bank.filters):
-        _, g = filter_eval_grad(f, lam)
-        filter_grads.append(
-            {
-                "w1": wresp[k] @ g["w1"],
-                "b1": wresp[k] @ g["b1"],
-                "w2": wresp[k] @ g["w2"],
-                "b2": np.array(wresp[k] @ g["b2"]),
-            }
-        )
+    row = wresp[:, None, :]  # (K, 1, m) against the (K, m, H) Jacobians
     weight = resp.T @ bank.alpha  # (m, d)
     grad_x = u @ (weight * ghat)
-    return MixGrads(grad_x, grad_alpha, filter_grads)
+    return MixGrads(grad_x, grad_alpha, (row @ jac["w1"])[:, 0], (row @ jac["b1"])[:, 0],
+                    (row @ jac["w2"])[:, 0], np.sum(wresp * jac["b2"], axis=1))
+
+
+
+def named_bank_tensors(bank, prefix: str = "") -> dict:
+    """Per-filter views ``{prefix}filters.{k}.{w1,b1,w2,b2}`` into the
+    stacked arrays of a FilterBank (or of its MixGrads), then
+    ``{prefix}alpha``: the parameter names and order of model_params and
+    the checkpoint."""
+    out = {}
+    for k in range(len(bank.b2)):
+        for name in FILTER_TENSORS:
+            out[f"{prefix}filters.{k}.{name}"] = getattr(bank, name)[k, ...]
+    out[f"{prefix}alpha"] = bank.alpha
+    return out
 
 
 def spectrum_csv(bank: FilterBank, samples: int = 512) -> str:

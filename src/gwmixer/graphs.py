@@ -9,7 +9,7 @@ Laplacian L = I - D^{-1/2} A D^{-1/2}, held as one sparse CSR matrix.
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -67,13 +67,20 @@ class TokenGraph:
         es = set(self.edges)
         return all((d, s) in es for s, d in es)
 
-    @cached_property
-    def spectral_key(self) -> str:
-        """content_hash of the symmetrized graph: the spectrum cache key.
-        Only the hash is kept; holding the symmetrized graph on every
-        graph object slowed dependency-tree training through the garbage
-        collector."""
-        return content_hash(symmetrize(self))
+    def spectral_form(self) -> tuple:
+        """(key, symmetrized graph or None), where key, the spectrum cache
+        key, is the content_hash of the symmetrized graph. The first call
+        symmetrizes the graph, keeps the key, and hands the symmetrized
+        graph to the caller, which may build the Laplacian from it; later
+        calls return (key, None) and do no O(n) work. The symmetrized
+        graph itself is not kept: holding it on every graph object slowed
+        dependency-tree training through the garbage collector."""
+        key = self.__dict__.get("_spectral_key")
+        if key is not None:
+            return key, None
+        sym = symmetrize(self)
+        key = self.__dict__["_spectral_key"] = content_hash(sym)  # frozen: bypass __setattr__
+        return key, sym
 
 
 @lru_cache(maxsize=CHAIN_MEMO_SIZE)

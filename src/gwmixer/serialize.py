@@ -3,10 +3,12 @@
 The stdlib json module reprs floats (shortest round trip), which is
 deterministic but not the fixed 17-significant-digit form the checkpoint
 format pins down. This tiny emitter writes sorted keys and every float as
-%.17g, so identical data always serializes to identical bytes.
+%.17g, so identical data always serializes to identical bytes. Artifacts are
+written atomically.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -55,3 +57,21 @@ def _emit(obj, out) -> None:
         out.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to path so that a reader finds the previous file or the
+    complete new one, never a part: the text goes to a temporary file in
+    the same directory, is flushed to disk, and then replaces path. On
+    failure the temporary file is removed and path is left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -393,18 +393,21 @@ class SpectrumCache:
                 f"for a graph of n={g.n} nodes"
             )
         spectral = mode.kind != "chebyshev"
-        entry = self._entries.get(g.spectral_key)
+        key, sym = g.spectral_form()
+        entry = self._entries.get(key)
         if entry is None or spectral and mode.param not in entry[1]:
-            entry = self._fill(g, mode)
+            entry = self._fill(key, g, sym, mode)
         lap, spectra = entry
         return lap, spectra[mode.param] if spectral else None
 
-    def _fill(self, g: TokenGraph, mode: MixMode):
+    def _fill(self, key: str, g: TokenGraph, sym: TokenGraph | None, mode: MixMode):
+        """Add what the entry for key lacks for mode. sym is g's
+        symmetrized form when the key lookup just built it, else None."""
         with self._lock:
-            entry = self._entries.get(g.spectral_key)
+            entry = self._entries.get(key)
             if entry is None:
-                entry = (normalized_laplacian(symmetrize(g)), {})
-                self._entries[g.spectral_key] = entry
+                entry = (normalized_laplacian(symmetrize(g) if sym is None else sym), {})
+                self._entries[key] = entry
             lap, spectra = entry
             if mode.kind != "chebyshev" and mode.param not in spectra:
                 spectra[mode.param] = eigendecompose(lap, m=mode.param)

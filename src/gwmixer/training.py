@@ -8,22 +8,31 @@ identical runs produce byte-identical checkpoints and metric traces.
 
 import os
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
 from .blocks import (
     WaveletModel,
     build_model,
-    checkpoint_text,
     model_backward,
     model_forward,
     model_params,
+    save_checkpoint,
 )
-from .filterbank import MixMode, build_filter_bank, filter_eval, filter_eval_grad, wavelet_mix, wavelet_mix_backward
+from .filterbank import (
+    MixMode,
+    build_filter_bank,
+    filter_eval,
+    filter_eval_grad,
+    named_bank_tensors,
+    wavelet_mix,
+    wavelet_mix_backward,
+)
 from .graphs import build_chain_graph, normalized_laplacian, symmetrize
-from .serialize import fmt_float
+from .serialize import fmt_float, write_text_atomic
 from .spectral import SpectrumCache, eigendecompose
-from .tasks import TaskSpec, fixed_samples, task_stream
+from .tasks import TASK_KINDS, TaskSpec, fixed_samples, task_stream
 
 VAL_INTERVAL = 250
 VAL_BATCHES = 16
@@ -47,48 +56,52 @@ def lr_at(cfg: ScheduleConfig, step: int) -> float:
 
 @dataclass
 class TrainState:
-    """Flat named tensors plus Adam moments. params aliases live model
-    arrays; adam_step updates them in place."""
+    """Named parameters plus gradients and Adam moments on flat float64
+    buffers laid out in params order. params aliases live model arrays,
+    which adam_step updates in place; grads[name] is a view into
+    grad_buf shaped like params[name]."""
 
     params: dict
     grads: dict
-    adam_m: dict
-    adam_v: dict
+    grad_buf: np.ndarray
+    adam_m: np.ndarray
+    adam_v: np.ndarray
     step: int = 0
-    rng_seed: int = 0
 
 
-def init_train_state(params: dict, seed: int = 0) -> TrainState:
-    return TrainState(
-        params=params,
-        grads={k: np.zeros_like(v) for k, v in params.items()},
-        adam_m={k: np.zeros_like(v) for k, v in params.items()},
-        adam_v={k: np.zeros_like(v) for k, v in params.items()},
-        step=0,
-        rng_seed=seed,
-    )
+def init_train_state(params: dict) -> TrainState:
+    size = sum(np.size(p) for p in params.values())
+    grad_buf = np.zeros(size)
+    grads = {}
+    start = 0
+    for name, p in params.items():
+        grads[name] = grad_buf[start:start + p.size].reshape(p.shape)
+        start += p.size
+    return TrainState(params, grads, grad_buf, np.zeros(size), np.zeros(size))
 
 
 def adam_step(state: TrainState, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> TrainState:
-    """Standard Adam with bias correction. Increments step, zeroes grads.
-    Non-finite gradients abort, naming the offending tensor."""
-    for name, g in state.grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient in parameter {name!r}")
+    """Standard Adam with bias correction, one update over the flat
+    buffers. Increments step, zeroes grads. Non-finite gradients abort,
+    naming the offending tensor."""
+    g = state.grad_buf
+    if not np.all(np.isfinite(g)):
+        bad = next(name for name, gv in state.grads.items() if not np.all(np.isfinite(gv)))
+        raise ValueError(f"non-finite gradient in parameter {bad!r}")
     t = state.step + 1
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for name, p in state.params.items():
-        g = state.grads[name]
-        m = state.adam_m[name]
-        v = state.adam_v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        g[...] = 0.0
+    m = state.adam_m
+    v = state.adam_v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    g[...] = lr * (m / c1) / (np.sqrt(v / c2) + eps)  # the update, laid out like the grads
+    for p, update in zip(state.params.values(), state.grads.values()):
+        p -= update
+    g[...] = 0.0
     state.step = t
     return state
 
@@ -131,6 +144,13 @@ def token_accuracy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) ->
     return float((pred[mask] == targets[mask]).mean())
 
 
+# every integer field of TrainConfig and its least valid value
+INT_MINIMUMS = {"d": 1, "k": 1, "layers": 1, "ffn_mult": 1, "steps": 1, "accum": 1,
+                "patience": 1, "warmup": 1, "vocab": 2, "n": 2, "seed": 0, "cheb_order": 0,
+                "trunc_m": 1}
+MIX_KINDS = ("exact", "truncated", "chebyshev")
+
+
 @dataclass
 class TrainConfig:
     d: int = 32
@@ -151,6 +171,32 @@ class TrainConfig:
     patience: int = 10
     mask_rate: float = 0.25
     conllu: str | None = None
+
+    def __post_init__(self):
+        for name, low in INT_MINIMUMS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        for name in ("lr", "mask_rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        # lr = 0 is allowed: it freezes the model
+        if not np.isfinite(self.lr) or self.lr < 0:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
+        if not 0.0 < self.mask_rate < 1.0:
+            raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate!r}")
+        if self.task not in TASK_KINDS:
+            raise ValueError(f"task must be one of {', '.join(TASK_KINDS)}, got {self.task!r}")
+        if self.mode not in MIX_KINDS:
+            raise ValueError(f"mode must be one of {', '.join(MIX_KINDS)}, got {self.mode!r}")
+        if self.conllu is not None and not isinstance(self.conllu, str):
+            raise ValueError(f"conllu must be a path or null, got {self.conllu!r}")
+        if self.mode == "truncated" and self.conllu is None and self.trunc_m > self.n:
+            raise ValueError(f"trunc_m must be <= n for chain tasks, got trunc_m={self.trunc_m} "
+                             f"and n={self.n}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -231,15 +277,12 @@ def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None
     mode = cfg.mix_mode()
     stream = task_stream(spec, cfg.seed, "train")
     val_set = fixed_samples(spec, cfg.seed, VAL_BATCHES, "val")
-    state = init_train_state(model_params(model), cfg.seed)
+    state = init_train_state(model_params(model))
     schedule = ScheduleConfig(cfg.lr, cfg.warmup)
 
     def write_checkpoint():
         if out_dir is not None:
-            save_path = os.path.join(out_dir, "checkpoint.json")
-            text = checkpoint_text(cfg.to_dict(), state.params)
-            with open(save_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            save_checkpoint(os.path.join(out_dir, "checkpoint.json"), cfg.to_dict(), state.params)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -258,15 +301,13 @@ def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None
             loss, grad_logits = cross_entropy_loss(logits, sample.targets, sample.mask)
             total_loss += loss
             grads = model_backward(model, tape, grad_logits)
-            for name in state.grads:
-                state.grads[name] += grads[name]
+            state.grad_buf += np.concatenate([grads[name] for name in state.grads], axis=None)
         mean_loss = total_loss / cfg.accum
         if not np.isfinite(mean_loss):
             raise ValueError(f"non-finite loss {mean_loss!r} at step {step}; aborting")
         if cfg.accum > 1:
-            for g in state.grads.values():
-                g /= cfg.accum
-        grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in state.grads.values())))
+            state.grad_buf /= cfg.accum
+        grad_norm = float(np.sqrt((state.grad_buf * state.grad_buf).sum()))
         lr = lr_at(schedule, step)
         adam_step(state, lr)
         records.append(StepRecord(step, mean_loss, lr, grad_norm))
@@ -283,8 +324,7 @@ def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None
                     stopped_early = True
                     break
     if out_dir is not None:
-        with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
-            fh.write(metrics_csv(records))
+        write_text_atomic(os.path.join(out_dir, "metrics.csv"), metrics_csv(records))
         write_checkpoint()
     final_val = val_history[-1][1] if val_history else None
     return TrainResult(model, records, val_history, final_val, stopped_early)
@@ -370,7 +410,7 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
         mode = MixMode.exact()
         if selector == "mix":
             bank = build_filter_bank(k, d, seed=seed)
-            params = _bank_params(bank)
+            params = named_bank_tensors(bank)
 
             def loss_fn():
                 y = wavelet_mix(bank, eig, x, mode)
@@ -378,13 +418,13 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
 
             y = wavelet_mix(bank, eig, x, mode)
             mg = wavelet_mix_backward(bank, eig, x, mode, y)
-            analytic = _bank_grads(mg)
+            analytic = named_bank_tensors(mg)
         else:
             from .blocks import build_feed_forward, layer_backward, layer_forward, WaveletLayer
 
             bank = build_filter_bank(k, d, seed=seed)
             layer = WaveletLayer(bank, build_feed_forward(d, 4, rng))
-            params = _bank_params(layer.bank)
+            params = named_bank_tensors(layer.bank)
             for nm in ("w1", "b1", "w2", "b2"):
                 params[f"ffn.{nm}"] = getattr(layer.ffn, nm)
 
@@ -394,7 +434,7 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
 
             y, tape = layer_forward(layer, eig, lap, x, mode)
             lg = layer_backward(layer, eig, tape, y)
-            analytic = _bank_grads(lg.mix)
+            analytic = named_bank_tensors(lg.mix)
             for nm in ("w1", "b1", "w2", "b2"):
                 analytic[f"ffn.{nm}"] = lg.ffn[nm]
     elif selector == "model":
@@ -425,20 +465,3 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
     worst = max((e.max_rel_err for e in entries), default=0.0)
     return GradCheckReport(selector, tol, entries, worst <= tol)
 
-
-def _bank_params(bank) -> dict:
-    params = {}
-    for i, f in enumerate(bank.filters):
-        for nm in ("w1", "b1", "w2", "b2"):
-            params[f"filters.{i}.{nm}"] = getattr(f, nm)
-    params["alpha"] = bank.alpha
-    return params
-
-
-def _bank_grads(mg) -> dict:
-    grads = {}
-    for i, fg in enumerate(mg.filters):
-        for nm in ("w1", "b1", "w2", "b2"):
-            grads[f"filters.{i}.{nm}"] = fg[nm]
-    grads["alpha"] = mg.alpha
-    return grads

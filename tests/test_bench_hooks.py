@@ -1,0 +1,61 @@
+"""The benchmark in perfbench/ times gwmixer by rebinding functions it
+names (perfbench/layers.py TARGETS) and clocks optimizer steps by
+wrapping training.task_stream and training.adam_step. These tests keep
+those names alive, so that a refactor cannot silently break the traced
+run or the step timing."""
+
+import ast
+import os
+
+import pytest
+
+import gwmixer
+import gwmixer.training as training_mod
+from gwmixer import TrainConfig, build_model
+
+LAYERS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layers.py")
+
+
+def targets():
+    with open(LAYERS_PY, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return [(module, fn) for module, fn, _ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/layers.py defines no TARGETS")
+
+
+STEP_HOOKS = [("training", "task_stream"), ("training", "adam_step")]
+
+
+@pytest.mark.parametrize("module, fn", targets() + STEP_HOOKS)
+def test_named_function_is_defined(module, fn):
+    owner = getattr(gwmixer, module)
+    cls_name, _, name = fn.rpartition(".")
+    if cls_name:
+        owner = getattr(owner, cls_name)
+        assert name in vars(owner), f"{module}.{fn}"
+    assert callable(getattr(owner, name)), f"{module}.{fn}"
+
+
+def test_train_loop_calls_step_hooks_through_module_globals(monkeypatch):
+    streams, steps = [], []
+    task_stream = training_mod.task_stream
+    adam_step = training_mod.adam_step
+
+    def stream_spy(spec, seed, stream="train"):
+        streams.append(stream)
+        return task_stream(spec, seed, stream)
+
+    def adam_spy(*args, **kwargs):
+        steps.append(1)
+        return adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "task_stream", stream_spy)
+    monkeypatch.setattr(training_mod, "adam_step", adam_spy)
+    cfg = TrainConfig(d=4, k=2, layers=1, ffn_mult=2, vocab=8, task="copy", n=6, steps=5,
+                      accum=3)
+    gwmixer.train_loop(build_model(cfg.d, cfg.k, cfg.layers, cfg.ffn_mult, cfg.vocab), cfg)
+    assert streams.count("train") == 1
+    assert len(steps) == cfg.steps

@@ -26,6 +26,7 @@ from gwmixer import (
 )
 from gwmixer.blocks import WaveletLayer, checkpoint_text
 from gwmixer.filterbank import build_filter_bank
+import gwmixer.serialize as serialize_mod
 from gwmixer.serialize import dumps_canonical, fmt_float
 
 
@@ -293,6 +294,22 @@ class TestCheckpoint:
         b, _ = model_forward(clone, g, [0, 1, 2, 3], MixMode.exact(),
                              cache=SpectrumCache())
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("fail_at", ["fsync", "replace"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, self.config(), model_params(build_model(4, 2, 1, 2, 7, seed=0)))
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(serialize_mod.os, fail_at, fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, self.config(),
+                            model_params(build_model(4, 2, 1, 2, 7, seed=1)))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
 
     def test_version_field_validated(self, tmp_path):
         path = tmp_path / "bad.json"

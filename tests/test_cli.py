@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from gwmixer import graph_from_json, load_checkpoint
 from gwmixer.cli import cli_main
@@ -132,6 +133,16 @@ class TestTrainEvalCommands:
         assert cli_main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "run")]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, field", [({"d": "32"}, "d"), ({"k": 0}, "k"),
+                                            ({"accum": 0}, "accum"), ({"lr": float("nan")}, "lr")])
+    def test_invalid_config_fails_with_one_line(self, tmp_path, capsys, bad, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, **bad}))
+        assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
 
 class TestBenchCommand:

@@ -312,6 +312,26 @@ class TestInferenceCost:
             model_forward(model, build_chain_graph(n), np.zeros(n, dtype=int), mode, cache)
         assert counts == cold
 
+    def test_new_tree_graph_symmetrized_once(self, monkeypatch):
+        calls = []
+        original = graphs_mod.symmetrize
+
+        def spy(g):
+            calls.append(g)
+            return original(g)
+
+        for mod in (graphs_mod, spectral_mod):  # every binding the lookup can reach
+            monkeypatch.setattr(mod, "symmetrize", spy)
+        tree = TokenGraph(9, [(i, (i - 1) // 2) for i in range(1, 9)])  # heads point to parents
+        cache = SpectrumCache()
+        lap, eig = cache.get_or_compute(tree, MixMode.exact())
+        assert len(calls) == 1  # cold: the key and the Laplacian share one symmetrize
+        assert np.array_equal(lap.matrix.toarray(),
+                              normalized_laplacian(original(tree)).matrix.toarray())
+        assert cache.get_or_compute(tree, MixMode.exact())[1] is eig
+        cache.get_or_compute(tree, MixMode.truncated(3))
+        assert len(calls) == 1  # warm: none
+
     def test_chain_graphs_shared_and_memo_bounded(self):
         assert build_chain_graph(33) is build_chain_graph(33)
         assert build_chain_graph.cache_info().maxsize == CHAIN_MEMO_SIZE

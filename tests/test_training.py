@@ -206,6 +206,39 @@ class TestTrainConfig:
         assert spec2.conllu_path == "trees.conllu"
 
 
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        *((f, v) for f in ("d", "k", "layers", "steps", "accum", "seed", "trunc_m")
+          for v in ("32", 2.0, True, None)),
+        ("d", 0), ("k", 0), ("layers", 0), ("ffn_mult", 0), ("steps", 0), ("steps", -5),
+        ("accum", 0), ("patience", 0), ("warmup", 0), ("vocab", 1), ("n", 1), ("seed", -1),
+        ("cheb_order", -1), ("trunc_m", 0),
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", -1e-3), ("lr", "1e-3"), ("lr", True),
+        ("mask_rate", 0.0), ("mask_rate", 1.0), ("mask_rate", -0.5), ("mask_rate", "0.5"),
+        ("task", "nope"), ("task", None), ("mode", "bogus"), ("mode", 3), ("conllu", 5),
+    ])
+    def test_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} "):
+            TrainConfig.from_dict({field: value})
+
+    def test_trunc_m_above_n_rejected_for_chain_tasks(self):
+        with pytest.raises(ValueError, match="^trunc_m .*n=8"):
+            TrainConfig(mode="truncated", n=8, trunc_m=9)
+        TrainConfig(mode="truncated", n=8, trunc_m=8)
+        TrainConfig(mode="exact", n=8, trunc_m=9)  # unused by exact mode
+        TrainConfig(mode="truncated", n=8, trunc_m=9, conllu="trees.conllu")
+
+    @pytest.mark.parametrize("over", [
+        {}, {"lr": 0.0}, {"lr": 1}, {"mode": "chebyshev", "cheb_order": 0},
+        {"d": np.int64(8)}, {"mask_rate": 0.999},
+    ])
+    def test_accepted(self, over):
+        cfg = TrainConfig(**over)
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
 class TestMetricsCsv:
     def test_format(self):
         rows = [StepRecord(1, 0.5, 2.5e-4, 1.25), StepRecord(2, 1 / 3, 5e-4, 0.75)]
