@@ -58,7 +58,6 @@ from .graphs import (
     to_conllu,
 )
 from .spectral import (
-    ChebyshevFilter,
     EigenSystem,
     MixMode,
     NumericalError,

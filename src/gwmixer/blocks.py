@@ -10,6 +10,7 @@ and projects to vocabulary logits. Forward passes record a tape; backward
 passes replay it with hand-written gradients.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .graphs import NormalizedLaplacian, TokenGraph
 from .serialize import dumps_canonical, write_text_atomic
 from .spectral import DEFAULT_CACHE, EigenSystem, SpectrumCache
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: the mix mode is one string, see _upgrade_v1_config
 
 
 @dataclass
@@ -118,7 +119,7 @@ class WaveletModel:
 
 
 def build_model(d: int, k: int, layers: int, ffn_mult: int, vocab: int,
-                seed: int = 0, hidden: int = 16) -> WaveletModel:
+                seed: int = 0) -> WaveletModel:
     """Seeded construction. Draw order: embed, readout, then per layer the
     filter bank (filters in index order, alpha constant 1/K) and the FFN."""
     if vocab < 2:
@@ -131,7 +132,7 @@ def build_model(d: int, k: int, layers: int, ffn_mult: int, vocab: int,
     readout = rng.uniform(-bd, bd, (d, vocab))
     stack = []
     for _ in range(layers):
-        bank = draw_filter_bank(rng, k, d, hidden)
+        bank = draw_filter_bank(rng, k, d)
         stack.append(WaveletLayer(bank, build_feed_forward(d, ffn_mult, rng)))
     return WaveletModel(embed, stack, readout)
 
@@ -200,7 +201,7 @@ def model_backward(model: WaveletModel, tape: ModelTape,
 
 
 def checkpoint_text(config: dict, params: dict) -> str:
-    """Checkpoint JSON: {"version": 1, "config": {...}, "params": {...}}
+    """Checkpoint JSON: {"version": 2, "config": {...}, "params": {...}}
     with sorted keys and floats at 17 significant digits, so equal state
     yields equal bytes."""
     doc = {
@@ -217,16 +218,46 @@ def save_checkpoint(path, config: dict, params: dict) -> None:
     write_text_atomic(path, checkpoint_text(config, params))
 
 
-def load_checkpoint(path):
-    """Returns (config, params) with params as float64 arrays."""
-    import json
+def _upgrade_v1_config(config: dict) -> dict:
+    """Version 1 spread the mix mode over mode, cheb_order and trunc_m
+    (each 16 by default); version 2 holds it in one mode string."""
+    config = dict(config)
+    params = {"truncated": config.pop("trunc_m", 16), "chebyshev": config.pop("cheb_order", 16)}
+    if config.get("mode") in params:
+        config["mode"] += f":{params[config['mode']]}"
+    return config
 
+
+def _param_array(name: str, val) -> np.ndarray:
+    try:
+        arr = np.asarray(val)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":  # strings, null and objects are not numbers
+        raise ValueError(f"checkpoint param {name!r} is not a numeric array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"checkpoint param {name!r} has non-finite values")
+    return arr.astype(np.float64)
+
+
+def load_checkpoint(path):
+    """Returns (config, params) with params as finite float64 arrays. A
+    version 1 checkpoint's config is upgraded to version 2; anything that
+    is not a checkpoint of a known version raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-    params = {name: np.asarray(val, dtype=np.float64) for name, val in doc["params"].items()}
-    return doc["config"], params
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"unsupported checkpoint version {version!r}")
+    for key in ("config", "params"):
+        if key not in doc:
+            raise ValueError(f"checkpoint has no {key!r} section")
+        if not isinstance(doc[key], dict):
+            raise ValueError(f"checkpoint {key!r} must be a JSON object, got {type(doc[key]).__name__}")
+    params = {name: _param_array(name, val) for name, val in doc["params"].items()}
+    return (_upgrade_v1_config(doc["config"]) if version == 1 else doc["config"]), params
 
 
 def model_from_params(config: dict, params: dict) -> WaveletModel:

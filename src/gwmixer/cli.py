@@ -12,6 +12,7 @@ from .bench import DEFAULT_MODES, DEFAULT_SIZES, bench_csv, bench_scaling
 from .blocks import build_model, load_checkpoint, model_from_params
 from .filterbank import build_filter_bank, spectrum_csv
 from .graphs import graph_to_json, parse_conllu
+from .serialize import write_text_atomic
 from .training import TrainConfig, evaluate, grad_check, train_loop
 from .tasks import fixed_samples
 
@@ -83,15 +84,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config, params = load_checkpoint(args.checkpoint)
-    cfg = TrainConfig.from_dict(config)
+    cfg = TrainConfig.from_dict({**config, "mode": args.mode} if args.mode else config)
     model = model_from_params(config, params)
-    mode = cfg.mix_mode()
-    if args.mode:
-        from .spectral import parse_mix_mode
-
-        mode = parse_mix_mode(args.mode)
     samples = fixed_samples(cfg.task_spec(), args.seed, args.samples, "eval")
-    loss, acc = evaluate(model, samples, mode)
+    loss, acc = evaluate(model, samples, cfg.mix_mode())
     print(f"samples {args.samples}  loss {loss:.6f}  token_accuracy {acc:.4f}")
     return 0
 
@@ -114,9 +110,7 @@ def _cmd_spectrum(args) -> int:
         bank = model.layers[args.layer].bank
     else:
         bank = build_filter_bank(args.k, d=1, seed=args.seed)
-    text = spectrum_csv(bank)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_text_atomic(args.out, spectrum_csv(bank))
     print(f"wrote {args.out} ({bank.k} filters, 512 samples)")
     return 0
 
@@ -128,8 +122,7 @@ def _cmd_bench(args) -> int:
                                     repeats=args.repeats, seed=args.seed)
     text = bench_csv(records, slopes)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text_atomic(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -145,9 +138,7 @@ def _cmd_build_graph(args) -> int:
         if not 0 <= args.sentence < len(graphs):
             raise ValueError(f"sentence {args.sentence} out of range ({len(graphs)} parsed)")
         graphs = [graphs[args.sentence]]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        for g in graphs:
-            fh.write(graph_to_json(g) + "\n")
+    write_text_atomic(args.out, "".join(graph_to_json(g) + "\n" for g in graphs))
     print(f"wrote {len(graphs)} graph(s) to {args.out}")
     return 0
 

@@ -25,15 +25,15 @@ import numpy as np
 from scipy.special import expit
 
 from .graphs import NormalizedLaplacian
-from .spectral import EigenSystem, MixMode, chebyshev_nodes, chebyshev_series
+from .spectral import LAMBDA_MAX, EigenSystem, MixMode, chebyshev_nodes, chebyshev_series
 
-LAMBDA_MAX = 2.0
+HIDDEN = 16  # filter MLP width; checkpoints are reloaded at this width
 FILTER_TENSORS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
 class FilterMlp:
-    """1 -> hidden -> 1 spectral response MLP. b2 is a 0-d array so the
+    """1 -> H -> 1 spectral response MLP. b2 is a 0-d array so the
     optimizer can update it in place like every other tensor."""
 
     w1: np.ndarray
@@ -41,19 +41,15 @@ class FilterMlp:
     w2: np.ndarray
     b2: np.ndarray
 
-    @property
-    def hidden_width(self) -> int:
-        return len(self.b1)
 
-
-def init_filter_mlp(rng: np.random.Generator, hidden: int = 16) -> FilterMlp:
+def init_filter_mlp(rng: np.random.Generator) -> FilterMlp:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per layer; fan_in is 1 for
-    the input layer and `hidden` for the output layer."""
-    bound2 = 1.0 / np.sqrt(hidden)
+    the input layer and HIDDEN for the output layer."""
+    bound2 = 1.0 / np.sqrt(HIDDEN)
     return FilterMlp(
-        w1=rng.uniform(-1.0, 1.0, hidden),
-        b1=rng.uniform(-1.0, 1.0, hidden),
-        w2=rng.uniform(-bound2, bound2, hidden),
+        w1=rng.uniform(-1.0, 1.0, HIDDEN),
+        b1=rng.uniform(-1.0, 1.0, HIDDEN),
+        w2=rng.uniform(-bound2, bound2, HIDDEN),
         b2=np.array(rng.uniform(-bound2, bound2)),
     )
 
@@ -143,20 +139,20 @@ class FilterBank:
         return self.alpha.shape[1]
 
 
-def draw_filter_bank(rng: np.random.Generator, k: int, d: int, hidden: int = 16) -> FilterBank:
+def draw_filter_bank(rng: np.random.Generator, k: int, d: int) -> FilterBank:
     """K filters drawn from rng in index order by init_filter_mlp, alpha
     filled with 1/K."""
-    filters = [init_filter_mlp(rng, hidden) for _ in range(k)]
+    filters = [init_filter_mlp(rng) for _ in range(k)]
     return FilterBank(filters, np.full((k, d), 1.0 / k))
 
 
-def build_filter_bank(k: int, d: int, seed: int = 0, hidden: int = 16) -> FilterBank:
+def build_filter_bank(k: int, d: int, seed: int = 0) -> FilterBank:
     """Seeded bank: filters drawn in index order, alpha filled with 1/K."""
     if k < 1:
         raise ValueError(f"need at least one filter, got k={k}")
     if d < 1:
         raise ValueError(f"need at least one channel, got d={d}")
-    return draw_filter_bank(np.random.default_rng(seed), k, d, hidden)
+    return draw_filter_bank(np.random.default_rng(seed), k, d)
 
 
 def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
@@ -200,7 +196,7 @@ def wavelet_mix(bank: FilterBank, eig: EigenSystem | None, x: np.ndarray,
         if lap is None:
             raise ValueError("chebyshev mode needs the Laplacian")
         x = _check_mix_args(bank, x, lap.n)
-        nodes, fit = chebyshev_nodes(mode.param, LAMBDA_MAX)
+        nodes, fit = chebyshev_nodes(mode.param)
         coeffs = bank_responses(bank, nodes) @ fit.T  # (K, P+1)
         return chebyshev_series(lap, coeffs.T @ bank.alpha, x)
     if eig is None:

@@ -249,12 +249,19 @@ def graph_to_json(g: TokenGraph) -> str:
 
 
 def graph_from_json(text: str) -> TokenGraph:
+    """Inverse of graph_to_json. Malformed input raises ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ValueError('graph JSON must be an object with "n" and "edges"')
-    labels = doc.get("labels")
-    return TokenGraph(
-        int(doc["n"]),
-        tuple((int(e[0]), int(e[1])) for e in doc["edges"]),
-        tuple(labels) if labels is not None else None,
-    )
+    n, edges, labels = doc["n"], doc["edges"], doc.get("labels")
+    if type(n) is not int:
+        raise ValueError(f'graph "n" must be an integer, got {n!r}')
+    if not isinstance(edges, list):
+        raise ValueError(f'graph "edges" must be a list of [src, dst] pairs, got {edges!r}')
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(type(i) is int for i in e)):
+            raise ValueError(f"graph edge {e!r} is not a [src, dst] pair of integers")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise ValueError(f'graph "labels" must be a list of strings, got {labels!r}')
+    return TokenGraph(n, tuple(map(tuple, edges)), None if labels is None else tuple(labels))

@@ -24,6 +24,7 @@ LANCZOS_MIN_N = 160  # below this dense eigh is faster than Lanczos for 16 pairs
 LANCZOS_SHIFT = -1e-5  # shift-invert target just below the smallest eigenvalue, 0
 LANCZOS_SEED = 0  # seeds the Lanczos start vector
 INERTIA_GAP = 1e-9  # the completeness count sits this far below the largest pair found
+LAMBDA_MAX = 2.0  # normalized Laplacian spectra lie in [0, 2]; filters live on this interval
 
 
 class NumericalError(RuntimeError):
@@ -218,51 +219,36 @@ def apply_filter_exact(eig: EigenSystem, h, x: np.ndarray) -> np.ndarray:
     return eig.u @ (hv[:, None] * (eig.u.T @ x))
 
 
-@dataclass
-class ChebyshevFilter:
-    """Chebyshev expansion of a spectral response on [0, lambda_max]."""
-
-    coeffs: np.ndarray
-    lambda_max: float = 2.0
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def chebyshev_nodes(order: int, lambda_max: float = 2.0):
-    """The P+1 first-kind Chebyshev nodes mapped onto [0, lambda_max], and
+def chebyshev_nodes(order: int):
+    """The P+1 first-kind Chebyshev nodes mapped onto [0, LAMBDA_MAX], and
     the (P+1, P+1) Chebyshev-Gauss matrix that takes a function's values
     at those nodes to its degree-P expansion coefficients."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if lambda_max <= 0:
-        raise ValueError(f"lambda_max must be positive, got {lambda_max}")
     p1 = order + 1
     theta = np.pi * (np.arange(p1) + 0.5) / p1
-    lam_nodes = 0.5 * lambda_max * (np.cos(theta) + 1.0)
+    lam_nodes = 0.5 * LAMBDA_MAX * (np.cos(theta) + 1.0)
     fit = (2.0 / p1) * np.cos(np.outer(np.arange(p1), theta))
     fit[0] *= 0.5
     return lam_nodes, fit
 
 
-def chebyshev_fit(h, order: int, lambda_max: float = 2.0):
-    """Fit h on [0, lambda_max] at order P via Chebyshev-Gauss quadrature.
+def chebyshev_fit(h, order: int):
+    """Fit h on [0, LAMBDA_MAX] at order P via Chebyshev-Gauss quadrature.
 
     Uses the P+1 first-kind Chebyshev nodes mapped onto the interval.
-    Returns (ChebyshevFilter, max_err) where max_err is the maximum
-    absolute expansion error at 1000 uniform test points.
+    Returns (coeffs, max_err): the P+1 expansion coefficients and the
+    maximum absolute expansion error at 1000 uniform test points.
     """
-    lam_nodes, fit = chebyshev_nodes(order, lambda_max)
+    lam_nodes, fit = chebyshev_nodes(order)
     fvals = np.asarray(h(lam_nodes), dtype=np.float64)
     if fvals.shape != lam_nodes.shape:
         raise ValueError(f"filter returned shape {fvals.shape}, expected {lam_nodes.shape}")
     coeffs = fit @ fvals
-    filt = ChebyshevFilter(coeffs, float(lambda_max))
-    grid = np.linspace(0.0, lambda_max, 1000)
-    approx = np.polynomial.chebyshev.chebval(2.0 * grid / lambda_max - 1.0, coeffs)
+    grid = np.linspace(0.0, LAMBDA_MAX, 1000)
+    approx = np.polynomial.chebyshev.chebval(2.0 * grid / LAMBDA_MAX - 1.0, coeffs)
     max_err = float(np.max(np.abs(approx - np.asarray(h(grid), dtype=np.float64))))
-    return filt, max_err
+    return coeffs, max_err
 
 
 def chebyshev_series(l: NormalizedLaplacian, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -292,17 +278,14 @@ def chebyshev_series(l: NormalizedLaplacian, w: np.ndarray, x: np.ndarray) -> np
     return out
 
 
-def chebyshev_apply(l: NormalizedLaplacian, f: ChebyshevFilter, x: np.ndarray) -> np.ndarray:
-    """f(L) x via the three-term recurrence T_{p+1} = 2 Lt T_p - T_{p-1}
-    with Lt = (2/lambda_max) L - I. Never touches eigenvectors."""
+def chebyshev_apply(l: NormalizedLaplacian, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f(L) x for the expansion coeffs of f (from chebyshev_fit), via the
+    three-term recurrence of chebyshev_series. Never touches
+    eigenvectors."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != l.n:
         raise ValueError(f"expected signal of shape ({l.n}, d), got {x.shape}")
-    if abs(f.lambda_max - 2.0) > 1e-12:
-        # spectra of normalized Laplacians live in [0, 2]; the recurrence
-        # hard-codes that scaling
-        raise ValueError(f"unsupported lambda_max {f.lambda_max}, expected 2.0")
-    return chebyshev_series(l, f.coeffs[:, None], x)
+    return chebyshev_series(l, np.asarray(coeffs, dtype=np.float64)[:, None], x)
 
 
 @dataclass(frozen=True)
@@ -351,17 +334,14 @@ class MixMode:
 
 
 def parse_mix_mode(text: str) -> MixMode:
-    """Inverse of str(MixMode): "exact", "truncated:M", "chebyshev:P"."""
+    """Inverse of str(MixMode): "exact", "truncated:M", "chebyshev:P"; a
+    bare "truncated" or "chebyshev" takes 16. MixMode validates the rest."""
+    if not isinstance(text, str):
+        raise ValueError(f"mix mode must be a string such as 'truncated:16', got {text!r}")
     kind, _, arg = text.partition(":")
-    if kind == "exact":
-        if arg:
-            raise ValueError("exact mode takes no parameter")
-        return MixMode.exact()
-    if kind == "truncated":
-        return MixMode.truncated(int(arg) if arg else 16)
-    if kind == "chebyshev":
-        return MixMode.chebyshev(int(arg) if arg else 16)
-    raise ValueError(f"unknown mix mode {text!r}")
+    if arg:
+        return MixMode(kind, int(arg))
+    return MixMode(kind, None if kind == "exact" else 16)
 
 
 class SpectrumCache:

@@ -31,7 +31,7 @@ from .filterbank import (
 )
 from .graphs import build_chain_graph, normalized_laplacian, symmetrize
 from .serialize import fmt_float, write_text_atomic
-from .spectral import SpectrumCache, eigendecompose
+from .spectral import SpectrumCache, eigendecompose, parse_mix_mode
 from .tasks import TASK_KINDS, TaskSpec, fixed_samples, task_stream
 
 VAL_INTERVAL = 250
@@ -146,9 +146,7 @@ def token_accuracy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) ->
 
 # every integer field of TrainConfig and its least valid value
 INT_MINIMUMS = {"d": 1, "k": 1, "layers": 1, "ffn_mult": 1, "steps": 1, "accum": 1,
-                "patience": 1, "warmup": 1, "vocab": 2, "n": 2, "seed": 0, "cheb_order": 0,
-                "trunc_m": 1}
-MIX_KINDS = ("exact", "truncated", "chebyshev")
+                "patience": 1, "warmup": 1, "vocab": 2, "n": 2, "seed": 0}
 
 
 @dataclass
@@ -164,9 +162,7 @@ class TrainConfig:
     seed: int = 0
     lr: float = 5e-4
     warmup: int = 4000
-    mode: str = "exact"
-    cheb_order: int = 16
-    trunc_m: int = 16
+    mode: str = "exact"  # parse_mix_mode syntax: exact, truncated:M or chebyshev:P
     accum: int = 1
     patience: int = 10
     mask_rate: float = 0.25
@@ -190,12 +186,14 @@ class TrainConfig:
             raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate!r}")
         if self.task not in TASK_KINDS:
             raise ValueError(f"task must be one of {', '.join(TASK_KINDS)}, got {self.task!r}")
-        if self.mode not in MIX_KINDS:
-            raise ValueError(f"mode must be one of {', '.join(MIX_KINDS)}, got {self.mode!r}")
+        try:
+            mix = parse_mix_mode(self.mode)
+        except ValueError as exc:
+            raise ValueError(f"mode {self.mode!r} is invalid: {exc}") from None
         if self.conllu is not None and not isinstance(self.conllu, str):
             raise ValueError(f"conllu must be a path or null, got {self.conllu!r}")
-        if self.mode == "truncated" and self.conllu is None and self.trunc_m > self.n:
-            raise ValueError(f"trunc_m must be <= n for chain tasks, got trunc_m={self.trunc_m} "
+        if mix.kind == "truncated" and self.conllu is None and mix.param > self.n:
+            raise ValueError(f"mode {self.mode} needs m <= n for chain tasks, got m={mix.param} "
                              f"and n={self.n}")
 
     @classmethod
@@ -210,13 +208,7 @@ class TrainConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def mix_mode(self) -> MixMode:
-        if self.mode == "exact":
-            return MixMode.exact()
-        if self.mode == "truncated":
-            return MixMode.truncated(self.trunc_m)
-        if self.mode == "chebyshev":
-            return MixMode.chebyshev(self.cheb_order)
-        raise ValueError(f"unknown mode {self.mode!r}")
+        return parse_mix_mode(self.mode)
 
     def task_spec(self) -> TaskSpec:
         source = "conllu" if self.conllu else "chain"
@@ -249,18 +241,18 @@ def metrics_csv(records) -> str:
 
 def evaluate(model: WaveletModel, samples, mode: MixMode,
              cache: SpectrumCache | None = None):
-    """Mean loss and token accuracy over a list of TaskSamples."""
+    """Mean loss over a non-empty list of TaskSamples, and token accuracy
+    over all their scored positions together."""
+    if not samples:
+        raise ValueError("evaluate needs at least one sample")
     losses = []
-    correct = 0
-    total = 0
+    scored = []  # (logits, targets, mask) per sample
     for s in samples:
         logits, _ = model_forward(model, s.graph, s.tokens, mode, cache)
         loss, _ = cross_entropy_loss(logits, s.targets, s.mask)
         losses.append(loss)
-        pred = np.argmax(logits, axis=1)
-        correct += int((pred[s.mask] == s.targets[s.mask]).sum())
-        total += int(s.mask.sum())
-    return float(np.mean(losses)), correct / total
+        scored.append((logits, s.targets, s.mask))
+    return float(np.mean(losses)), token_accuracy(*map(np.concatenate, zip(*scored)))
 
 
 def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None,
@@ -268,13 +260,16 @@ def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None
     """Run cfg.steps optimizer steps, each averaging cfg.accum samples.
 
     Validates (and checkpoints, when out_dir is set) every VAL_INTERVAL
-    steps and at the end; stops early after cfg.patience validation
+    steps and at the last step; stops early after cfg.patience validation
     rounds without improvement. A non-finite loss aborts with the last
-    checkpoint left on disk.
+    checkpoint left on disk. A chebyshev mode, which has no backward
+    pass, is rejected before anything is written.
     """
+    mode = cfg.mix_mode()
+    if mode.kind == "chebyshev":
+        raise ValueError(f"mode {mode} is inference-only; train in exact or truncated mode")
     cache = cache if cache is not None else SpectrumCache()
     spec = cfg.task_spec()
-    mode = cfg.mix_mode()
     stream = task_stream(spec, cfg.seed, "train")
     val_set = fixed_samples(spec, cfg.seed, VAL_BATCHES, "val")
     state = init_train_state(model_params(model))
@@ -325,7 +320,6 @@ def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None
                     break
     if out_dir is not None:
         write_text_atomic(os.path.join(out_dir, "metrics.csv"), metrics_csv(records))
-        write_checkpoint()
     final_val = val_history[-1][1] if val_history else None
     return TrainResult(model, records, val_history, final_val, stopped_early)
 

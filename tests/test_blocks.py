@@ -317,11 +317,51 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("mode, extra, upgraded", [
+        ("exact", {"trunc_m": 5, "cheb_order": 9}, "exact"),
+        ("truncated", {"trunc_m": 5, "cheb_order": 9}, "truncated:5"),
+        ("chebyshev", {"trunc_m": 5, "cheb_order": 9}, "chebyshev:9"),
+        ("truncated", {}, "truncated:16"),  # the version 1 default
+    ])
+    def test_version_1_config_upgraded(self, tmp_path, mode, extra, upgraded):
+        path = tmp_path / "v1.json"
+        model = build_model(4, 2, 1, 2, 7, seed=0)
+        path.write_text(checkpoint_text({**self.config(), "mode": mode, **extra},
+                                        model_params(model)).replace('"version":2', '"version":1'))
+        config, params = load_checkpoint(path)
+        assert config == {**self.config(), "mode": upgraded}
+        for name, p in model_params(model).items():
+            assert np.array_equal(params[name], p), name
+
+    @pytest.mark.parametrize("text, match", [
+        ('[1, 2]', "JSON object, got list"),
+        ('{"version": 2, "config": {}}', "no 'params'"),
+        ('{"version": 2, "params": {}}', "no 'config'"),
+        ('{"version": 2, "config": {}, "params": [1.0]}', "'params' must be a JSON object"),
+        ('{"version": 2, "config": [], "params": {}}', "'config' must be a JSON object"),
+        ('{"version": 2, "config": {}, "params": {"w": [1.0, [2.0]]}}', "'w' is not a numeric"),
+        ('{"version": 2, "config": {}, "params": {"w": {"a": 1}}}', "'w' is not a numeric"),
+        ('{"version": 2, "config": {}, "params": {"w": [1.0, NaN]}}', "'w' has non-finite"),
+        ('{"version": 2, "config": {}, "params": {"w": null}}', "'w' is not a numeric"),
+        ('{"version": 2, "config": {}, "params": {"w": ["1.5"]}}', "'w' is not a numeric"),
+        ('{"version": 2, "config": {}, "params": {"w": [true]}}', "'w' is not a numeric"),
+        ('{"version": 3, "config": {}, "params": {}}', "version 3"),
+        ('{"version": 0, "config": {}, "params": {}}', "version 0"),
+        ('{"version": true, "config": {}, "params": {}}', "version True"),
+        ('{"version": "2", "config": {}, "params": {}}', "version '2'"),
+        ('{"config": {}, "params": {}}', "version None"),
+    ])
+    def test_malformed_checkpoint_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
     def test_sorted_keys_and_version_first_key_order(self):
         model = build_model(4, 2, 1, 2, 7, seed=0)
         text = checkpoint_text(self.config(), model_params(model))
         doc = json.loads(text)
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert list(doc["params"]) == sorted(doc["params"])
 
     def test_model_from_params_missing_rejected(self):

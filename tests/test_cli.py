@@ -8,6 +8,7 @@ import pytest
 
 from gwmixer import graph_from_json, load_checkpoint
 from gwmixer.cli import cli_main
+import gwmixer.serialize as serialize_mod
 
 CONLLU_TWO = """\
 1\tthe\t_\t_\t_\t_\t2\t_\t_\t_
@@ -143,6 +144,63 @@ class TestTrainEvalCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+
+    @pytest.mark.parametrize("checkpoint, mode, message", [
+        ("[1, 2]", None, "error: checkpoint must be a JSON object, got list"),
+        ('{"version": 2, "config": {}}', None, "error: checkpoint has no 'params' section"),
+        (None, "bogus", "error: mode 'bogus' is invalid"),
+        (None, "truncated:7", "error: mode truncated:7 needs m <= n"),
+        (None, "truncated:x", "error: mode 'truncated:x' is invalid"),
+    ])
+    def test_eval_fails_with_one_line(self, tmp_path, capsys, checkpoint, mode, message):
+        path = tmp_path / "checkpoint.json"
+        if checkpoint is None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(TINY_CONFIG))
+            cli_main(["train", "--config", str(cfg), "--out", str(tmp_path)])
+        else:
+            path.write_text(checkpoint)
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(path), "--samples", "2"]
+        assert cli_main(argv + (["--mode", mode] if mode else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_train_in_chebyshev_mode_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "mode": "chebyshev:16"}))
+        assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == ("error: mode chebyshev:16 is inference-only; "
+                                           "train in exact or truncated mode\n")
+        assert not (tmp_path / "run").exists()
+
+
+class TestAtomicOutFiles:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--k", "2"],
+        ["bench", "--sizes", "8,16", "--d", "4", "--k", "1", "--modes", "exact", "--repeats", "1"],
+        ["build-graph", "--conllu", "{conllu}"],
+    ])
+    def test_failed_replace_keeps_previous_file(self, tmp_path, capsys, monkeypatch, argv):
+        src = tmp_path / "trees.conllu"
+        src.write_text(CONLLU_TWO)
+        out = tmp_path / "out.txt"
+        out.write_text("previous\n")
+        argv = [a.format(conllu=src) for a in argv] + ["--out", str(out)]
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(serialize_mod.os, "replace", fail)
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "trees.conllu"]
+        monkeypatch.undo()
+        assert cli_main(argv) == 0
+        assert out.read_text() != "previous\n"
+        capsys.readouterr()
 
 
 class TestBenchCommand:

@@ -67,7 +67,7 @@ class TestFilterMlp:
 
     def test_init_shapes_and_bounds(self):
         rng = np.random.default_rng(0)
-        f = init_filter_mlp(rng, hidden=16)
+        f = init_filter_mlp(rng)
         assert f.w1.shape == (16,) and f.b1.shape == (16,)
         assert f.w2.shape == (16,) and f.b2.shape == ()
         assert np.max(np.abs(f.w1)) <= 1.0  # fan_in 1 -> U(-1, 1)

@@ -275,6 +275,23 @@ class TestGraphJson:
         g = build_chain_graph(4)
         assert graph_from_json(graph_to_json(g)) == g
 
+    @pytest.mark.parametrize("text, match", [
+        ('{"n": 3, "edges": [[0]]}', "edge \\[0\\] is not a"),
+        ('{"n": 3, "edges": [[0, 1, 2]]}', "edge \\[0, 1, 2\\] is not a"),
+        ('{"n": 3, "edges": [[0, 1.5]]}', "edge \\[0, 1.5\\] is not a"),
+        ('{"n": 3, "edges": [5]}', "edge 5 is not a"),
+        ('{"n": 3, "edges": 5}', '"edges" must be a list'),
+        ('{"n": "3", "edges": []}', '"n" must be an integer'),
+        ('{"n": true, "edges": []}', '"n" must be an integer'),
+        ('{"n": 3, "edges": [], "labels": "abc"}', '"labels" must be a list of strings'),
+        ('{"n": 3, "edges": [], "labels": ["a", 2, "c"]}', '"labels" must be a list of strings'),
+        ('[3]', "must be an object"),
+        ('{"n": 3, "edges": [[0, 3]]}', "out of range"),
+    ])
+    def test_malformed_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            graph_from_json(text)
+
     def test_json_is_plain_object(self):
         doc = json.loads(graph_to_json(build_chain_graph(2)))
         assert doc["n"] == 2

@@ -76,7 +76,9 @@ class TestAgainstPerFilterReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_single_filter_api(self, seed):
         rng = np.random.default_rng(seed)
-        f = init_filter_mlp(rng, hidden=int(rng.integers(1, 20)))
+        h = int(rng.integers(1, 20))  # any width, not only the one init_filter_mlp draws
+        f = FilterMlp(rng.uniform(-1.0, 1.0, h), rng.uniform(-1.0, 1.0, h),
+                      rng.uniform(-1.0, 1.0, h) / np.sqrt(h), np.array(rng.uniform(-0.5, 0.5)))
         lam = random_lambdas(rng)
         ref_val, ref_jac = reference_eval_grad(f, lam)
         assert_rel_close(filter_eval(f, lam), ref_val, "filter_eval")
@@ -173,6 +175,11 @@ def old_draw_order(d, k, layers, ffn_mult, vocab, seed, hidden=16):
     return out
 
 
+def params_section(text):
+    """The "params" object of checkpoint text, as bytes on disk."""
+    return text.split('"params":', 1)[1].rsplit(',"version":', 1)[0]
+
+
 class TestArtifacts:
     @pytest.mark.parametrize("dims", [(8, 2, 2, 4, 11, 0), (5, 4, 1, 2, 9, 3), (3, 1, 3, 1, 4, 7)])
     def test_seeded_build_matches_old_draw_order(self, dims):
@@ -184,16 +191,21 @@ class TestArtifacts:
             assert np.array_equal(params[name], arr), name
 
     def test_checkpoint_written_by_per_filter_code_loads(self):
-        # written by the per-filter implementation for this config, untrained
+        # written by the per-filter implementation for this config, untrained,
+        # as checkpoint version 1 (mode, cheb_order and trunc_m fields)
         path = os.path.join(DATA, "checkpoint_v1_seed11.json")
         config, params = load_checkpoint(path)
+        assert config["mode"] == "exact"
+        assert "cheb_order" not in config and "trunc_m" not in config
         model = model_from_params(config, params)
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        assert checkpoint_text(config, model_params(model)) == text
+            v1_params = params_section(fh.read())
+        assert params_section(checkpoint_text(config, model_params(model))) == v1_params
         fresh = build_model(config["d"], config["k"], config["layers"], config["ffn_mult"],
                             config["vocab"], seed=config["seed"])
-        assert checkpoint_text(config, model_params(fresh)) == text
+        for name, arr in model_params(fresh).items():
+            assert np.array_equal(params[name], arr), name
+        assert params_section(checkpoint_text(config, model_params(fresh))) == v1_params
 
 
 def per_tensor_adam(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):

@@ -21,11 +21,14 @@ from gwmixer import (
     metrics_csv,
     model_backward,
     model_forward,
+    model_params,
+    save_checkpoint,
     task_stream,
     token_accuracy,
     train_loop,
 )
-from gwmixer.spectral import SpectrumCache
+from gwmixer.spectral import SpectrumCache, parse_mix_mode
+import gwmixer.training as training_mod
 from gwmixer.training import FD_FLOOR, VAL_BATCHES, VAL_INTERVAL, StepRecord
 
 
@@ -192,8 +195,8 @@ class TestTrainConfig:
 
     def test_mix_mode_mapping(self):
         assert TrainConfig(mode="exact").mix_mode() == MixMode.exact()
-        assert TrainConfig(mode="truncated", trunc_m=5).mix_mode() == MixMode.truncated(5)
-        assert TrainConfig(mode="chebyshev", cheb_order=9).mix_mode() == MixMode.chebyshev(9)
+        assert TrainConfig(mode="truncated:5").mix_mode() == MixMode.truncated(5)
+        assert TrainConfig(mode="chebyshev:9").mix_mode() == MixMode.chebyshev(9)
         with pytest.raises(ValueError, match="mode"):
             TrainConfig(mode="nearest").mix_mode()
 
@@ -208,11 +211,12 @@ class TestTrainConfig:
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("field, value", [
-        *((f, v) for f in ("d", "k", "layers", "steps", "accum", "seed", "trunc_m")
+        *((f, v) for f in ("d", "k", "layers", "steps", "accum", "seed", "mode")
           for v in ("32", 2.0, True, None)),
         ("d", 0), ("k", 0), ("layers", 0), ("ffn_mult", 0), ("steps", 0), ("steps", -5),
         ("accum", 0), ("patience", 0), ("warmup", 0), ("vocab", 1), ("n", 1), ("seed", -1),
-        ("cheb_order", -1), ("trunc_m", 0),
+        ("mode", "chebyshev:-1"), ("mode", "truncated:0"), ("mode", "truncated:x"),
+        ("mode", "exact:4"),
         ("lr", float("nan")), ("lr", float("inf")), ("lr", -1e-3), ("lr", "1e-3"), ("lr", True),
         ("mask_rate", 0.0), ("mask_rate", 1.0), ("mask_rate", -0.5), ("mask_rate", "0.5"),
         ("task", "nope"), ("task", None), ("mode", "bogus"), ("mode", 3), ("conllu", 5),
@@ -224,14 +228,27 @@ class TestTrainConfigValidation:
             TrainConfig.from_dict({field: value})
 
     def test_trunc_m_above_n_rejected_for_chain_tasks(self):
-        with pytest.raises(ValueError, match="^trunc_m .*n=8"):
-            TrainConfig(mode="truncated", n=8, trunc_m=9)
-        TrainConfig(mode="truncated", n=8, trunc_m=8)
-        TrainConfig(mode="exact", n=8, trunc_m=9)  # unused by exact mode
-        TrainConfig(mode="truncated", n=8, trunc_m=9, conllu="trees.conllu")
+        with pytest.raises(ValueError, match="^mode .*n=8"):
+            TrainConfig(mode="truncated:9", n=8)
+        TrainConfig(mode="truncated:8", n=8)
+        TrainConfig(mode="truncated:9", n=8, conllu="trees.conllu")
+
+    @pytest.mark.parametrize("text", [
+        "exact", "truncated", "truncated:4", "chebyshev", "chebyshev:0", "chebyshev:30",
+        "", "exact:", "exact:4", "truncated:", "truncated:0", "truncated:-2", "chebyshev:-1",
+        "chebyshev:1.5", "Exact", "nearest:2",
+    ])
+    def test_mode_accepts_exactly_what_parse_mix_mode_accepts(self, text):
+        try:
+            expected = parse_mix_mode(text)
+        except ValueError:
+            with pytest.raises(ValueError, match="^mode "):
+                TrainConfig(mode=text)
+        else:
+            assert TrainConfig(mode=text).mix_mode() == expected
 
     @pytest.mark.parametrize("over", [
-        {}, {"lr": 0.0}, {"lr": 1}, {"mode": "chebyshev", "cheb_order": 0},
+        {}, {"lr": 0.0}, {"lr": 1}, {"mode": "chebyshev:0"},
         {"d": np.int64(8)}, {"mask_rate": 0.999},
     ])
     def test_accepted(self, over):
@@ -355,6 +372,35 @@ class TestTrainLoop:
         assert len(text.splitlines()) == 13
         assert os.path.exists(out / "checkpoint.json")
 
+    def test_chebyshev_mode_rejected_before_writing(self, tmp_path):
+        cfg = smoke_config(steps=3, d=8, k=1, n=8, mode="chebyshev:8")
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="^mode chebyshev:8 is inference-only"):
+            train_loop(build_for(cfg), cfg, out_dir=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps, lr, patience, validations", [
+        (3, 2e-3, 10, 1), (VAL_INTERVAL + 1, 2e-3, 10, 2), (3 * VAL_INTERVAL, 0.0, 1, 2)])
+    def test_checkpoint_written_once_per_validation(self, tmp_path, monkeypatch,
+                                                    steps, lr, patience, validations):
+        # the initial state, then once per validation round; the last step
+        # and an early stop always follow a validation, so nothing is
+        # written after the loop
+        written = []
+
+        def counting_save(path, config, params):
+            written.append(path)
+            save_checkpoint(path, config, params)
+
+        monkeypatch.setattr(training_mod, "save_checkpoint", counting_save)
+        cfg = smoke_config(steps=steps, d=8, k=1, n=8, lr=lr, patience=patience)
+        out = tmp_path / "run"
+        result = train_loop(build_for(cfg), cfg, out_dir=str(out))
+        assert len(written) == 1 + validations == 1 + len(result.val_history)
+        _, params = load_checkpoint(out / "checkpoint.json")
+        for name, p in model_params(result.model).items():
+            assert np.array_equal(params[name], p), name
+
 
 class TestEvaluate:
     def test_matches_manual_loop(self):
@@ -374,7 +420,12 @@ class TestEvaluate:
             hit += int((pred[s.mask] == s.targets[s.mask]).sum())
             tot += int(s.mask.sum())
         assert loss == pytest.approx(float(np.mean(losses)), rel=1e-15)
-        assert acc == pytest.approx(hit / tot, rel=1e-15)
+        assert acc == hit / tot  # bit-identical to the integer count ratio
+
+    def test_empty_sample_list_rejected(self):
+        cfg = smoke_config(steps=1, d=8, k=1, n=8)
+        with pytest.raises(ValueError, match="at least one sample"):
+            evaluate(build_for(cfg), [], cfg.mix_mode())
 
 
 class TestGradCheck:
