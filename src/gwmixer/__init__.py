@@ -69,7 +69,6 @@ from .spectral import (
     gft,
     igft,
     parse_mix_mode,
-    truncate,
 )
 from .tasks import TaskSample, TaskSpec, fixed_samples, gen_task_batch, task_stream
 from .training import (

@@ -2,8 +2,9 @@
 baseline, with per-size correctness gates so a timing is never reported
 for wrong output.
 
-Timing excludes eigendecomposition and setup (spectra are precomputed
-and cached, mirroring how a deployment would amortize them); the
+Timing excludes eigendecomposition and setup: the Laplacian and each
+mode's spectrum come from a SpectrumCache before timing, as in
+model_forward, so truncated:m mixes over its own m-pair system and the
 Chebyshev mode needs no spectrum at all. Memory is measured in a
 separate untimed pass with tracemalloc.
 """
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import FilterBank, build_filter_bank, filter_eval, wavelet_mix
-from .graphs import build_chain_graph, normalized_laplacian, symmetrize
+from .graphs import build_chain_graph
 from .serialize import fmt_float
-from .spectral import EigenSystem, MixMode, chebyshev_fit, eigendecompose, parse_mix_mode, truncate
+from .spectral import EigenSystem, MixMode, SpectrumCache, chebyshev_fit, parse_mix_mode
 
 DEFAULT_SIZES = (64, 128, 256, 512, 1024)
 DEFAULT_MODES = ("exact", "truncated:16", "chebyshev:16", "attention")
@@ -70,17 +71,12 @@ def _naive_mix(bank: FilterBank, u: np.ndarray, lam: np.ndarray, x: np.ndarray) 
 
 def _verify_mode(mode: MixMode, out: np.ndarray, bank: FilterBank,
                  eig: EigenSystem, x: np.ndarray) -> None:
-    """Gate a mode's output against an independent reference before its
-    timing may be reported."""
-    if mode.kind == "exact":
-        ref = _naive_mix(bank, eig.u, eig.lam, x)
-        tol = ORACLE_TOL * max(1.0, float(np.max(np.abs(ref))))
-    elif mode.kind == "truncated":
-        sub = truncate(eig, mode.param)
-        ref = _naive_mix(bank, sub.u, sub.lam, x)
-        tol = ORACLE_TOL * max(1.0, float(np.max(np.abs(ref))))
-    else:  # chebyshev: against the exact spectral answer, bounded by fit error
-        ref = _naive_mix(bank, eig.u, eig.lam, x)
+    """Gate a mode's output against an independent reference built on
+    eig, the full dense system, before its timing may be reported; a
+    truncated:m reference keeps its first m pairs."""
+    m = mode.param if mode.kind == "truncated" else eig.m
+    ref = _naive_mix(bank, eig.u[:, :m], eig.lam[:m], x)
+    if mode.kind == "chebyshev":  # against the exact spectral answer, bounded by fit error
         fit_err = sum(
             chebyshev_fit(lambda t, f=f: filter_eval(f, t), mode.param)[1]
             for f in bank.filters
@@ -88,6 +84,8 @@ def _verify_mode(mode: MixMode, out: np.ndarray, bank: FilterBank,
         amax = float(np.max(np.abs(bank.alpha)))
         colnorm = float(np.max(np.linalg.norm(x, axis=0)))
         tol = max(1e-8, 2.0 * fit_err * amax * colnorm)
+    else:
+        tol = ORACLE_TOL * max(1.0, float(np.max(np.abs(ref))))
     err = float(np.max(np.abs(out - ref)))
     if err > tol:
         raise AssertionError(f"{mode}: output error {err:.3e} exceeds gate {tol:.3e}")
@@ -128,8 +126,8 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
     Returns (records, slopes) where slopes maps mode string to the
     fitted log-log exponent. Outputs are verified before timing; the
     wavelet modes share one bank and input per size, so their checksums
-    agree up to mode error. Eigendecomposition happens once per size,
-    outside all timed regions.
+    agree up to mode error. Each size's Laplacian and spectra come from a
+    SpectrumCache of its own, outside all timed regions.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -137,14 +135,10 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
     parsed = [m if isinstance(m, MixMode) else None if m == "attention" else parse_mix_mode(m)
               for m in modes]
     records = []
-    wavelet_present = any(p is not None for p in parsed)
     for n in sizes:
         rng = np.random.default_rng(seed + n)
-        graph = symmetrize(build_chain_graph(n))
-        lap = normalized_laplacian(graph)
-        # spectra are precomputed outside every timed region; chebyshev only
-        # needs one for its correctness gate
-        eig = eigendecompose(lap) if wavelet_present else None
+        graph = build_chain_graph(n)
+        cache = SpectrumCache()
         bank = build_filter_bank(k, d, seed=seed)
         x = rng.standard_normal((n, d))
         att = make_attention_params(d, seed)
@@ -153,9 +147,10 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
                 fn = lambda: attention_baseline_forward(x, *att)
                 out = fn()
             else:
+                lap, eig = cache.get_or_compute(graph, mode)
                 fn = lambda: wavelet_mix(bank, eig, x, mode, lap)
                 out = fn()
-                _verify_mode(mode, out, bank, eig, x)
+                _verify_mode(mode, out, bank, cache.get_or_compute(graph)[1], x)
             seconds = _time_call(fn, repeats)
             peak = _peak_bytes(fn)
             records.append(BenchRecord(n, d, k, str(mode_str), seconds, peak,

@@ -26,7 +26,7 @@ from .filterbank import (
 )
 from .graphs import NormalizedLaplacian, TokenGraph
 from .serialize import dumps_canonical, write_text_atomic
-from .spectral import DEFAULT_CACHE, EigenSystem, SpectrumCache
+from .spectral import EigenSystem, SpectrumCache
 
 CHECKPOINT_VERSION = 2  # 2: the mix mode is one string, see _upgrade_v1_config
 
@@ -161,14 +161,14 @@ def model_forward(model: WaveletModel, graph: TokenGraph, token_ids,
                   mode: MixMode, cache: SpectrumCache | None = None):
     """Embeds ids, runs the layer stack over the graph spectrum, projects
     to logits. Returns (logits, ModelTape). The Laplacian and whatever
-    spectrum the mode needs (none for chebyshev) come from the cache (the
-    shared default when none is given)."""
+    spectrum the mode needs (none for chebyshev) come from the cache (a
+    fresh one for this call when none is given)."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.ndim != 1 or len(token_ids) != graph.n:
         raise ValueError(f"need {graph.n} token ids, got shape {token_ids.shape}")
     if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= model.vocab:
         raise ValueError("token id out of vocabulary range")
-    cache = cache if cache is not None else DEFAULT_CACHE
+    cache = cache if cache is not None else SpectrumCache()
     lap, eig = cache.get_or_compute(graph, mode)
     x = model.embed[token_ids]
     tapes = []

@@ -25,7 +25,14 @@ import numpy as np
 from scipy.special import expit
 
 from .graphs import NormalizedLaplacian
-from .spectral import LAMBDA_MAX, EigenSystem, MixMode, chebyshev_nodes, chebyshev_series
+from .spectral import (
+    LAMBDA_MAX,
+    EigenSystem,
+    MixMode,
+    as_signal,
+    chebyshev_nodes,
+    chebyshev_series,
+)
 
 HIDDEN = 16  # filter MLP width; checkpoints are reloaded at this width
 FILTER_TENSORS = ("w1", "b1", "w2", "b2")
@@ -162,21 +169,19 @@ def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
     return out if np.ndim(lam) else out[:, 0]
 
 
-def _spectral_basis(eig: EigenSystem, mode: MixMode):
-    if mode.kind == "truncated":
-        if eig.m < mode.param:
-            raise ValueError(
-                f"truncated({mode.param}) needs at least {mode.param} modes, "
-                f"eigensystem has {eig.m}"
-            )
-        return eig.u[:, : mode.param], eig.lam[: mode.param]
-    return eig.u, eig.lam
+def _check_eigensystem(eig: EigenSystem | None, mode: MixMode) -> None:
+    """A mode mixes over every pair it is given: exact needs a full
+    system (m == n), truncated:m exactly m pairs."""
+    if eig is None:
+        raise ValueError(f"{mode} mode needs an eigensystem")
+    need = eig.n if mode.kind == "exact" else mode.param
+    if eig.m != need:
+        raise ValueError(f"{mode} mode mixes over {need} eigenpairs, got an eigensystem "
+                         f"of m={eig.m} pairs for n={eig.n} nodes")
 
 
 def _check_mix_args(bank: FilterBank, x: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != n:
-        raise ValueError(f"expected signal of shape ({n}, d), got {x.shape}")
+    x = as_signal(x, n)
     if x.shape[1] != bank.d:
         raise ValueError(f"bank mixes d={bank.d} channels, signal has {x.shape[1]}")
     return x
@@ -186,7 +191,9 @@ def wavelet_mix(bank: FilterBank, eig: EigenSystem | None, x: np.ndarray,
                 mode: MixMode, lap: NormalizedLaplacian | None = None) -> np.ndarray:
     """Mix node features through the filter bank.
 
-    exact/truncated need an eigensystem. chebyshev needs only the sparse
+    exact mixes over a full eigensystem and truncated:m over one of
+    exactly m pairs, from eigendecompose(lap, m); any other system is a
+    ValueError. chebyshev needs only the sparse
     Laplacian: the bank is evaluated once at the P+1 Chebyshev nodes, one
     matmul fits all K coefficient vectors c_k, alpha is folded in as
     w_p = sum_k c_kp alpha_k, and a single recurrence sums
@@ -199,11 +206,10 @@ def wavelet_mix(bank: FilterBank, eig: EigenSystem | None, x: np.ndarray,
         nodes, fit = chebyshev_nodes(mode.param)
         coeffs = bank_responses(bank, nodes) @ fit.T  # (K, P+1)
         return chebyshev_series(lap, coeffs.T @ bank.alpha, x)
-    if eig is None:
-        raise ValueError(f"{mode.kind} mode needs an eigensystem")
+    _check_eigensystem(eig, mode)
     x = _check_mix_args(bank, x, eig.n)
-    u, lam = _spectral_basis(eig, mode)
-    resp = bank_responses(bank, lam)  # (K, m)
+    u = eig.u
+    resp = bank_responses(bank, eig.lam)  # (K, m)
     weight = resp.T @ bank.alpha  # (m, d): sum_k g_k(lam_i) alpha_k[j]
     return u @ (weight * (u.T @ x))
 
@@ -240,12 +246,13 @@ def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem, x: np.ndarray,
     """
     if mode.kind == "chebyshev":
         raise ValueError("chebyshev mode is inference-only; no backward pass")
+    _check_eigensystem(eig, mode)
     x = _check_mix_args(bank, x, eig.n)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != signal shape {x.shape}")
-    u, lam = _spectral_basis(eig, mode)
-    resp, jac = _bank_eval_grad(bank.w1, bank.b1, bank.w2, bank.b2, _finite_lambda(lam))
+    u = eig.u
+    resp, jac = _bank_eval_grad(bank.w1, bank.b1, bank.w2, bank.b2, _finite_lambda(eig.lam))
     xhat = u.T @ x  # (m, d)
     ghat = u.T @ upstream  # (m, d)
     prod = xhat * ghat  # (m, d)

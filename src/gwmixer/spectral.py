@@ -25,6 +25,7 @@ LANCZOS_SHIFT = -1e-5  # shift-invert target just below the smallest eigenvalue,
 LANCZOS_SEED = 0  # seeds the Lanczos start vector
 INERTIA_GAP = 1e-9  # the completeness count sits this far below the largest pair found
 LAMBDA_MAX = 2.0  # normalized Laplacian spectra lie in [0, 2]; filters live on this interval
+RESIDUAL_TOL = 1e-12  # scales the accepted eigendecomposition residual
 
 
 class NumericalError(RuntimeError):
@@ -39,13 +40,12 @@ class NumericalError(RuntimeError):
 class EigenSystem:
     """Eigenpairs of a normalized Laplacian.
 
-    u: (n, m) orthonormal columns, lam: (m,) ascending. truncated marks a
-    system reduced to the m smoothest modes; full systems have m == n.
+    u: (n, m) orthonormal columns, lam: (m,) ascending: the m smoothest
+    modes, all of them (m == n) for a full system.
     """
 
     u: np.ndarray
     lam: np.ndarray
-    truncated: bool = False
 
     @property
     def n(self) -> int:
@@ -75,22 +75,11 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u * np.where(lead < 0, -1.0, 1.0)
 
 
-def _dense_eigh(mat: np.ndarray, basis_seed: int | None):
-    q = None
-    work = mat
-    if basis_seed is not None:
-        n = mat.shape[0]
-        rng = np.random.default_rng(basis_seed)
-        g = rng.standard_normal((n, n))
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diag(r))
-        work = q.T @ mat @ q
-        work = 0.5 * (work + work.T)
+def _dense_eigh(mat: np.ndarray):
     try:
-        lam, u = np.linalg.eigh(work)
+        return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    return lam, (u if q is None else q @ u)
 
 
 def _lanczos(mat, m: int):
@@ -124,44 +113,40 @@ def _lanczos(mat, m: int):
     return lam, u
 
 
-def eigendecompose(l: NormalizedLaplacian, tol: float = 1e-12,
-                   basis_seed: int | None = None, m: int | None = None) -> EigenSystem:
-    """Symmetric eigendecomposition L = U diag(lam) U^T.
+def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
+    """Symmetric eigendecomposition L = U diag(lam) U^T, the only producer
+    of eigensystems.
 
     With m=None the system is full, from dense eigh on l.matrix.toarray()
-    (the only place a dense Laplacian exists). With m the system holds the
-    m smallest eigenpairs and is marked truncated: for m < n-1 and
-    n >= LANCZOS_MIN_N they come from shift-invert Lanczos on the sparse
-    matrix (scipy's eigsh, shift just below 0, seeded start vector),
-    otherwise from dense eigh then truncate. Either way pairs are sorted,
-    sign-fixed and clamped alike.
+    (the only place a dense Laplacian exists). With m the system holds
+    exactly the m smallest eigenpairs: for m < n-1 and n >= LANCZOS_MIN_N
+    they come from shift-invert Lanczos on the sparse matrix (scipy's
+    eigsh, shift just below 0, seeded start vector), otherwise from dense
+    eigh, sliced to m pairs. Either way pairs are sorted, sign-fixed and
+    clamped alike, and the arrays are read-only.
 
-    tol scales the accepted residual ||L U - U diag(lam)||_max. Failure
-    of either solver, a residual over the bound (carried by the error),
-    or a Lanczos result that misses a copy of a repeated eigenvalue (an
-    inertia count below the largest pair found) raises NumericalError;
-    no solver stands in for another. basis_seed applies a seeded random
-    orthogonal similarity before a dense solve, which yields an
-    independent basis in degenerate eigenspaces (useful for testing that
-    filtering does not depend on the basis choice); it always takes the
-    dense solver.
+    Failure of either solver, a residual ||L U - U diag(lam)||_max over
+    RESIDUAL_TOL * max(1, |L|_max) * n (carried by the error), or a
+    Lanczos result that misses a copy of a repeated eigenvalue (an
+    inertia count below the largest pair found) raises NumericalError; no
+    solver stands in for another.
     """
     n = l.n
     if m is not None and not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got m={m} for n={n}")
-    lanczos = m is not None and LANCZOS_MIN_N <= n and m < n - 1 and basis_seed is None
+    lanczos = m is not None and LANCZOS_MIN_N <= n and m < n - 1
     mat = l.matrix if lanczos else l.matrix.toarray()
     _check_square_symmetric(mat)
-    lam, u = _lanczos(mat, m) if lanczos else _dense_eigh(mat, basis_seed)
+    lam, u = _lanczos(mat, m) if lanczos else _dense_eigh(mat)
     residual = float(np.max(np.abs(mat @ u - u * lam))) if n else 0.0
     scale = float(abs(mat).max()) if mat.size else 0.0
-    bound = tol * max(1.0, scale) * max(n, 1)
+    bound = RESIDUAL_TOL * max(1.0, scale) * max(n, 1)
     if residual > bound:
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds {bound:.3e}",
             residual=residual,
         )
-    order = np.argsort(lam, kind="stable")
+    order = np.argsort(lam, kind="stable")[:m]
     lam = lam[order]
     u = _fix_signs(u[:, order])
     lam = np.where((lam < 0.0) & (lam >= CLAMP_FLOOR), 0.0, lam)
@@ -169,27 +154,11 @@ def eigendecompose(l: NormalizedLaplacian, tol: float = 1e-12,
     u = np.ascontiguousarray(u)
     lam.flags.writeable = False
     u.flags.writeable = False
-    if m is None:
-        return EigenSystem(u, lam, truncated=False)
-    if u.shape[1] == m:
-        return EigenSystem(u, lam, truncated=True)
-    return truncate(EigenSystem(u, lam), m)
+    return EigenSystem(u, lam)
 
 
-def truncate(eig: EigenSystem, m: int) -> EigenSystem:
-    """Keep the m smoothest modes (smallest eigenvalues)."""
-    if eig.truncated:
-        raise ValueError("eigensystem is already truncated")
-    if not 1 <= m <= eig.m:
-        raise ValueError(f"m must be in [1, {eig.m}], got {m}")
-    u = eig.u[:, :m].copy()
-    lam = eig.lam[:m].copy()
-    u.flags.writeable = False
-    lam.flags.writeable = False
-    return EigenSystem(u, lam, truncated=True)
-
-
-def _check_signal(eig: EigenSystem, x: np.ndarray, rows: int) -> np.ndarray:
+def as_signal(x, rows: int) -> np.ndarray:
+    """x as a float64 (rows, d) signal; any other shape is a ValueError."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != rows:
         raise ValueError(f"expected signal of shape ({rows}, d), got {x.shape}")
@@ -198,19 +167,19 @@ def _check_signal(eig: EigenSystem, x: np.ndarray, rows: int) -> np.ndarray:
 
 def gft(eig: EigenSystem, x: np.ndarray) -> np.ndarray:
     """Graph Fourier transform: U^T x, shape (m, d)."""
-    x = _check_signal(eig, x, eig.n)
+    x = as_signal(x, eig.n)
     return eig.u.T @ x
 
 
 def igft(eig: EigenSystem, xhat: np.ndarray) -> np.ndarray:
     """Inverse transform: U xhat, shape (n, d)."""
-    xhat = _check_signal(eig, xhat, eig.m)
+    xhat = as_signal(xhat, eig.m)
     return eig.u @ xhat
 
 
 def apply_filter_exact(eig: EigenSystem, h, x: np.ndarray) -> np.ndarray:
     """h(L) x = U diag(h(lam)) U^T x for a scalar spectral response h."""
-    x = _check_signal(eig, x, eig.n)
+    x = as_signal(x, eig.n)
     hv = np.asarray(h(eig.lam), dtype=np.float64)
     if hv.shape != eig.lam.shape:
         raise ValueError(f"filter returned shape {hv.shape}, expected {eig.lam.shape}")
@@ -282,9 +251,7 @@ def chebyshev_apply(l: NormalizedLaplacian, coeffs: np.ndarray, x: np.ndarray) -
     """f(L) x for the expansion coeffs of f (from chebyshev_fit), via the
     three-term recurrence of chebyshev_series. Never touches
     eigenvectors."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != l.n:
-        raise ValueError(f"expected signal of shape ({l.n}, d), got {x.shape}")
+    x = as_signal(x, l.n)
     return chebyshev_series(l, np.asarray(coeffs, dtype=np.float64)[:, None], x)
 
 
@@ -335,13 +302,16 @@ class MixMode:
 
 def parse_mix_mode(text: str) -> MixMode:
     """Inverse of str(MixMode): "exact", "truncated:M", "chebyshev:P"; a
-    bare "truncated" or "chebyshev" takes 16. MixMode validates the rest."""
+    bare "truncated" or "chebyshev" takes 16. The text is a kind, or a
+    kind, a colon and ASCII decimal digits; MixMode validates the rest."""
     if not isinstance(text, str):
         raise ValueError(f"mix mode must be a string such as 'truncated:16', got {text!r}")
-    kind, _, arg = text.partition(":")
-    if arg:
-        return MixMode(kind, int(arg))
-    return MixMode(kind, None if kind == "exact" else 16)
+    kind, colon, arg = text.partition(":")
+    if not colon:
+        return MixMode(kind, None if kind == "exact" else 16)
+    if not (arg.isascii() and arg.isdigit()):
+        raise ValueError(f"mix mode parameter {arg!r} in {text!r} is not a decimal integer")
+    return MixMode(kind, int(arg))
 
 
 class SpectrumCache:
@@ -397,5 +367,3 @@ class SpectrumCache:
         with self._lock:
             self._entries.clear()
 
-
-DEFAULT_CACHE = SpectrumCache()

@@ -7,6 +7,7 @@ dependency parses. Generation is deterministic per (spec, seed).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,7 @@ COUNTER_BASE = 3
 COUNTER_HOLDS = (1, 2)  # spatial periods 3 and 6
 # token value space too small to split into digits -> one sticky stream
 FALLBACK_REPEAT = 3 / 4
+SENTENCE_FILES = 4  # parsed CoNLL-U files kept by _conllu_sentences
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,7 @@ class TaskSpec:
     n: int
     vocab: int
     mask_rate: float = 0.25
-    graph_source: str = "chain"
-    conllu_path: str | None = None
+    conllu_path: str | None = None  # None: a chain graph over n positions
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -48,10 +49,10 @@ class TaskSpec:
             raise ValueError(f"vocab must be >= 2, got {self.vocab}")
         if not 0.0 < self.mask_rate < 1.0:
             raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
-        if self.graph_source not in ("chain", "conllu"):
-            raise ValueError(f"unknown graph source {self.graph_source!r}")
-        if self.graph_source == "conllu" and not self.conllu_path:
-            raise ValueError("conllu graph source needs conllu_path")
+        if self.conllu_path is not None and not (isinstance(self.conllu_path, str)
+                                                 and self.conllu_path):
+            raise ValueError(f"conllu_path must be a non-empty path or None, "
+                             f"got {self.conllu_path!r}")
 
     @property
     def mask_token(self) -> int:
@@ -67,17 +68,14 @@ class TaskSample:
     mask: np.ndarray  # (n,) bool, True where the position is scored
 
 
-_sentence_cache: dict = {}
-
-
-def _conllu_sentences(path: str) -> list:
-    sents = _sentence_cache.get(path)
-    if sents is None:
-        with open(path, encoding="utf-8") as fh:
-            sents = [g for g in parse_conllu(fh.read()) if g.n >= 2]
-        if not sents:
-            raise ValueError(f"{path}: no sentences with at least 2 tokens")
-        _sentence_cache[path] = sents
+@lru_cache(maxsize=SENTENCE_FILES)
+def _conllu_sentences(path: str) -> tuple:
+    """The graphs of path's sentences of at least 2 tokens, parsed once
+    for each of the last SENTENCE_FILES paths read."""
+    with open(path, encoding="utf-8") as fh:
+        sents = tuple(g for g in parse_conllu(fh.read()) if g.n >= 2)
+    if not sents:
+        raise ValueError(f"{path}: no sentences with at least 2 tokens")
     return sents
 
 
@@ -117,7 +115,7 @@ def gen_task_batch(spec: TaskSpec, seed) -> TaskSample:
     id never occurs as a regular token.
     """
     rng = np.random.default_rng(seed)
-    if spec.graph_source == "chain":
+    if spec.conllu_path is None:
         graph = build_chain_graph(spec.n)
     else:
         sents = _conllu_sentences(spec.conllu_path)

@@ -190,8 +190,8 @@ class TrainConfig:
             mix = parse_mix_mode(self.mode)
         except ValueError as exc:
             raise ValueError(f"mode {self.mode!r} is invalid: {exc}") from None
-        if self.conllu is not None and not isinstance(self.conllu, str):
-            raise ValueError(f"conllu must be a path or null, got {self.conllu!r}")
+        if self.conllu is not None and not (isinstance(self.conllu, str) and self.conllu):
+            raise ValueError(f"conllu must be a non-empty path or null, got {self.conllu!r}")
         if mix.kind == "truncated" and self.conllu is None and mix.param > self.n:
             raise ValueError(f"mode {self.mode} needs m <= n for chain tasks, got m={mix.param} "
                              f"and n={self.n}")
@@ -211,8 +211,7 @@ class TrainConfig:
         return parse_mix_mode(self.mode)
 
     def task_spec(self) -> TaskSpec:
-        source = "conllu" if self.conllu else "chain"
-        return TaskSpec(self.task, self.n, self.vocab, self.mask_rate, source, self.conllu)
+        return TaskSpec(self.task, self.n, self.vocab, self.mask_rate, self.conllu)
 
 
 @dataclass
@@ -242,9 +241,11 @@ def metrics_csv(records) -> str:
 def evaluate(model: WaveletModel, samples, mode: MixMode,
              cache: SpectrumCache | None = None):
     """Mean loss over a non-empty list of TaskSamples, and token accuracy
-    over all their scored positions together."""
+    over all their scored positions together. Spectra come from cache, or
+    from one fresh cache shared by all the samples."""
     if not samples:
         raise ValueError("evaluate needs at least one sample")
+    cache = cache if cache is not None else SpectrumCache()
     losses = []
     scored = []  # (logits, targets, mask) per sample
     for s in samples:

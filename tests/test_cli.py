@@ -136,7 +136,8 @@ class TestTrainEvalCommands:
         assert "bogus" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad, field", [({"d": "32"}, "d"), ({"k": 0}, "k"),
-                                            ({"accum": 0}, "accum"), ({"lr": float("nan")}, "lr")])
+                                            ({"accum": 0}, "accum"), ({"lr": float("nan")}, "lr"),
+                                            ({"conllu": "", "mode": "truncated:20"}, "conllu")])
     def test_invalid_config_fails_with_one_line(self, tmp_path, capsys, bad, field):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**TINY_CONFIG, **bad}))
@@ -152,6 +153,8 @@ class TestTrainEvalCommands:
         (None, "bogus", "error: mode 'bogus' is invalid"),
         (None, "truncated:7", "error: mode truncated:7 needs m <= n"),
         (None, "truncated:x", "error: mode 'truncated:x' is invalid"),
+        (None, "truncated:+5", "error: mode 'truncated:+5' is invalid: mix mode parameter "
+                               "'+5' in 'truncated:+5'"),
     ])
     def test_eval_fails_with_one_line(self, tmp_path, capsys, checkpoint, mode, message):
         path = tmp_path / "checkpoint.json"

@@ -20,7 +20,6 @@ from gwmixer import (
     parse_mix_mode,
     spectrum_csv,
     symmetrize,
-    truncate,
     wavelet_mix,
     wavelet_mix_backward,
 )
@@ -165,9 +164,15 @@ class TestMixMode:
         assert str(m) == "chebyshev:20"
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "exact:4", "truncated:0", "chebyshev:-1", "nearest:2"):
+        for bad in ("", "exact:4", "truncated:0", "chebyshev:-1", "nearest:2", "exact:",
+                    "truncated:", "chebyshev:", "truncated:+5", "truncated:1_6",
+                    "truncated: 5", "truncated:5 ", "truncated:\u0665"):
             with pytest.raises(ValueError):
                 parse_mix_mode(bad)
+
+    def test_parse_error_names_the_parameter_text(self):
+        with pytest.raises(ValueError, match="'x' in 'truncated:x'"):
+            parse_mix_mode("truncated:x")
 
 
 class TestWaveletMix:
@@ -194,21 +199,28 @@ class TestWaveletMix:
     def test_truncated_full_m_equals_exact(self):
         lap, eig, bank, x = chain_setup(10, 4, 3)
         full = wavelet_mix(bank, eig, x, MixMode.exact())
-        trunc = wavelet_mix(bank, eig, x, MixMode.truncated(10))
+        trunc = wavelet_mix(bank, eigendecompose(lap, m=10), x, MixMode.truncated(10))
         assert np.array_equal(full, trunc) or np.allclose(full, trunc, atol=1e-14)
 
     def test_truncated_error_shrinks_with_m(self):
         lap, eig, bank, x = chain_setup(12, 4, 2)
         exact = wavelet_mix(bank, eig, x, MixMode.exact())
-        errs = [np.linalg.norm(wavelet_mix(bank, eig, x, MixMode.truncated(m)) - exact)
+        errs = [np.linalg.norm(wavelet_mix(bank, eigendecompose(lap, m=m), x,
+                                           MixMode.truncated(m)) - exact)
                 for m in (2, 6, 10, 12)]
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
-    def test_truncated_accepts_pretruncated_eigensystem(self):
-        lap, eig, bank, x = chain_setup(10, 4, 2)
-        via_mode = wavelet_mix(bank, eig, x, MixMode.truncated(5))
-        via_eig = wavelet_mix(bank, truncate(eig, 5), x, MixMode.truncated(5))
-        assert np.allclose(via_mode, via_eig, atol=1e-14)
+    @pytest.mark.parametrize("mode, m", [
+        (MixMode.exact(), 16), (MixMode.truncated(8), 16), (MixMode.truncated(16), None),
+    ])
+    def test_mode_rejects_a_system_of_other_size(self, mode, m):
+        # an eigensystem is mixed over whole: never sliced, never partly used
+        lap, _, bank, x = chain_setup(64, 4, 2)
+        eig = eigendecompose(lap, m=m)
+        with pytest.raises(ValueError, match=f"^{mode} mode .* m={eig.m} .* n=64 "):
+            wavelet_mix(bank, eig, x, mode)
+        with pytest.raises(ValueError, match=f"^{mode} mode .* m={eig.m} .* n=64 "):
+            wavelet_mix_backward(bank, eig, x, mode, x)
 
     def test_chebyshev_matches_exact(self):
         lap, eig, bank, x = chain_setup(16, 6, 3)
@@ -312,16 +324,16 @@ class TestMixBackward:
 
     def test_truncated_mode_backward_consistent(self):
         mode = MixMode.truncated(4)
-        grads = wavelet_mix_backward(self.bank, self.eig, self.x, mode,
-                                     self.upstream)
+        eig = eigendecompose(self.lap, m=4)
+        grads = wavelet_mix_backward(self.bank, eig, self.x, mode, self.upstream)
         eps = 1e-6
         idx = (1, 2)
         xp = self.x.copy()
         xp[idx] += eps
         xm = self.x.copy()
         xm[idx] -= eps
-        up = float(np.sum(wavelet_mix(self.bank, self.eig, xp, mode) * self.upstream))
-        dn = float(np.sum(wavelet_mix(self.bank, self.eig, xm, mode) * self.upstream))
+        up = float(np.sum(wavelet_mix(self.bank, eig, xp, mode) * self.upstream))
+        dn = float(np.sum(wavelet_mix(self.bank, eig, xm, mode) * self.upstream))
         assert grads.x[idx] == pytest.approx((up - dn) / (2 * eps), abs=1e-6)
 
     def test_chebyshev_backward_rejected(self):

@@ -13,6 +13,7 @@ import pytest
 import gwmixer.graphs as graphs_mod
 import gwmixer.spectral as spectral_mod
 from gwmixer import (
+    EigenSystem,
     MixMode,
     NumericalError,
     SpectrumCache,
@@ -150,13 +151,13 @@ class TestPartialSpectrum:
             if full.lam[m] - full.lam[m - 1] <= 1e-8:
                 continue  # the m-mode subspace is not unique
             part = eigendecompose(lap, m=m)
-            assert part.truncated and part.m == m
+            assert part.m == m
             assert np.max(np.abs(part.lam - full.lam[:m])) < 1e-12
             bank = build_filter_bank(3, 5, seed=i)
             bank.alpha[...] = rng.standard_normal(bank.alpha.shape)
             x = rng.standard_normal((g.n, 5))
             mode = MixMode.truncated(m)
-            ref = wavelet_mix(bank, full, x, mode)  # dense eigh, then sliced
+            ref = wavelet_mix(bank, EigenSystem(full.u[:, :m], full.lam[:m]), x, mode)
             assert np.max(np.abs(wavelet_mix(bank, part, x, mode) - ref)) < 1e-10
             checked += 1
         assert checked >= 10
@@ -197,7 +198,7 @@ class TestPartialSpectrum:
         small = normalized_laplacian(symmetrize(build_chain_graph(40)))
         for lap, m in ((big, LANCZOS_MIN_N - 1), (big, LANCZOS_MIN_N), (small, 16)):
             eig = eigendecompose(lap, m=m)
-            assert eig.truncated and eig.m == m
+            assert eig.m == m
         assert lanczos_calls == []
 
     @pytest.mark.parametrize("m", [0, 41])
@@ -205,10 +206,11 @@ class TestPartialSpectrum:
         with pytest.raises(ValueError, match="m must be in"):
             eigendecompose(normalized_laplacian(symmetrize(build_chain_graph(40))), m=m)
 
-    def test_residual_over_bound_raises_with_residual(self):
+    def test_residual_over_bound_raises_with_residual(self, monkeypatch):
         lap = normalized_laplacian(symmetrize(build_chain_graph(300)))
+        monkeypatch.setattr(spectral_mod, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericalError) as exc:
-            eigendecompose(lap, tol=0.0, m=8)
+            eigendecompose(lap, m=8)
         assert exc.value.residual is not None and exc.value.residual > 0.0
 
     def test_solver_failure_raises_numerical_error(self, monkeypatch):
@@ -253,7 +255,7 @@ class TestModeAwareCache:
         lap_t, trunc = cache.get_or_compute(g, MixMode.truncated(16))
         lap_e, full = cache.get_or_compute(g, MixMode.exact())
         assert lap_c is lap_t is lap_e and len(cache) == 1
-        assert trunc.truncated and trunc.m == 16 and not full.truncated and full.m == 200
+        assert trunc.m == 16 and full.m == 200
         assert cache.get_or_compute(g, MixMode.truncated(16))[1] is trunc
         assert cache.get_or_compute(g)[1] is full
 

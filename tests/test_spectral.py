@@ -19,9 +19,9 @@ from gwmixer import (
     igft,
     normalized_laplacian,
     symmetrize,
-    truncate,
 )
-from gwmixer.spectral import chebyshev_series
+import gwmixer.spectral as spectral_mod
+from gwmixer.spectral import EigenSystem, chebyshev_series
 from scipy import sparse
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -104,29 +104,37 @@ class TestEigendecompose:
         # pair component lambda = {0, 2}; isolated row adds another 0
         assert np.allclose(eig.lam, [0.0, 0.0, 2.0], atol=1e-14)
 
-    def test_residual_tolerance_zero_raises(self):
+    def test_residual_tolerance_zero_raises(self, monkeypatch):
         lap = chain_lap(40)
+        monkeypatch.setattr(spectral_mod, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericalError) as exc:
-            eigendecompose(lap, tol=0.0)
+            eigendecompose(lap)
         assert exc.value.residual is not None
         assert exc.value.residual > 0.0
 
-    def test_basis_seed_same_spectrum(self):
-        lap = chain_lap(10)
-        a = eigendecompose(lap)
-        b = eigendecompose(lap, basis_seed=123)
-        assert np.allclose(a.lam, b.lam, atol=1e-12)
+    def test_spectrum_invariant_under_orthogonal_similarity(self):
+        from gwmixer import NormalizedLaplacian
 
-    def test_basis_seed_filtering_invariant_under_degeneracy(self):
+        lap = chain_lap(10)
+        q, _ = np.linalg.qr(np.random.default_rng(123).standard_normal((10, 10)))
+        rotated = q.T @ lap.matrix.toarray() @ q
+        rotated = sparse.csr_array(0.5 * (rotated + rotated.T))
+        b = eigendecompose(NormalizedLaplacian(rotated, lap.degrees))
+        assert np.allclose(eigendecompose(lap).lam, b.lam, atol=1e-12)
+
+    def test_filtering_invariant_under_degenerate_basis(self):
         # The triangle has a two-fold degenerate eigenvalue; any orthonormal
         # basis of that eigenspace must give the same filter action.
         tri = symmetrize(TokenGraph(3, ((0, 1), (1, 2), (0, 2))))
-        lap = normalized_laplacian(tri)
+        eig = eigendecompose(normalized_laplacian(tri))
         x = np.random.default_rng(0).standard_normal((3, 5))
         h = lambda lam: np.exp(-1.7 * lam)
-        base = apply_filter_exact(eigendecompose(lap), h, x)
+        base = apply_filter_exact(eig, h, x)
         for seed in (1, 2, 99):
-            other = apply_filter_exact(eigendecompose(lap, basis_seed=seed), h, x)
+            rot, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((2, 2)))
+            u = eig.u.copy()
+            u[:, 1:] = eig.u[:, 1:] @ rot  # another basis of the lam = 1.5 eigenspace
+            other = apply_filter_exact(EigenSystem(u, eig.lam), h, x)
             assert np.allclose(base, other, atol=1e-12)
 
     def test_rejects_non_symmetric_matrix(self):
@@ -144,32 +152,33 @@ class TestEigendecompose:
             eigendecompose(bad)
 
 
-class TestTruncate:
+class TestPartialSystem:
+    # below LANCZOS_MIN_N the m pairs are the dense solve's first m
     def test_keeps_smallest_eigenvalues(self):
         eig = eigendecompose(chain_lap(8))
-        t = truncate(eig, 3)
-        assert t.truncated
+        t = eigendecompose(chain_lap(8), m=3)
         assert t.m == 3 and t.n == 8
         assert np.array_equal(t.lam, eig.lam[:3])
         assert np.array_equal(t.u, eig.u[:, :3])
 
-    def test_full_truncation_equals_original(self):
+    def test_all_pairs_equal_full_system(self):
         eig = eigendecompose(chain_lap(6))
-        t = truncate(eig, 6)
-        assert np.array_equal(t.u, eig.u)
-        assert t.truncated
+        t = eigendecompose(chain_lap(6), m=6)
+        assert np.array_equal(t.u, eig.u) and np.array_equal(t.lam, eig.lam)
 
-    def test_retruncation_rejected(self):
-        eig = eigendecompose(chain_lap(6))
-        with pytest.raises(ValueError, match="already truncated"):
-            truncate(truncate(eig, 4), 2)
+    def test_read_only(self):
+        t = eigendecompose(chain_lap(6), m=4)
+        assert t.u.flags.c_contiguous
+        with pytest.raises(ValueError):
+            t.u[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            t.lam[0] = 1.0
 
     def test_m_out_of_range(self):
-        eig = eigendecompose(chain_lap(5))
         with pytest.raises(ValueError):
-            truncate(eig, 0)
+            eigendecompose(chain_lap(5), m=0)
         with pytest.raises(ValueError):
-            truncate(eig, 6)
+            eigendecompose(chain_lap(5), m=6)
 
 
 class TestTransforms:
@@ -179,7 +188,7 @@ class TestTransforms:
         assert np.allclose(igft(eig, gft(eig, x)), x, atol=1e-13)
 
     def test_gft_shapes(self):
-        eig = truncate(eigendecompose(chain_lap(10)), 4)
+        eig = eigendecompose(chain_lap(10), m=4)
         x = np.zeros((10, 3))
         assert gft(eig, x).shape == (4, 3)
         assert igft(eig, np.zeros((4, 3))).shape == (10, 3)
@@ -235,7 +244,7 @@ class TestTransforms:
         exact = apply_filter_exact(eig, h, x)
         errs = []
         for m in range(1, 13):
-            approx = apply_filter_exact(truncate(eig, m), h, x)
+            approx = apply_filter_exact(eigendecompose(lap, m=m), h, x)
             errs.append(np.linalg.norm(approx - exact))
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-12

@@ -101,15 +101,14 @@ class TestAgainstPerFilterReference:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 6))
         n, d = 7, 3
-        eig = eigendecompose(normalized_laplacian(symmetrize(build_chain_graph(n))))
+        eig = eigendecompose(normalized_laplacian(symmetrize(build_chain_graph(n))), m=mode.param)
         bank = build_filter_bank(k, d, seed=seed)
         bank.alpha[...] = rng.standard_normal((k, d))
         x = rng.standard_normal((n, d))
         up = rng.standard_normal((n, d))
         grads = wavelet_mix_backward(bank, eig, x, mode, up)
 
-        m = eig.m if mode.kind == "exact" else mode.param
-        u, lam = eig.u[:, :m], eig.lam[:m]
+        u, lam = eig.u, eig.lam
         wresp = bank.alpha @ ((u.T @ x) * (u.T @ up)).T  # dLoss/dg_k(lam_i)
         for kk, f in enumerate(bank.filters):
             _, jac = reference_eval_grad(f, lam)

@@ -18,7 +18,8 @@ from gwmixer.bench import BenchRecord, _verify_mode
 from gwmixer.filterbank import MixMode, build_filter_bank
 from gwmixer.graphs import build_chain_graph, normalized_laplacian, symmetrize
 from gwmixer.spectral import eigendecompose
-from gwmixer.tasks import COUNTER_BASE, COUNTER_HOLDS, STICKY_REPEAT
+import gwmixer.tasks as tasks_mod
+from gwmixer.tasks import COUNTER_BASE, COUNTER_HOLDS, SENTENCE_FILES, STICKY_REPEAT
 
 
 class TestTaskSpec:
@@ -32,12 +33,11 @@ class TestTaskSpec:
         dict(vocab=1),
         dict(mask_rate=0.0),
         dict(mask_rate=1.0),
-        dict(graph_source="grid"),
-        dict(graph_source="conllu"),  # missing path
+        dict(conllu_path=""),  # empty path
+        dict(conllu_path=5),
     ])
     def test_invalid(self, kwargs):
-        base = dict(kind="copy", n=8, vocab=16, mask_rate=0.25,
-                    graph_source="chain", conllu_path=None)
+        base = dict(kind="copy", n=8, vocab=16, mask_rate=0.25, conllu_path=None)
         base.update(kwargs)
         with pytest.raises(ValueError):
             TaskSpec(**base)
@@ -154,8 +154,7 @@ class TestConlluSource:
     def test_short_sentences_filtered(self, tmp_path):
         path = tmp_path / "trees.conllu"
         path.write_text(CONLLU_TWO)
-        spec = TaskSpec("copy", 16, 16, graph_source="conllu",
-                        conllu_path=str(path))
+        spec = TaskSpec("copy", 16, 16, conllu_path=str(path))
         # the 1-token sentence is dropped, so every draw yields the
         # 3-token tree and sequence length follows the graph
         for seed in range(4):
@@ -166,10 +165,30 @@ class TestConlluSource:
     def test_no_usable_sentences_rejected(self, tmp_path):
         path = tmp_path / "short.conllu"
         path.write_text("1\tyes\t_\t_\t_\t_\t0\t_\t_\t_\n")
-        spec = TaskSpec("copy", 16, 16, graph_source="conllu",
-                        conllu_path=str(path))
+        spec = TaskSpec("copy", 16, 16, conllu_path=str(path))
         with pytest.raises(ValueError, match="at least 2"):
             gen_task_batch(spec, 0)
+
+    def test_file_parsed_once_and_files_kept_bounded(self, tmp_path, monkeypatch):
+        parsed = []
+        original = tasks_mod.parse_conllu
+        monkeypatch.setattr(tasks_mod, "parse_conllu",
+                            lambda text: parsed.append(text) or original(text))
+        tasks_mod._conllu_sentences.cache_clear()
+        paths = []
+        for i in range(SENTENCE_FILES + 2):
+            paths.append(tmp_path / f"trees{i}.conllu")
+            paths[-1].write_text(CONLLU_TWO)
+        spec = TaskSpec("copy", 16, 16, conllu_path=str(paths[0]))
+        for seed in range(3):
+            gen_task_batch(spec, seed)
+        assert len(parsed) == 1  # the same path read again is not parsed again
+        for path in paths:
+            gen_task_batch(TaskSpec("copy", 16, 16, conllu_path=str(path)), 0)
+        info = tasks_mod._conllu_sentences.cache_info()
+        assert len(parsed) == len(paths)
+        assert info.maxsize == SENTENCE_FILES and info.currsize == SENTENCE_FILES
+        tasks_mod._conllu_sentences.cache_clear()  # no entry holds the stub's results
 
 
 class TestAttentionBaseline:

@@ -203,9 +203,8 @@ class TestTrainConfig:
     def test_task_spec_wiring(self):
         spec = TrainConfig(task="masked_recovery", n=24, vocab=40, mask_rate=0.5).task_spec()
         assert (spec.kind, spec.n, spec.vocab, spec.mask_rate) == ("masked_recovery", 24, 40, 0.5)
-        assert spec.graph_source == "chain"
+        assert spec.conllu_path is None  # a chain graph
         spec2 = TrainConfig(conllu="trees.conllu").task_spec()
-        assert spec2.graph_source == "conllu"
         assert spec2.conllu_path == "trees.conllu"
 
 
@@ -216,10 +215,12 @@ class TestTrainConfigValidation:
         ("d", 0), ("k", 0), ("layers", 0), ("ffn_mult", 0), ("steps", 0), ("steps", -5),
         ("accum", 0), ("patience", 0), ("warmup", 0), ("vocab", 1), ("n", 1), ("seed", -1),
         ("mode", "chebyshev:-1"), ("mode", "truncated:0"), ("mode", "truncated:x"),
-        ("mode", "exact:4"),
+        ("mode", "exact:4"), ("mode", "exact:"), ("mode", "truncated:"), ("mode", "chebyshev:"),
+        ("mode", "truncated:+5"), ("mode", "truncated:1_6"), ("mode", "truncated: 5"),
         ("lr", float("nan")), ("lr", float("inf")), ("lr", -1e-3), ("lr", "1e-3"), ("lr", True),
         ("mask_rate", 0.0), ("mask_rate", 1.0), ("mask_rate", -0.5), ("mask_rate", "0.5"),
         ("task", "nope"), ("task", None), ("mode", "bogus"), ("mode", 3), ("conllu", 5),
+        ("conllu", ""),
     ])
     def test_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
@@ -236,7 +237,8 @@ class TestTrainConfigValidation:
     @pytest.mark.parametrize("text", [
         "exact", "truncated", "truncated:4", "chebyshev", "chebyshev:0", "chebyshev:30",
         "", "exact:", "exact:4", "truncated:", "truncated:0", "truncated:-2", "chebyshev:-1",
-        "chebyshev:1.5", "Exact", "nearest:2",
+        "chebyshev:1.5", "Exact", "nearest:2", "truncated:+5", "truncated:1_6", "truncated: 5",
+        "truncated:05",
     ])
     def test_mode_accepts_exactly_what_parse_mix_mode_accepts(self, text):
         try:
@@ -421,6 +423,24 @@ class TestEvaluate:
             tot += int(s.mask.sum())
         assert loss == pytest.approx(float(np.mean(losses)), rel=1e-15)
         assert acc == hit / tot  # bit-identical to the integer count ratio
+
+    def test_without_a_cache_each_call_solves_each_graph_once(self, monkeypatch):
+        import gwmixer.spectral as spectral_mod
+
+        calls = []
+        original = spectral_mod.eigendecompose
+        monkeypatch.setattr(spectral_mod, "eigendecompose",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        cfg = smoke_config(steps=1, d=8, k=1, n=8)
+        model = build_for(cfg)
+        samples = fixed_samples(cfg.task_spec(), 7, 5, "eval")  # one chain graph
+        first = evaluate(model, samples, cfg.mix_mode())
+        assert len(calls) == 1  # one cache for all the samples
+        assert evaluate(model, samples, cfg.mix_mode()) == first
+        assert len(calls) == 2  # and no cache shared between calls
+        model_forward(model, samples[0].graph, samples[0].tokens, cfg.mix_mode())
+        assert len(calls) == 3
+        assert not hasattr(spectral_mod, "DEFAULT_CACHE")
 
     def test_empty_sample_list_rejected(self):
         cfg = smoke_config(steps=1, d=8, k=1, n=8)
