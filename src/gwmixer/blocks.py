@@ -126,6 +126,9 @@ def build_model(d: int, k: int, layers: int, ffn_mult: int, vocab: int,
         raise ValueError(f"vocab must be >= 2, got {vocab}")
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
+    for name, value in (("d", d), ("k", k), ("ffn_mult", ffn_mult)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     bd = 1.0 / np.sqrt(d)
     embed = rng.uniform(-bd, bd, (vocab, d))

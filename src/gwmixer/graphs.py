@@ -2,14 +2,17 @@
 
 A TokenGraph is a small directed graph over sequence positions (chain
 neighbours, dependency arcs from a CoNLL-U parse, or anything hand built).
-Spectral code operates on the symmetrized graph through its normalized
-Laplacian L = I - D^{-1/2} A D^{-1/2}, held as one sparse CSR matrix.
+Spectral code sees only its undirected structure (edge direction and
+duplicates dropped), through the normalized Laplacian
+L = I - D^{-1/2} A D^{-1/2}, held as one sparse CSR matrix, and the
+content hash that keys the spectrum cache. Both are built from the same
+array of undirected edge codes, so no symmetrized copy of a graph is made.
 """
 
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -30,10 +33,11 @@ class ConlluParseError(ValueError):
 class TokenGraph:
     """Immutable directed graph over n token positions.
 
-    Edges are (src, dst) index pairs. Duplicates collapse to one; self
-    loops are rejected. Optional node_labels (e.g. word forms) must have
-    length n. The content hash of the symmetrized graph is computed once
-    per object, on first use.
+    n is an integer and each edge a (src, dst) tuple, list or array of two
+    integer indices (NumPy integers included, bools not); anything else
+    raises ValueError.
+    Duplicates collapse to one; self loops are rejected. Optional
+    node_labels (e.g. word forms) must have length n.
     """
 
     n: int
@@ -41,12 +45,23 @@ class TokenGraph:
     node_labels: tuple | None = None
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            if not _is_index(self.n):
+                raise ValueError(f"graph size n must be an integer, got {self.n!r}")
+            object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
         seen = set()
         canon = []
         for e in self.edges:
-            s, d = int(e[0]), int(e[1])
+            try:
+                s, d = e
+            except (TypeError, ValueError):  # not a pair
+                s = d = None
+            if type(e) is not tuple or type(s) is not int or type(d) is not int:
+                if not (isinstance(e, (tuple, list, np.ndarray)) and _is_index(s) and _is_index(d)):
+                    raise ValueError(f"edge {e!r} is not a (src, dst) pair of integers")
+                s, d = int(s), int(d)
             if not (0 <= s < self.n and 0 <= d < self.n):
                 raise ValueError(f"edge ({s}, {d}) out of range for n={self.n}")
             if s == d:
@@ -67,20 +82,14 @@ class TokenGraph:
         es = set(self.edges)
         return all((d, s) in es for s, d in es)
 
-    def spectral_form(self) -> tuple:
-        """(key, symmetrized graph or None), where key, the spectrum cache
-        key, is the content_hash of the symmetrized graph. The first call
-        symmetrizes the graph, keeps the key, and hands the symmetrized
-        graph to the caller, which may build the Laplacian from it; later
-        calls return (key, None) and do no O(n) work. The symmetrized
-        graph itself is not kept: holding it on every graph object slowed
-        dependency-tree training through the garbage collector."""
-        key = self.__dict__.get("_spectral_key")
-        if key is not None:
-            return key, None
-        sym = symmetrize(self)
-        key = self.__dict__["_spectral_key"] = content_hash(sym)  # frozen: bypass __setattr__
-        return key, sym
+    @cached_property
+    def spectral_key(self) -> str:
+        """The spectrum cache key, content_hash(self), computed on first use."""
+        return content_hash(self)
+
+
+def _is_index(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @lru_cache(maxsize=CHAIN_MEMO_SIZE)
@@ -103,15 +112,25 @@ def symmetrize(g: TokenGraph) -> TokenGraph:
     return TokenGraph(g.n, tuple(sorted(es)), g.node_labels)
 
 
+def _undirected(g: TokenGraph) -> np.ndarray:
+    """Ascending int64 codes a*n + b, a < b, one per undirected edge of g
+    (an edge given in both directions, or twice, counts once)."""
+    n = g.n
+    flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * len(g.edges))
+    src, dst = flat[0::2], flat[1::2]
+    return np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+
+
 def content_hash(g: TokenGraph) -> str:
-    """Deterministic hash of the graph structure (labels excluded)."""
-    payload = f"n={g.n};" + ";".join(f"{s},{d}" for s, d in sorted(g.edges))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """Deterministic hash of n and g's undirected structure: labels, edge
+    order, direction and duplicates are ignored, so
+    content_hash(g) == content_hash(symmetrize(g))."""
+    return hashlib.sha256(np.int64(g.n).tobytes() + _undirected(g).tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)
 class NormalizedLaplacian:
-    """Sparse normalized Laplacian of a symmetrized graph.
+    """Sparse normalized Laplacian of a graph's undirected structure.
 
     matrix is I - D^{-1/2} A D^{-1/2} as a scipy CSR array with sorted
     column indices, with the convention that isolated nodes get an empty
@@ -128,27 +147,24 @@ class NormalizedLaplacian:
 
 
 def normalized_laplacian(g: TokenGraph) -> NormalizedLaplacian:
-    """Build L = I - D^{-1/2} A D^{-1/2} from a symmetric TokenGraph.
+    """Build L = I - D^{-1/2} A D^{-1/2} of g's undirected structure, A
+    the 0/1 adjacency of its undirected edges: a directed graph gives the
+    Laplacian of symmetrize(g).
 
-    The CSR arrays are filled directly from the sorted edge list, with
-    each non-isolated row's diagonal entry merged in by column order.
-    Raises ValueError if the edge set is not closed under reversal;
-    callers with directed graphs should symmetrize() first.
+    The CSR arrays are filled directly from the undirected edge codes,
+    each off-diagonal entry once per direction, with each non-isolated
+    row's diagonal entry merged in by column order.
     """
     n = g.n
-    pairs = sorted(g.edges)
-    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-    src, dst = flat[0::2], flat[1::2]
-    key = src * n + dst  # ascending: row-major order
-    if not np.array_equal(key, np.sort(dst * n + src)):
-        raise ValueError("edge set is not symmetric; call symmetrize() first")
+    a, b = np.divmod(_undirected(g), n)
+    src, dst = np.concatenate((a, b)), np.concatenate((b, a))
     count = np.bincount(src, minlength=n)
     deg = count.astype(np.float64)
     diag = np.flatnonzero(count)
     dinv = np.zeros(n)
     dinv[diag] = 1.0 / np.sqrt(deg[diag])
-    # each non-isolated row's diagonal entry merged in by column order
-    order = np.argsort(np.concatenate((key, diag * (n + 1))), kind="stable")
+    # row-major order; the codes are distinct, so any sort gives one order
+    order = np.argsort(np.concatenate((src * n + dst, diag * (n + 1))))
     indices = np.concatenate((dst, diag)).astype(np.int32)[order]
     data = np.concatenate((-(dinv[src] * dinv[dst]), np.ones(len(diag))))[order]
     indptr = np.zeros(n + 1, dtype=np.int32)

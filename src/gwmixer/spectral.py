@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graphs import NormalizedLaplacian, TokenGraph, normalized_laplacian, symmetrize
+from .graphs import NormalizedLaplacian, TokenGraph, normalized_laplacian
 
 SYMMETRY_TOL = 1e-12
 CLAMP_FLOOR = -1e-9  # round-off negatives above this are snapped to 0
@@ -315,8 +315,9 @@ def parse_mix_mode(text: str) -> MixMode:
 
 
 class SpectrumCache:
-    """Per-graph spectral data keyed by the symmetrized graph's content
-    hash (computed once per TokenGraph object).
+    """Per-graph spectral data keyed by g.spectral_key, the content hash
+    of g's undirected structure (computed once per TokenGraph object), so
+    a directed graph and its symmetrized form share one entry.
 
     An entry holds the CSR Laplacian plus only the spectra that some mode
     has asked for: the full system for exact, an m-pair system of its own
@@ -333,8 +334,8 @@ class SpectrumCache:
         return len(self._entries)
 
     def get_or_compute(self, g: TokenGraph, mode: MixMode = MixMode.exact()):
-        """Returns (NormalizedLaplacian, EigenSystem or None) for the
-        symmetrized graph: the full system for exact, the m smallest pairs
+        """Returns (NormalizedLaplacian, EigenSystem or None) for g's
+        undirected structure: the full system for exact, the m smallest pairs
         for truncated:m (ValueError, before any solve, if m > n), None for
         chebyshev."""
         if mode.kind == "truncated" and mode.param > g.n:
@@ -343,20 +344,19 @@ class SpectrumCache:
                 f"for a graph of n={g.n} nodes"
             )
         spectral = mode.kind != "chebyshev"
-        key, sym = g.spectral_form()
+        key = g.spectral_key
         entry = self._entries.get(key)
         if entry is None or spectral and mode.param not in entry[1]:
-            entry = self._fill(key, g, sym, mode)
+            entry = self._fill(key, g, mode)
         lap, spectra = entry
         return lap, spectra[mode.param] if spectral else None
 
-    def _fill(self, key: str, g: TokenGraph, sym: TokenGraph | None, mode: MixMode):
-        """Add what the entry for key lacks for mode. sym is g's
-        symmetrized form when the key lookup just built it, else None."""
+    def _fill(self, key: str, g: TokenGraph, mode: MixMode):
+        """Add what the entry for key lacks for mode."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                entry = (normalized_laplacian(symmetrize(g) if sym is None else sym), {})
+                entry = (normalized_laplacian(g), {})
                 self._entries[key] = entry
             lap, spectra = entry
             if mode.kind != "chebyshev" and mode.param not in spectra:

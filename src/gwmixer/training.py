@@ -13,8 +13,12 @@ from numbers import Integral, Real
 import numpy as np
 
 from .blocks import (
+    WaveletLayer,
     WaveletModel,
+    build_feed_forward,
     build_model,
+    layer_backward,
+    layer_forward,
     model_backward,
     model_forward,
     model_params,
@@ -29,10 +33,10 @@ from .filterbank import (
     wavelet_mix,
     wavelet_mix_backward,
 )
-from .graphs import build_chain_graph, normalized_laplacian, symmetrize
+from .graphs import build_chain_graph
 from .serialize import fmt_float, write_text_atomic
-from .spectral import SpectrumCache, eigendecompose, parse_mix_mode
-from .tasks import TASK_KINDS, TaskSpec, fixed_samples, task_stream
+from .spectral import SpectrumCache, parse_mix_mode
+from .tasks import TASK_KINDS, TaskSpec, fixed_samples, gen_task_batch, task_stream
 
 VAL_INTERVAL = 250
 VAL_BATCHES = 16
@@ -398,9 +402,7 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
         analytic = {k: np.asarray(wts @ g[k]) for k in params}
     elif selector in ("mix", "layer"):
         n, d, k = 6, 4, 2
-        graph = symmetrize(build_chain_graph(n))
-        lap = normalized_laplacian(graph)
-        eig = eigendecompose(lap)
+        lap, eig = SpectrumCache().get_or_compute(build_chain_graph(n))
         x = rng.standard_normal((n, d))
         mode = MixMode.exact()
         if selector == "mix":
@@ -415,8 +417,6 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
             mg = wavelet_mix_backward(bank, eig, x, mode, y)
             analytic = named_bank_tensors(mg)
         else:
-            from .blocks import build_feed_forward, layer_backward, layer_forward, WaveletLayer
-
             bank = build_filter_bank(k, d, seed=seed)
             layer = WaveletLayer(bank, build_feed_forward(d, 4, rng))
             params = named_bank_tensors(layer.bank)
@@ -434,8 +434,6 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
                 analytic[f"ffn.{nm}"] = lg.ffn[nm]
     elif selector == "model":
         # acceptance configuration: n=6, d=8, K=2, 2 layers, vocab 11
-        from .tasks import gen_task_batch
-
         spec = TaskSpec("copy", 6, 11)
         sample = gen_task_batch(spec, seed)
         model = build_model(d=8, k=2, layers=2, ffn_mult=4, vocab=11, seed=seed)

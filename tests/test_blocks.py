@@ -156,6 +156,13 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             build_model(4, 2, 1, 2, 1)
 
+    @pytest.mark.parametrize("name", ["d", "k", "ffn_mult"])
+    def test_zero_size_named_before_construction(self, name):
+        args = dict(d=4, k=2, layers=1, ffn_mult=2, vocab=11)
+        args[name] = 0
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got 0$"):
+            build_model(**args)
+
 
 class TestModelForward:
     def test_logits_shape(self):

@@ -37,6 +37,23 @@ class TestTokenGraph:
         with pytest.raises(ValueError, match="self loop"):
             TokenGraph(3, ((1, 1),))
 
+    @pytest.mark.parametrize("n", [True, 2.5, "3", None])
+    def test_rejects_non_integer_size(self, n):
+        with pytest.raises(ValueError, match=rf"n must be an integer, got {n!r}"):
+            TokenGraph(n)
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0.7, 1), "01", (0,), (True, 1), (0, False),
+                                      None, 1, {0, 1}, {0: 1, 1: 0}])
+    def test_rejects_edge_that_is_not_a_pair_of_integers(self, edge):
+        with pytest.raises(ValueError, match="is not a \\(src, dst\\) pair") as info:
+            TokenGraph(3, ((0, 2), edge))
+        assert repr(edge) in str(info.value)
+
+    def test_numpy_integers_accepted(self):
+        g = TokenGraph(np.int64(3), ((np.int32(0), np.int64(1)), np.array([2, 1]), [1, 2]))
+        assert g == TokenGraph(3, ((0, 1), (2, 1), (1, 2)))
+        assert type(g.n) is int and all(type(i) is int for e in g.edges for i in e)
+
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="at least one node"):
             TokenGraph(0)
@@ -105,10 +122,6 @@ class TestContentHash:
 
 
 class TestNormalizedLaplacian:
-    def test_rejects_directed_graph(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            normalized_laplacian(build_chain_graph(3))
-
     def test_two_node_path(self):
         lap = normalized_laplacian(symmetrize(build_chain_graph(2)))
         assert np.array_equal(lap.matrix.toarray(), np.array([[1.0, -1.0], [-1.0, 1.0]]))

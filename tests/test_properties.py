@@ -3,16 +3,21 @@ round trips over generated inputs."""
 
 import json
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gwmixer import (
+    SpectrumCache,
     TokenGraph,
     TrainConfig,
+    content_hash,
     graph_from_json,
     graph_to_json,
+    normalized_laplacian,
     parse_conllu,
     parse_mix_mode,
+    symmetrize,
     to_conllu,
 )
 from gwmixer.tasks import TASK_KINDS
@@ -65,6 +70,46 @@ def graphs(draw, max_n=12):
 @given(graphs())
 def test_graph_json_round_trip(g):
     assert graph_from_json(graph_to_json(g)) == g
+
+
+@st.composite
+def directed_graphs(draw, max_n=12):
+    """Edges drawn with repeats, often in both directions, and room left
+    for isolated nodes."""
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=2 * n))
+    back = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges += [(d, s) for (s, d), b in zip(edges, back) if b]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    return TokenGraph(n, tuple(draw(st.permutations(edges))))
+
+
+def dense_laplacian(g):
+    """I - D^{-1/2} A D^{-1/2} of the 0/1 undirected adjacency, isolated
+    nodes with an all-zero row and column."""
+    a = np.zeros((g.n, g.n))
+    for s, d in g.edges:
+        a[s, d] = a[d, s] = 1.0
+    deg = a.sum(axis=1)
+    dinv = np.zeros(g.n)
+    dinv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    return np.diag((deg > 0).astype(float)) - dinv[:, None] * a * dinv[None, :]
+
+
+@PROPERTY
+@given(directed_graphs())
+def test_directed_graph_has_the_laplacian_and_key_of_its_symmetrization(g):
+    sym = symmetrize(g)
+    assert content_hash(g) == content_hash(sym)
+    lap, ref = normalized_laplacian(g), normalized_laplacian(sym)
+    for a, b in ((lap.matrix.data, ref.matrix.data), (lap.matrix.indices, ref.matrix.indices),
+                 (lap.matrix.indptr, ref.matrix.indptr), (lap.degrees, ref.degrees)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert np.max(np.abs(lap.matrix.toarray() - dense_laplacian(g)), initial=0.0) <= 1e-15
+    cache = SpectrumCache()
+    assert cache.get_or_compute(g)[0] is cache.get_or_compute(sym)[0]
+    assert len(cache) == 1
 
 
 # forms that survive a tab-separated, line-based format

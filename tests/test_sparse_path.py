@@ -314,25 +314,27 @@ class TestInferenceCost:
             model_forward(model, build_chain_graph(n), np.zeros(n, dtype=int), mode, cache)
         assert counts == cold
 
-    def test_new_tree_graph_symmetrized_once(self, monkeypatch):
-        calls = []
-        original = graphs_mod.symmetrize
+    def test_new_tree_graph_never_symmetrized(self, monkeypatch):
+        counts = {"symmetrize": 0, "content_hash": 0, "normalized_laplacian": 0}
+        originals = {name: getattr(graphs_mod, name) for name in counts}
+        for name, original in originals.items():
+            def spy(g, name=name, original=original):
+                counts[name] += 1
+                return original(g)
 
-        def spy(g):
-            calls.append(g)
-            return original(g)
-
-        for mod in (graphs_mod, spectral_mod):  # every binding the lookup can reach
-            monkeypatch.setattr(mod, "symmetrize", spy)
+            for mod in (graphs_mod, spectral_mod):  # every binding the lookup can reach
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, spy)
         tree = TokenGraph(9, [(i, (i - 1) // 2) for i in range(1, 9)])  # heads point to parents
         cache = SpectrumCache()
         lap, eig = cache.get_or_compute(tree, MixMode.exact())
-        assert len(calls) == 1  # cold: the key and the Laplacian share one symmetrize
-        assert np.array_equal(lap.matrix.toarray(),
-                              normalized_laplacian(original(tree)).matrix.toarray())
+        cold = {"symmetrize": 0, "content_hash": 1, "normalized_laplacian": 1}
+        assert counts == cold
+        sym_lap = originals["normalized_laplacian"](originals["symmetrize"](tree))
+        assert np.array_equal(lap.matrix.toarray(), sym_lap.matrix.toarray())
         assert cache.get_or_compute(tree, MixMode.exact())[1] is eig
         cache.get_or_compute(tree, MixMode.truncated(3))
-        assert len(calls) == 1  # warm: none
+        assert counts == cold  # warm: none
 
     def test_chain_graphs_shared_and_memo_bounded(self):
         assert build_chain_graph(33) is build_chain_graph(33)
