@@ -59,12 +59,13 @@ class WaveletLayer:
 
 @dataclass
 class LayerTape:
-    """Intermediates needed to run a layer backward."""
+    """Intermediates needed to run a layer backward, its mix's mode and system included."""
 
     x: np.ndarray
     r: np.ndarray
     pre: np.ndarray  # FFN pre-activation
     mode: MixMode
+    eig: EigenSystem | None  # None in chebyshev mode
 
 
 def layer_forward(layer: WaveletLayer, eig: EigenSystem | None,
@@ -76,7 +77,7 @@ def layer_forward(layer: WaveletLayer, eig: EigenSystem | None,
     r = x + m
     pre = r @ layer.ffn.w1 + layer.ffn.b1
     y = r + np.maximum(pre, 0.0) @ layer.ffn.w2 + layer.ffn.b2
-    return y, LayerTape(x, r, pre, mode)
+    return y, LayerTape(x, r, pre, mode, eig)
 
 
 @dataclass
@@ -86,8 +87,8 @@ class LayerGrads:
     ffn: dict  # w1/b1/w2/b2
 
 
-def layer_backward(layer: WaveletLayer, eig: EigenSystem, tape: LayerTape,
-                   upstream: np.ndarray) -> LayerGrads:
+def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray) -> LayerGrads:
+    """Gradients from the tape alone, over the system the forward pass mixed over."""
     ffn = layer.ffn
     hidden = np.maximum(tape.pre, 0.0)
     d_hidden = upstream @ ffn.w2.T
@@ -99,7 +100,7 @@ def layer_backward(layer: WaveletLayer, eig: EigenSystem, tape: LayerTape,
         "b2": upstream.sum(axis=0),
     }
     d_r = upstream + d_pre @ ffn.w1.T
-    mix = wavelet_mix_backward(layer.bank, eig, tape.x, tape.mode, d_r)
+    mix = wavelet_mix_backward(layer.bank, tape.eig, tape.x, tape.mode, d_r)
     return LayerGrads(d_r + mix.x, mix, ffn_grads)
 
 
@@ -156,8 +157,6 @@ class ModelTape:
     token_ids: np.ndarray
     layer_tapes: list
     h_final: np.ndarray
-    eig: EigenSystem | None  # None in chebyshev mode
-    mode: MixMode
 
 
 def model_forward(model: WaveletModel, graph: TokenGraph, token_ids,
@@ -179,7 +178,7 @@ def model_forward(model: WaveletModel, graph: TokenGraph, token_ids,
         x, tape = layer_forward(layer, eig, lap, x, mode)
         tapes.append(tape)
     logits = x @ model.readout
-    return logits, ModelTape(token_ids, tapes, x, eig, mode)
+    return logits, ModelTape(token_ids, tapes, x)
 
 
 def model_backward(model: WaveletModel, tape: ModelTape,
@@ -190,7 +189,7 @@ def model_backward(model: WaveletModel, tape: ModelTape,
     d_x = grad_logits @ model.readout.T
     layer_grads = []
     for i in reversed(range(len(model.layers))):
-        lg = layer_backward(model.layers[i], tape.eig, tape.layer_tapes[i], d_x)
+        lg = layer_backward(model.layers[i], tape.layer_tapes[i], d_x)
         d_x = lg.x
         layer_grads.append(lg)
     grad_embed = np.zeros_like(model.embed)

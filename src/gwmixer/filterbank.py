@@ -170,11 +170,11 @@ def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
 
 
 def _check_eigensystem(eig: EigenSystem | None, mode: MixMode) -> None:
-    """A mode mixes over every pair it is given: exact needs a full
-    system (m == n), truncated:m exactly m pairs."""
+    """A mode mixes over every pair it is given: a system of exactly
+    mode.pairs(n) pairs (a full one for exact, m pairs for truncated:m)."""
     if eig is None:
         raise ValueError(f"{mode} mode needs an eigensystem")
-    need = eig.n if mode.kind == "exact" else mode.param
+    need = mode.pairs(eig.n)
     if eig.m != need:
         raise ValueError(f"{mode} mode mixes over {need} eigenpairs, got an eigensystem "
                          f"of m={eig.m} pairs for n={eig.n} nodes")

@@ -274,10 +274,7 @@ def graph_from_json(text: str) -> TokenGraph:
         raise ValueError(f'graph "n" must be an integer, got {n!r}')
     if not isinstance(edges, list):
         raise ValueError(f'graph "edges" must be a list of [src, dst] pairs, got {edges!r}')
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(type(i) is int for i in e)):
-            raise ValueError(f"graph edge {e!r} is not a [src, dst] pair of integers")
     if labels is not None and not (isinstance(labels, list)
                                    and all(isinstance(x, str) for x in labels)):
         raise ValueError(f'graph "labels" must be a list of strings, got {labels!r}')
-    return TokenGraph(n, tuple(map(tuple, edges)), None if labels is None else tuple(labels))
+    return TokenGraph(n, tuple(edges), None if labels is None else tuple(labels))

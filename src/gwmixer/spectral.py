@@ -261,7 +261,7 @@ class MixMode:
 
     exact takes no parameter, truncated an int m >= 1 (the smoothest
     modes kept), chebyshev an int order >= 0; anything else is rejected
-    at construction.
+    at construction; pairs(n) alone says how many eigenpairs it mixes over.
     """
 
     kind: str
@@ -299,6 +299,15 @@ class MixMode:
     def __str__(self) -> str:
         return self.kind if self.param is None else f"{self.kind}:{self.param}"
 
+    def pairs(self, n: int) -> int | None:
+        """Eigenpairs this mode mixes over on an n-node graph: n for exact, m
+        for truncated:m (ValueError naming m and n if m > n), None for chebyshev."""
+        if self.kind != "truncated":
+            return n if self.kind == "exact" else None
+        if self.param > n:
+            raise ValueError(f"{self} needs m <= n, got m={self.param} for a graph of n={n} nodes")
+        return self.param
+
 
 def parse_mix_mode(text: str) -> MixMode:
     """Inverse of str(MixMode): "exact", "truncated:M", "chebyshev:P"; a
@@ -319,15 +328,14 @@ class SpectrumCache:
     of g's undirected structure (computed once per TokenGraph object), so
     a directed graph and its symmetrized form share one entry.
 
-    An entry holds the CSR Laplacian plus only the spectra that some mode
-    has asked for: the full system for exact, an m-pair system of its own
-    for each truncated:m, nothing for chebyshev. Entries and spectra are
-    only ever added: hits are lock-free dict reads, while computing and
-    inserting is serialized behind a lock. In-memory only.
+    An entry holds the CSR Laplacian plus one system per pair count
+    mode.pairs(n) asked for, so exact and truncated:n share one. Entries and
+    spectra are only ever added: hits are lock-free dict reads, while
+    computing and inserting is serialized behind a lock. In-memory only.
     """
 
     def __init__(self):
-        self._entries: dict = {}  # key -> (Laplacian, {None or m: EigenSystem})
+        self._entries: dict = {}  # key -> (Laplacian, {pair count: EigenSystem})
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -335,35 +343,28 @@ class SpectrumCache:
 
     def get_or_compute(self, g: TokenGraph, mode: MixMode = MixMode.exact()):
         """Returns (NormalizedLaplacian, EigenSystem or None) for g's
-        undirected structure: the full system for exact, the m smallest pairs
-        for truncated:m (ValueError, before any solve, if m > n), None for
-        chebyshev."""
-        if mode.kind == "truncated" and mode.param > g.n:
-            raise ValueError(
-                f"truncated:{mode.param} needs m <= n, got m={mode.param} "
-                f"for a graph of n={g.n} nodes"
-            )
-        spectral = mode.kind != "chebyshev"
-        key = g.spectral_key
-        entry = self._entries.get(key)
-        if entry is None or spectral and mode.param not in entry[1]:
-            entry = self._fill(key, g, mode)
+        undirected structure: the mode.pairs(g.n) smallest pairs (all of
+        them for exact; a ValueError before any solve if truncated:m has
+        m > n), None for chebyshev."""
+        m = mode.pairs(g.n)
+        entry = self._entries.get(g.spectral_key)
+        if entry is None or m is not None and m not in entry[1]:
+            entry = self._fill(g, m)
         lap, spectra = entry
-        return lap, spectra[mode.param] if spectral else None
+        return lap, None if m is None else spectra[m]
 
-    def _fill(self, key: str, g: TokenGraph, mode: MixMode):
-        """Add what the entry for key lacks for mode."""
+    def _fill(self, g: TokenGraph, m: int | None):
+        """Add g's Laplacian and, unless m is None, its m-pair system if missing."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(g.spectral_key)
             if entry is None:
                 entry = (normalized_laplacian(g), {})
-                self._entries[key] = entry
+                self._entries[g.spectral_key] = entry
             lap, spectra = entry
-            if mode.kind != "chebyshev" and mode.param not in spectra:
-                spectra[mode.param] = eigendecompose(lap, m=mode.param)
+            if m is not None and m not in spectra:
+                spectra[m] = eigendecompose(lap, m=m)
         return entry
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-

@@ -79,6 +79,12 @@ def _conllu_sentences(path: str) -> tuple:
     return sents
 
 
+def shortest_sentence(path: str) -> int:
+    """Tokens in the shortest of path's sentences that tasks draw from
+    (those of at least 2 tokens), read from the cached parse."""
+    return min(g.n for g in _conllu_sentences(path))
+
+
 def _sticky_chain(rng: np.random.Generator, n: int, base: int, repeat: float) -> np.ndarray:
     digit = np.empty(n, dtype=np.int64)
     digit[0] = rng.integers(base)

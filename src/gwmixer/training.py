@@ -36,10 +36,18 @@ from .filterbank import (
 from .graphs import build_chain_graph
 from .serialize import fmt_float, write_text_atomic
 from .spectral import SpectrumCache, parse_mix_mode
-from .tasks import TASK_KINDS, TaskSpec, fixed_samples, gen_task_batch, task_stream
+from .tasks import (
+    TASK_KINDS,
+    TaskSpec,
+    fixed_samples,
+    gen_task_batch,
+    shortest_sentence,
+    task_stream,
+)
 
 VAL_INTERVAL = 250
 VAL_BATCHES = 16
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,25 +92,24 @@ def init_train_state(params: dict) -> TrainState:
     return TrainState(params, grads, grad_buf, np.zeros(size), np.zeros(size))
 
 
-def adam_step(state: TrainState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> TrainState:
-    """Standard Adam with bias correction, one update over the flat
-    buffers. Increments step, zeroes grads. Non-finite gradients abort,
-    naming the offending tensor."""
+def adam_step(state: TrainState, lr: float) -> TrainState:
+    """Standard Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with bias
+    correction, one update over the flat buffers. Increments step, zeroes
+    grads. Non-finite gradients abort, naming the offending tensor."""
     g = state.grad_buf
     if not np.all(np.isfinite(g)):
         bad = next(name for name, gv in state.grads.items() if not np.all(np.isfinite(gv)))
         raise ValueError(f"non-finite gradient in parameter {bad!r}")
     t = state.step + 1
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     m = state.adam_m
     v = state.adam_v
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    g[...] = lr * (m / c1) / (np.sqrt(v / c2) + eps)  # the update, laid out like the grads
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    g[...] = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)  # the update, laid out like the grads
     for p, update in zip(state.params.values(), state.grads.values()):
         p -= update
     g[...] = 0.0
@@ -153,7 +160,7 @@ INT_MINIMUMS = {"d": 1, "k": 1, "layers": 1, "ffn_mult": 1, "steps": 1, "accum":
                 "patience": 1, "warmup": 1, "vocab": 2, "n": 2, "seed": 0}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     d: int = 32
     k: int = 4
@@ -196,9 +203,11 @@ class TrainConfig:
             raise ValueError(f"mode {self.mode!r} is invalid: {exc}") from None
         if self.conllu is not None and not (isinstance(self.conllu, str) and self.conllu):
             raise ValueError(f"conllu must be a non-empty path or null, got {self.conllu!r}")
-        if mix.kind == "truncated" and self.conllu is None and mix.param > self.n:
-            raise ValueError(f"mode {self.mode} needs m <= n for chain tasks, got m={mix.param} "
-                             f"and n={self.n}")
+        if self.conllu is None:  # every graph is a chain of n nodes
+            try:
+                mix.pairs(self.n)
+            except ValueError as exc:
+                raise ValueError(f"mode {exc}") from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -268,13 +277,21 @@ def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None
     steps and at the last step; stops early after cfg.patience validation
     rounds without improvement. A non-finite loss aborts with the last
     checkpoint left on disk. A chebyshev mode, which has no backward
-    pass, is rejected before anything is written.
+    pass, and a truncated:m mode with m above the length of the CoNLL-U
+    file's shortest sentence are rejected before anything is written.
     """
     mode = cfg.mix_mode()
     if mode.kind == "chebyshev":
         raise ValueError(f"mode {mode} is inference-only; train in exact or truncated mode")
     cache = cache if cache is not None else SpectrumCache()
     spec = cfg.task_spec()
+    if spec.conllu_path is not None:
+        shortest = shortest_sentence(spec.conllu_path)
+        try:
+            mode.pairs(shortest)
+        except ValueError as exc:
+            raise ValueError(f"{spec.conllu_path}: its shortest sentence has {shortest} tokens; "
+                             f"{exc}") from None
     stream = task_stream(spec, cfg.seed, "train")
     val_set = fixed_samples(spec, cfg.seed, VAL_BATCHES, "val")
     state = init_train_state(model_params(model))
@@ -428,7 +445,7 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
                 return 0.5 * float((y * y).sum())
 
             y, tape = layer_forward(layer, eig, lap, x, mode)
-            lg = layer_backward(layer, eig, tape, y)
+            lg = layer_backward(layer, tape, y)
             analytic = named_bank_tensors(lg.mix)
             for nm in ("w1", "b1", "w2", "b2"):
                 analytic[f"ffn.{nm}"] = lg.ffn[nm]

@@ -84,7 +84,7 @@ class TestLayer:
             return float(np.sum(y * upstream))
 
         _, tape = layer_forward(layer, eig, lap, x, MixMode.exact())
-        grads = layer_backward(layer, eig, tape, upstream)
+        grads = layer_backward(layer, tape, upstream)
         eps = 1e-6
         fd = np.zeros_like(x)
         for idx in np.ndindex(x.shape):
@@ -99,7 +99,7 @@ class TestLayer:
         lap, eig, layer, x = small_layer()
         upstream = np.random.default_rng(6).standard_normal(x.shape)
         _, tape = layer_forward(layer, eig, lap, x, MixMode.exact())
-        grads = layer_backward(layer, eig, tape, upstream)
+        grads = layer_backward(layer, tape, upstream)
         eps = 1e-6
         for name in ("w1", "b1", "w2", "b2"):
             p = getattr(layer.ffn, name)
@@ -212,6 +212,18 @@ class TestModelForward:
         cheb, _ = model_forward(model, g, ids, MixMode.chebyshev(30), cache=cache)
         assert np.allclose(trunc, exact, atol=1e-12)
         assert np.allclose(cheb, exact, atol=1e-6)
+
+    @pytest.mark.parametrize("mode", [MixMode.exact(), MixMode.truncated(3),
+                                      MixMode.chebyshev(8)])
+    def test_every_layer_tape_holds_the_system_it_mixed_over(self, mode):
+        model = build_model(4, 2, 3, 2, 7, seed=0)
+        g = build_chain_graph(6)
+        cache = SpectrumCache()
+        _, tape = model_forward(model, g, [0, 1, 2, 3, 4, 5], mode, cache=cache)
+        _, eig = cache.get_or_compute(g, mode)
+        assert len(tape.layer_tapes) == 3
+        for layer_tape in tape.layer_tapes:
+            assert layer_tape.eig is eig and layer_tape.mode == mode
 
 
 class TestModelBackward:

@@ -170,6 +170,18 @@ class TestTrainEvalCommands:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
 
+    def test_train_truncated_above_a_sentence_length_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "trees.conllu"
+        src.write_text(CONLLU_TWO)  # sentences of 3 and 2 tokens
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "task": "masked_recovery",
+                                   "mode": "truncated:3", "conllu": str(src)}))
+        assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {src}: its shortest sentence has 2 tokens; truncated:3 needs m <= n, "
+            f"got m=3 for a graph of n=2 nodes\n")
+        assert not (tmp_path / "run").exists()
+
     def test_train_in_chebyshev_mode_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**TINY_CONFIG, "mode": "chebyshev:16"}))

@@ -137,6 +137,19 @@ class TestMixModeValidation:
                           parse_mix_mode("truncated:9"), SpectrumCache())
         assert calls == []
 
+    @pytest.mark.parametrize("mode, n, pairs", [
+        (MixMode.exact(), 1, 1), (MixMode.exact(), 40, 40), (MixMode.truncated(1), 1, 1),
+        (MixMode.truncated(16), 16, 16), (MixMode.truncated(16), 300, 16),
+        (MixMode.chebyshev(0), 5, None), (MixMode.chebyshev(16), 3, None),
+    ])
+    def test_pairs_a_mode_mixes_over(self, mode, n, pairs):
+        assert mode.pairs(n) == pairs
+
+    def test_pairs_above_the_graph_size_named(self):
+        with pytest.raises(ValueError, match=r"^truncated:9 needs m <= n, got m=9 for a graph "
+                                             r"of n=8 nodes$"):
+            MixMode.truncated(9).pairs(8)
+
 
 class TestPartialSpectrum:
     def test_partial_mixing_matches_dense_then_slice(self, lanczos_calls):
@@ -248,7 +261,11 @@ class TestModeAwareCache:
         lap, eig = cache.get_or_compute(build_chain_graph(9), MixMode.chebyshev(4))
         assert eig is None and lap.n == 9
 
-    def test_one_entry_per_graph_with_a_system_per_mode(self):
+    def test_one_entry_per_graph_with_a_system_per_mode(self, monkeypatch):
+        calls = []
+        original = spectral_mod.eigendecompose
+        monkeypatch.setattr(spectral_mod, "eigendecompose",
+                            lambda *a, **k: calls.append(k["m"]) or original(*a, **k))
         cache = SpectrumCache()
         g = build_chain_graph(200)
         lap_c, _ = cache.get_or_compute(g, MixMode.chebyshev(16))
@@ -258,6 +275,8 @@ class TestModeAwareCache:
         assert trunc.m == 16 and full.m == 200
         assert cache.get_or_compute(g, MixMode.truncated(16))[1] is trunc
         assert cache.get_or_compute(g)[1] is full
+        assert cache.get_or_compute(g, MixMode.truncated(200))[1] is full  # one system per count
+        assert calls == [16, 200]
 
     @pytest.mark.parametrize("n", [12, 300])
     def test_truncated_logits_independent_of_cache_history(self, n):

@@ -1,6 +1,8 @@
 """Optimizer, loss, schedule, config plumbing, and the training loop."""
 
+import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +236,14 @@ class TestTrainConfigValidation:
         TrainConfig(mode="truncated:8", n=8)
         TrainConfig(mode="truncated:9", n=8, conllu="trees.conllu")
 
+    def test_frozen_after_validation(self):
+        cfg = TrainConfig(mode="truncated:8", n=8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.mode = "truncated:99"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.accum = 0
+        assert (cfg.mode, cfg.accum) == ("truncated:8", 1)
+
     @pytest.mark.parametrize("text", [
         "exact", "truncated", "truncated:4", "chebyshev", "chebyshev:0", "chebyshev:30",
         "", "exact:", "exact:4", "truncated:", "truncated:0", "truncated:-2", "chebyshev:-1",
@@ -285,7 +295,26 @@ def build_for(cfg, seed=None):
                        seed=cfg.seed if seed is None else seed)
 
 
+# sentences of 5 and 3 tokens
+CONLLU_SHORTEST_3 = "".join(
+    f"{i}\tw{i}\t_\t_\t_\t_\t{i - 1}\t_\t_\t_\n" for i in range(1, 6)) + "\n" + "".join(
+    f"{i}\tw{i}\t_\t_\t_\t_\t{i - 1}\t_\t_\t_\n" for i in range(1, 4)) + "\n"
+
+
 class TestTrainLoop:
+    def test_truncated_m_above_the_shortest_sentence_fails_before_writing(self, tmp_path):
+        path = tmp_path / "trees.conllu"
+        path.write_text(CONLLU_SHORTEST_3)
+        out = tmp_path / "run"
+        cfg = smoke_config(task="masked_recovery", mode="truncated:4", conllu=str(path), steps=2)
+        message = (f"^{re.escape(str(path))}: its shortest sentence has 3 tokens; "
+                   f"truncated:4 needs m <= n, got m=4 for a graph of n=3 nodes$")
+        with pytest.raises(ValueError, match=message):
+            train_loop(build_for(cfg), cfg, out_dir=str(out))
+        assert not out.exists()
+        cfg = smoke_config(task="masked_recovery", mode="truncated:3", conllu=str(path), steps=2)
+        assert len(train_loop(build_for(cfg), cfg, out_dir=str(out)).records) == 2
+
     def test_copy_smoke_loss_decreases(self):
         cfg = smoke_config()
         result = train_loop(build_for(cfg), cfg)
