@@ -27,7 +27,6 @@ from .blocks import (
     load_checkpoint,
     model_backward,
     model_forward,
-    model_from_params,
     model_params,
     save_checkpoint,
 )
@@ -70,7 +69,7 @@ from .spectral import (
     igft,
     parse_mix_mode,
 )
-from .tasks import TaskSample, TaskSpec, fixed_samples, gen_task_batch, task_stream
+from .tasks import TaskSample, TaskSpec, check_mode, fixed_samples, gen_task_batch, task_stream
 from .training import (
     GradCheckReport,
     ScheduleConfig,
@@ -83,6 +82,7 @@ from .training import (
     init_train_state,
     lr_at,
     metrics_csv,
+    model_from_params,
     token_accuracy,
     train_loop,
 )

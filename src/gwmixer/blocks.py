@@ -261,22 +261,3 @@ def load_checkpoint(path):
     params = {name: _param_array(name, val) for name, val in doc["params"].items()}
     return (_upgrade_v1_config(doc["config"]) if version == 1 else doc["config"]), params
 
-
-def model_from_params(config: dict, params: dict) -> WaveletModel:
-    """Rebuild a model from checkpoint config + params. Shapes must match
-    the architecture the config describes."""
-    model = build_model(
-        d=int(config["d"]), k=int(config["k"]), layers=int(config["layers"]),
-        ffn_mult=int(config["ffn_mult"]), vocab=int(config["vocab"]), seed=0,
-    )
-    live = model_params(model)
-    missing = set(live) - set(params)
-    extra = set(params) - set(live)
-    if missing or extra:
-        raise ValueError(f"parameter name mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-    for name, arr in live.items():
-        src = np.asarray(params[name], dtype=np.float64)
-        if src.shape != arr.shape:
-            raise ValueError(f"{name}: shape {src.shape} != expected {arr.shape}")
-        arr[...] = src
-    return model

@@ -9,12 +9,12 @@ import json
 import sys
 
 from .bench import DEFAULT_MODES, DEFAULT_SIZES, bench_csv, bench_scaling
-from .blocks import build_model, load_checkpoint, model_from_params
+from .blocks import build_model, load_checkpoint
 from .filterbank import build_filter_bank, spectrum_csv
 from .graphs import graph_to_json, parse_conllu
 from .serialize import write_text_atomic
-from .training import TrainConfig, evaluate, grad_check, train_loop
-from .tasks import fixed_samples
+from .training import TrainConfig, evaluate, grad_check, model_from_params, train_loop
+from .tasks import check_mode, fixed_samples
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,8 +86,10 @@ def _cmd_eval(args) -> int:
     config, params = load_checkpoint(args.checkpoint)
     cfg = TrainConfig.from_dict({**config, "mode": args.mode} if args.mode else config)
     model = model_from_params(config, params)
-    samples = fixed_samples(cfg.task_spec(), args.seed, args.samples, "eval")
-    loss, acc = evaluate(model, samples, cfg.mix_mode())
+    spec, mode = cfg.task_spec(), cfg.mix_mode()
+    check_mode(spec, mode)
+    samples = fixed_samples(spec, args.seed, args.samples, "eval")
+    loss, acc = evaluate(model, samples, mode)
     print(f"samples {args.samples}  loss {loss:.6f}  token_accuracy {acc:.4f}")
     return 0
 

@@ -37,7 +37,8 @@ class TokenGraph:
     integer indices (NumPy integers included, bools not); anything else
     raises ValueError.
     Duplicates collapse to one; self loops are rejected. Optional
-    node_labels (e.g. word forms) must have length n.
+    node_labels (e.g. word forms) are a sequence of n strings, kept as
+    given: a label that is not a string raises ValueError.
     """
 
     n: int
@@ -71,7 +72,13 @@ class TokenGraph:
                 canon.append((s, d))
         object.__setattr__(self, "edges", tuple(canon))
         if self.node_labels is not None:
-            labels = tuple(str(x) for x in self.node_labels)
+            if isinstance(self.node_labels, str):
+                raise ValueError(f"node labels must be a sequence of strings, "
+                                 f"got {self.node_labels!r}")
+            labels = tuple(self.node_labels)
+            for x in labels:
+                if not isinstance(x, str):
+                    raise ValueError(f"node label {x!r} is not a string")
             if len(labels) != self.n:
                 raise ValueError(
                     f"got {len(labels)} node labels for {self.n} nodes"

@@ -188,13 +188,20 @@ def apply_filter_exact(eig: EigenSystem, h, x: np.ndarray) -> np.ndarray:
     return eig.u @ (hv[:, None] * (eig.u.T @ x))
 
 
+def _require_int(what: str, value, low: int) -> int:
+    """value as an int; ValueError naming what and value unless it is an
+    integer >= low (NumPy integers included, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def chebyshev_nodes(order: int):
     """The P+1 first-kind Chebyshev nodes mapped onto [0, LAMBDA_MAX], and
     the (P+1, P+1) Chebyshev-Gauss matrix that takes a function's values
-    at those nodes to its degree-P expansion coefficients."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    p1 = order + 1
+    at those nodes to its degree-P expansion coefficients. The order P
+    must be an integer >= 0, as for MixMode's chebyshev:P."""
+    p1 = _require_int("chebyshev order", order, 0) + 1
     theta = np.pi * (np.arange(p1) + 0.5) / p1
     lam_nodes = 0.5 * LAMBDA_MAX * (np.cos(theta) + 1.0)
     fit = (2.0 / p1) * np.cos(np.outer(np.arange(p1), theta))
@@ -279,10 +286,7 @@ class MixMode:
         else:
             raise ValueError(
                 f"unknown mix mode {self.kind!r}; expected exact, truncated or chebyshev")
-        if (isinstance(self.param, bool) or not isinstance(self.param, (int, np.integer))
-                or self.param < low):
-            raise ValueError(f"{what} must be an integer >= {low}, got {self.param!r}")
-        object.__setattr__(self, "param", int(self.param))
+        object.__setattr__(self, "param", _require_int(what, self.param, low))
 
     @classmethod
     def exact(cls) -> "MixMode":

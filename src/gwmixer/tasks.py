@@ -8,10 +8,12 @@ dependency parses. Generation is deterministic per (spec, seed).
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
 from .graphs import TokenGraph, build_chain_graph, parse_conllu
+from .spectral import MixMode
 
 TASK_KINDS = ("copy", "reverse", "masked_recovery")
 
@@ -34,25 +36,29 @@ SENTENCE_FILES = 4  # parsed CoNLL-U files kept by _conllu_sentences
 
 @dataclass(frozen=True)
 class TaskSpec:
-    kind: str
+    """What a run's samples are drawn from, and the one owner of its rules:
+    task in TASK_KINDS, n (a chain's length) and vocab integers >= 2,
+    mask_rate in (0, 1), conllu a non-empty path or None for a chain of n
+    nodes. Anything else raises a ValueError that starts with the field."""
+
+    task: str
     n: int
     vocab: int
     mask_rate: float = 0.25
-    conllu_path: str | None = None  # None: a chain graph over n positions
+    conllu: str | None = None
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.n < 2:
-            raise ValueError(f"sequence length must be >= 2, got {self.n}")
-        if self.vocab < 2:
-            raise ValueError(f"vocab must be >= 2, got {self.vocab}")
-        if not 0.0 < self.mask_rate < 1.0:
-            raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
-        if self.conllu_path is not None and not (isinstance(self.conllu_path, str)
-                                                 and self.conllu_path):
-            raise ValueError(f"conllu_path must be a non-empty path or None, "
-                             f"got {self.conllu_path!r}")
+        if self.task not in TASK_KINDS:
+            raise ValueError(f"task must be one of {', '.join(TASK_KINDS)}, got {self.task!r}")
+        for name in ("n", "vocab"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
+                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+        rate = self.mask_rate
+        if isinstance(rate, bool) or not isinstance(rate, Real) or not 0.0 < rate < 1.0:
+            raise ValueError(f"mask_rate must be a number in (0, 1), got {rate!r}")
+        if self.conllu is not None and not (isinstance(self.conllu, str) and self.conllu):
+            raise ValueError(f"conllu must be a non-empty path or null, got {self.conllu!r}")
 
     @property
     def mask_token(self) -> int:
@@ -79,10 +85,19 @@ def _conllu_sentences(path: str) -> tuple:
     return sents
 
 
-def shortest_sentence(path: str) -> int:
-    """Tokens in the shortest of path's sentences that tasks draw from
-    (those of at least 2 tokens), read from the cached parse."""
-    return min(g.n for g in _conllu_sentences(path))
+def check_mode(spec: TaskSpec, mode: MixMode) -> None:
+    """Raise ValueError unless mode fits every graph spec draws: the chain
+    of spec.n nodes, or the shortest kept sentence of its CoNLL-U file
+    (from the cached parse), named with the file in the error."""
+    if spec.conllu is None:
+        mode.pairs(spec.n)
+        return
+    shortest = min(g.n for g in _conllu_sentences(spec.conllu))
+    try:
+        mode.pairs(shortest)
+    except ValueError as exc:
+        raise ValueError(f"{spec.conllu}: its shortest sentence has {shortest} tokens; "
+                         f"{exc}") from None
 
 
 def _sticky_chain(rng: np.random.Generator, n: int, base: int, repeat: float) -> np.ndarray:
@@ -121,17 +136,17 @@ def gen_task_batch(spec: TaskSpec, seed) -> TaskSample:
     id never occurs as a regular token.
     """
     rng = np.random.default_rng(seed)
-    if spec.conllu_path is None:
+    if spec.conllu is None:
         graph = build_chain_graph(spec.n)
     else:
-        sents = _conllu_sentences(spec.conllu_path)
+        sents = _conllu_sentences(spec.conllu)
         graph = sents[int(rng.integers(len(sents)))]
     n = graph.n
     hi = spec.vocab - 1
-    if spec.kind == "copy":
+    if spec.task == "copy":
         tokens = rng.integers(hi, size=n).astype(np.int64)
         return TaskSample(graph, tokens, tokens.copy(), np.ones(n, dtype=bool))
-    if spec.kind == "reverse":
+    if spec.task == "reverse":
         tokens = rng.integers(hi, size=n).astype(np.int64)
         return TaskSample(graph, tokens, tokens[::-1].copy(), np.ones(n, dtype=bool))
     original = _multiscale_tokens(rng, n, hi)

@@ -36,14 +36,7 @@ from .filterbank import (
 from .graphs import build_chain_graph
 from .serialize import fmt_float, write_text_atomic
 from .spectral import SpectrumCache, parse_mix_mode
-from .tasks import (
-    TASK_KINDS,
-    TaskSpec,
-    fixed_samples,
-    gen_task_batch,
-    shortest_sentence,
-    task_stream,
-)
+from .tasks import TaskSpec, check_mode, fixed_samples, gen_task_batch, task_stream
 
 VAL_INTERVAL = 250
 VAL_BATCHES = 16
@@ -155,9 +148,9 @@ def token_accuracy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) ->
     return float((pred[mask] == targets[mask]).mean())
 
 
-# every integer field of TrainConfig and its least valid value
+# every integer field of TrainConfig outside its TaskSpec, and its least valid value
 INT_MINIMUMS = {"d": 1, "k": 1, "layers": 1, "ffn_mult": 1, "steps": 1, "accum": 1,
-                "patience": 1, "warmup": 1, "vocab": 2, "n": 2, "seed": 0}
+                "patience": 1, "warmup": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -186,26 +179,19 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
-        for name in ("lr", "mask_rate"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, Real):
+            raise ValueError(f"lr must be a number, got {self.lr!r}")
         # lr = 0 is allowed: it freezes the model
         if not np.isfinite(self.lr) or self.lr < 0:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
-        if not 0.0 < self.mask_rate < 1.0:
-            raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate!r}")
-        if self.task not in TASK_KINDS:
-            raise ValueError(f"task must be one of {', '.join(TASK_KINDS)}, got {self.task!r}")
+        spec = self.task_spec()  # task, n, vocab, mask_rate and conllu
         try:
             mix = parse_mix_mode(self.mode)
         except ValueError as exc:
             raise ValueError(f"mode {self.mode!r} is invalid: {exc}") from None
-        if self.conllu is not None and not (isinstance(self.conllu, str) and self.conllu):
-            raise ValueError(f"conllu must be a non-empty path or null, got {self.conllu!r}")
-        if self.conllu is None:  # every graph is a chain of n nodes
+        if self.conllu is None:  # a chain: checked here, as that reads no file
             try:
-                mix.pairs(self.n)
+                check_mode(spec, mix)
             except ValueError as exc:
                 raise ValueError(f"mode {exc}") from None
 
@@ -225,6 +211,26 @@ class TrainConfig:
 
     def task_spec(self) -> TaskSpec:
         return TaskSpec(self.task, self.n, self.vocab, self.mask_rate, self.conllu)
+
+
+def model_from_params(config: dict, params: dict) -> WaveletModel:
+    """Rebuild a model from a checkpoint's config and params. The config is
+    read by TrainConfig.from_dict, so it answers to every rule a training
+    config does (keys it leaves out take their defaults); param names and
+    shapes must match the architecture it describes."""
+    cfg = TrainConfig.from_dict(config)
+    model = build_model(cfg.d, cfg.k, cfg.layers, cfg.ffn_mult, cfg.vocab, seed=0)
+    live = model_params(model)
+    missing = set(live) - set(params)
+    extra = set(params) - set(live)
+    if missing or extra:
+        raise ValueError(f"parameter name mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
+    for name, arr in live.items():
+        src = np.asarray(params[name], dtype=np.float64)
+        if src.shape != arr.shape:
+            raise ValueError(f"{name}: shape {src.shape} != expected {arr.shape}")
+        arr[...] = src
+    return model
 
 
 @dataclass
@@ -277,21 +283,15 @@ def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None
     steps and at the last step; stops early after cfg.patience validation
     rounds without improvement. A non-finite loss aborts with the last
     checkpoint left on disk. A chebyshev mode, which has no backward
-    pass, and a truncated:m mode with m above the length of the CoNLL-U
-    file's shortest sentence are rejected before anything is written.
+    pass, and a mode that does not fit every graph the task draws
+    (check_mode) are rejected before anything is written.
     """
     mode = cfg.mix_mode()
     if mode.kind == "chebyshev":
         raise ValueError(f"mode {mode} is inference-only; train in exact or truncated mode")
     cache = cache if cache is not None else SpectrumCache()
     spec = cfg.task_spec()
-    if spec.conllu_path is not None:
-        shortest = shortest_sentence(spec.conllu_path)
-        try:
-            mode.pairs(shortest)
-        except ValueError as exc:
-            raise ValueError(f"{spec.conllu_path}: its shortest sentence has {shortest} tokens; "
-                             f"{exc}") from None
+    check_mode(spec, mode)
     stream = task_stream(spec, cfg.seed, "train")
     val_set = fixed_samples(spec, cfg.seed, VAL_BATCHES, "val")
     state = init_train_state(model_params(model))

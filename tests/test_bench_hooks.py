@@ -1,8 +1,9 @@
-"""The benchmark in perfbench/ times gwmixer by rebinding functions it
+"""The benchmark in perfbench/ drives gwmixer through its public names
+(gw.<name> in perfbench/workload.py), times it by rebinding functions it
 names (perfbench/layers.py TARGETS) and clocks optimizer steps by
 wrapping training.task_stream and training.adam_step. These tests keep
-those names alive, so that a refactor cannot silently break the traced
-run or the step timing."""
+those names alive, so that a refactor cannot silently break the
+benchmark, the traced run or the step timing."""
 
 import ast
 import os
@@ -27,6 +28,25 @@ def targets():
 
 
 STEP_HOOKS = [("training", "task_stream"), ("training", "adam_step")]
+
+WORKLOAD_PY = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workload.py")
+
+
+def workload_calls():
+    """Every gw.<name> that perfbench/workload.py reads (gw is gwmixer)."""
+    with open(WORKLOAD_PY, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id == "gw"})
+
+
+def test_workload_calls_found():
+    assert {"model_from_params", "load_checkpoint", "train_loop"} <= set(workload_calls())
+
+
+@pytest.mark.parametrize("name", workload_calls())
+def test_workload_call_is_exported(name):
+    assert hasattr(gwmixer, name), f"gwmixer.{name}"
 
 
 @pytest.mark.parametrize("module, fn", targets() + STEP_HOOKS)

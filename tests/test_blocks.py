@@ -397,6 +397,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="extra"):
             model_from_params(self.config(), params)
 
+    @pytest.mark.parametrize("bad, match", [({"d": "4"}, "^d must be an integer"),
+                                            ({"d": 4.7}, "^d must be an integer"),
+                                            ({"mode": "nearest"}, "^mode 'nearest'"),
+                                            ({"bogus": 1}, "bogus")])
+    def test_model_from_params_config_rejected(self, bad, match):
+        params = model_params(build_model(4, 2, 1, 2, 7, seed=0))
+        with pytest.raises(ValueError, match=match):
+            model_from_params({**self.config(), **bad}, params)
+
     def test_model_from_params_shape_rejected(self):
         model = build_model(4, 2, 1, 2, 7, seed=0)
         params = dict(model_params(model))

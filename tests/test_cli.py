@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from gwmixer import graph_from_json, load_checkpoint
+from gwmixer import build_model, graph_from_json, load_checkpoint, model_params, save_checkpoint
 from gwmixer.cli import cli_main
 import gwmixer.serialize as serialize_mod
+import gwmixer.tasks as tasks_mod
 
 CONLLU_TWO = """\
 1\tthe\t_\t_\t_\t_\t2\t_\t_\t_
@@ -181,6 +182,41 @@ class TestTrainEvalCommands:
             f"error: {src}: its shortest sentence has 2 tokens; truncated:3 needs m <= n, "
             f"got m=3 for a graph of n=2 nodes\n")
         assert not (tmp_path / "run").exists()
+
+    def test_eval_truncated_above_a_sentence_length_draws_no_sample(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        src = tmp_path / "trees.conllu"
+        src.write_text(CONLLU_TWO)  # sentences of 3 and 2 tokens
+        path = tmp_path / "checkpoint.json"
+        config = {**TINY_CONFIG, "task": "masked_recovery", "conllu": str(src)}
+        save_checkpoint(path, config, model_params(build_model(8, 1, 1, 2, 8)))
+        drawn = []
+        monkeypatch.setattr(tasks_mod, "gen_task_batch", lambda *args: drawn.append(args))
+        argv = ["eval", "--checkpoint", str(path), "--samples", "2", "--mode", "truncated:3"]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {src}: its shortest sentence has 2 tokens; truncated:3 needs m <= n, "
+            f"got m=3 for a graph of n=2 nodes\n")
+        assert drawn == []
+
+    @pytest.mark.parametrize("command", ["spectrum", "eval"])
+    @pytest.mark.parametrize("bad, message", [
+        ({"d": "4"}, "error: d must be an integer, got '4'"),
+        ({"d": 4.7}, "error: d must be an integer, got 4.7"),
+        ({"mode": "nearest"}, "error: mode 'nearest' is invalid"),
+        ({"bogus": 1}, "error: unknown config keys: ['bogus']"),
+    ])
+    def test_checkpoint_config_rejected_naming_the_field(self, tmp_path, capsys, command,
+                                                          bad, message):
+        path = tmp_path / "checkpoint.json"
+        # the params fit d=4, the size int() makes of "4" and 4.7
+        save_checkpoint(path, {**TINY_CONFIG, "d": 4, **bad},
+                        model_params(build_model(4, 1, 1, 2, 8)))
+        out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []
+        assert cli_main([command, "--checkpoint", str(path)] + out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
 
     def test_train_in_chebyshev_mode_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

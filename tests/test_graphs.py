@@ -62,6 +62,15 @@ class TestTokenGraph:
         with pytest.raises(ValueError, match="node labels"):
             TokenGraph(2, (), node_labels=("only",))
 
+    @pytest.mark.parametrize("labels, message", [
+        ([1, 2, 3], "node label 1 is not a string"),
+        ([None, "a", "b"], "node label None is not a string"),
+        ("abc", "node labels must be a sequence of strings, got 'abc'"),
+    ])
+    def test_node_labels_must_be_strings(self, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TokenGraph(3, (), node_labels=labels)
+
     def test_single_node_no_edges(self):
         g = TokenGraph(1)
         assert g.n == 1 and g.edges == ()

@@ -1,6 +1,7 @@
 """Eigendecomposition, spectral transforms, Chebyshev path, spectrum cache."""
 
 import math
+import re
 import threading
 
 import numpy as np
@@ -287,6 +288,12 @@ class TestChebyshev:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             chebyshev_fit(lambda lam: lam, -1)
+
+    @pytest.mark.parametrize("order", [2.5, True, np.float64(3.0), "3", None])
+    def test_order_that_is_not_an_integer_rejected(self, order):
+        with pytest.raises(ValueError, match=rf"^chebyshev order must be an integer >= 0, "
+                                             rf"got {re.escape(repr(order))}$"):
+            chebyshev_fit(np.exp, order)
 
     def test_apply_matches_exact_path(self):
         lap = chain_lap(16)

@@ -28,19 +28,31 @@ class TestTaskSpec:
         assert spec.mask_token == 15
 
     @pytest.mark.parametrize("kwargs", [
-        dict(kind="predict"),
+        dict(task="predict"),
         dict(n=1),
         dict(vocab=1),
         dict(mask_rate=0.0),
         dict(mask_rate=1.0),
-        dict(conllu_path=""),  # empty path
-        dict(conllu_path=5),
+        dict(conllu=""),  # empty path
+        dict(conllu=5),
     ])
     def test_invalid(self, kwargs):
-        base = dict(kind="copy", n=8, vocab=16, mask_rate=0.25, conllu_path=None)
+        base = dict(task="copy", n=8, vocab=16, mask_rate=0.25, conllu=None)
         base.update(kwargs)
         with pytest.raises(ValueError):
             TaskSpec(**base)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 2.5, "n must be an integer >= 2, got 2.5"),
+        ("n", 4.0, "n must be an integer >= 2, got 4.0"),
+        ("n", True, "n must be an integer >= 2, got True"),
+        ("vocab", 16.5, "vocab must be an integer >= 2, got 16.5"),
+        ("mask_rate", "0.5", "mask_rate must be a number in \\(0, 1\\), got '0.5'"),
+        ("mask_rate", True, "mask_rate must be a number in \\(0, 1\\), got True"),
+    ])
+    def test_rejected_naming_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TaskSpec(**{"task": "copy", "n": 8, "vocab": 16, field: value})
 
 
 class TestCopyReverse:
@@ -154,7 +166,7 @@ class TestConlluSource:
     def test_short_sentences_filtered(self, tmp_path):
         path = tmp_path / "trees.conllu"
         path.write_text(CONLLU_TWO)
-        spec = TaskSpec("copy", 16, 16, conllu_path=str(path))
+        spec = TaskSpec("copy", 16, 16, conllu=str(path))
         # the 1-token sentence is dropped, so every draw yields the
         # 3-token tree and sequence length follows the graph
         for seed in range(4):
@@ -165,7 +177,7 @@ class TestConlluSource:
     def test_no_usable_sentences_rejected(self, tmp_path):
         path = tmp_path / "short.conllu"
         path.write_text("1\tyes\t_\t_\t_\t_\t0\t_\t_\t_\n")
-        spec = TaskSpec("copy", 16, 16, conllu_path=str(path))
+        spec = TaskSpec("copy", 16, 16, conllu=str(path))
         with pytest.raises(ValueError, match="at least 2"):
             gen_task_batch(spec, 0)
 
@@ -179,12 +191,12 @@ class TestConlluSource:
         for i in range(SENTENCE_FILES + 2):
             paths.append(tmp_path / f"trees{i}.conllu")
             paths[-1].write_text(CONLLU_TWO)
-        spec = TaskSpec("copy", 16, 16, conllu_path=str(paths[0]))
+        spec = TaskSpec("copy", 16, 16, conllu=str(paths[0]))
         for seed in range(3):
             gen_task_batch(spec, seed)
         assert len(parsed) == 1  # the same path read again is not parsed again
         for path in paths:
-            gen_task_batch(TaskSpec("copy", 16, 16, conllu_path=str(path)), 0)
+            gen_task_batch(TaskSpec("copy", 16, 16, conllu=str(path)), 0)
         info = tasks_mod._conllu_sentences.cache_info()
         assert len(parsed) == len(paths)
         assert info.maxsize == SENTENCE_FILES and info.currsize == SENTENCE_FILES

@@ -204,10 +204,10 @@ class TestTrainConfig:
 
     def test_task_spec_wiring(self):
         spec = TrainConfig(task="masked_recovery", n=24, vocab=40, mask_rate=0.5).task_spec()
-        assert (spec.kind, spec.n, spec.vocab, spec.mask_rate) == ("masked_recovery", 24, 40, 0.5)
-        assert spec.conllu_path is None  # a chain graph
+        assert (spec.task, spec.n, spec.vocab, spec.mask_rate) == ("masked_recovery", 24, 40, 0.5)
+        assert spec.conllu is None  # a chain graph
         spec2 = TrainConfig(conllu="trees.conllu").task_spec()
-        assert spec2.conllu_path == "trees.conllu"
+        assert spec2.conllu == "trees.conllu"
 
 
 class TestTrainConfigValidation:
