@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import FilterBank, build_filter_bank, filter_eval, wavelet_mix
-from .graphs import build_chain_graph
+from .graphs import build_chain_graph, require_int
 from .serialize import fmt_float
 from .spectral import EigenSystem, MixMode, SpectrumCache, chebyshev_fit, parse_mix_mode
 
@@ -127,13 +127,18 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
     fitted log-log exponent. Outputs are verified before timing; the
     wavelet modes share one bank and input per size, so their checksums
     agree up to mode error. Each size's Laplacian and spectra come from a
-    SpectrumCache of its own, outside all timed regions.
+    SpectrumCache of its own, outside all timed regions. Before any timing,
+    repeats and each size must be an integer >= 1, and no size or mode may
+    be listed twice (ValueError).
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    sizes = tuple(int(n) for n in sizes)
+    repeats = require_int("repeats", repeats, 1)
+    sizes = tuple(require_int(f"sizes[{i}]", n, 1) for i, n in enumerate(sizes))
     parsed = [m if isinstance(m, MixMode) else None if m == "attention" else parse_mix_mode(m)
               for m in modes]
+    for what, items in (("sizes", sizes), ("modes", [str(m or "attention") for m in parsed])):
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ValueError(f"{what} lists {item} more than once")
     records = []
     for n in sizes:
         rng = np.random.default_rng(seed + n)

@@ -24,7 +24,7 @@ from .filterbank import (
     wavelet_mix,
     wavelet_mix_backward,
 )
-from .graphs import NormalizedLaplacian, TokenGraph
+from .graphs import NormalizedLaplacian, TokenGraph, require_int
 from .serialize import dumps_canonical, write_text_atomic
 from .spectral import EigenSystem, SpectrumCache
 
@@ -121,15 +121,13 @@ class WaveletModel:
 
 def build_model(d: int, k: int, layers: int, ffn_mult: int, vocab: int,
                 seed: int = 0) -> WaveletModel:
-    """Seeded construction. Draw order: embed, readout, then per layer the
-    filter bank (filters in index order, alpha constant 1/K) and the FFN."""
-    if vocab < 2:
-        raise ValueError(f"vocab must be >= 2, got {vocab}")
-    if layers < 1:
-        raise ValueError(f"need at least one layer, got {layers}")
-    for name, value in (("d", d), ("k", k), ("ffn_mult", ffn_mult)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    """Seeded construction from integer sizes (vocab >= 2, the others >= 1),
+    checked before anything is drawn. Draw order: embed, readout, then per
+    layer the filter bank (filters in index order, alpha constant 1/K) and
+    the FFN."""
+    for name, value, low in (("d", d, 1), ("k", k, 1), ("layers", layers, 1),
+                             ("ffn_mult", ffn_mult, 1), ("vocab", vocab, 2)):
+        require_int(name, value, low)
     rng = np.random.default_rng(seed)
     bd = 1.0 / np.sqrt(d)
     embed = rng.uniform(-bd, bd, (vocab, d))

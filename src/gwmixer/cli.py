@@ -118,7 +118,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    entries = args.sizes.split(",")
+    for entry in entries:
+        if not (entry.isascii() and entry.isdigit()):
+            raise ValueError(f"--sizes entry {entry!r} in {args.sizes!r} is not a decimal integer")
+    sizes = [int(entry) for entry in entries]
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     records, slopes = bench_scaling(sizes, d=args.d, k=args.k, modes=modes,
                                     repeats=args.repeats, seed=args.seed)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .graphs import NormalizedLaplacian
+from .graphs import NormalizedLaplacian, require_int
+from .serialize import fmt_float
 from .spectral import (
     LAMBDA_MAX,
     EigenSystem,
@@ -154,12 +155,10 @@ def draw_filter_bank(rng: np.random.Generator, k: int, d: int) -> FilterBank:
 
 
 def build_filter_bank(k: int, d: int, seed: int = 0) -> FilterBank:
-    """Seeded bank: filters drawn in index order, alpha filled with 1/K."""
-    if k < 1:
-        raise ValueError(f"need at least one filter, got k={k}")
-    if d < 1:
-        raise ValueError(f"need at least one channel, got d={d}")
-    return draw_filter_bank(np.random.default_rng(seed), k, d)
+    """Seeded bank of k filters over d channels, both integers >= 1:
+    filters drawn in index order, alpha filled with 1/K."""
+    return draw_filter_bank(np.random.default_rng(seed), require_int("k", k, 1),
+                            require_int("d", d, 1))
 
 
 def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
@@ -281,13 +280,14 @@ def named_bank_tensors(bank, prefix: str = "") -> dict:
 
 
 def spectrum_csv(bank: FilterBank, samples: int = 512) -> str:
-    """Filter responses on a uniform grid over [0, 2] as CSV text with
-    header lambda,g_1,...,g_K."""
+    """Filter responses on a uniform grid of samples >= 2 points over
+    [0, 2] as CSV text with header lambda,g_1,...,g_K."""
+    samples = require_int("samples", samples, 2)
     lam = np.linspace(0.0, LAMBDA_MAX, samples)
     resp = bank_responses(bank, lam)
     header = "lambda," + ",".join(f"g_{k + 1}" for k in range(bank.k))
     lines = [header]
     for i in range(samples):
-        row = [format(lam[i], ".17g")] + [format(resp[k, i], ".17g") for k in range(bank.k)]
+        row = [fmt_float(lam[i])] + [fmt_float(resp[k, i]) for k in range(bank.k)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

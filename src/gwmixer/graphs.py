@@ -33,9 +33,9 @@ class ConlluParseError(ValueError):
 class TokenGraph:
     """Immutable directed graph over n token positions.
 
-    n is an integer and each edge a (src, dst) tuple, list or array of two
-    integer indices (NumPy integers included, bools not); anything else
-    raises ValueError.
+    n is an integer >= 1 (checked by require_int) and each edge a
+    (src, dst) tuple, list or array of two integer indices (NumPy integers
+    included, bools not); anything else raises ValueError.
     Duplicates collapse to one; self loops are rejected. Optional
     node_labels (e.g. word forms) are a sequence of n strings, kept as
     given: a label that is not a string raises ValueError.
@@ -46,12 +46,7 @@ class TokenGraph:
     node_labels: tuple | None = None
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            if not _is_index(self.n):
-                raise ValueError(f"graph size n must be an integer, got {self.n!r}")
-            object.__setattr__(self, "n", int(self.n))
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one node, got n={self.n}")
+        object.__setattr__(self, "n", require_int("n", self.n, 1))
         seen = set()
         canon = []
         for e in self.edges:
@@ -99,16 +94,24 @@ def _is_index(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-@lru_cache(maxsize=CHAIN_MEMO_SIZE)
+def require_int(what: str, value, low: int) -> int:
+    """value as an int; the check of every size, count and index the package
+    takes. NumPy integers pass, bools do not; a miss raises ValueError."""
+    if not _is_index(value) or value < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+@lru_cache(maxsize=CHAIN_MEMO_SIZE, typed=True)
 def build_chain_graph(n: int) -> TokenGraph:
-    """Directed path over n positions: edges (i, i+1). n=1 gives no edges.
+    """Directed path over n >= 1 positions: edges (i, i+1). n=1 gives no edges.
 
     Graphs are immutable, so one shared object is returned per length
-    (the last CHAIN_MEMO_SIZE lengths are memoized); its cached spectral
-    key makes repeated spectrum lookups for a length free of O(n) work.
+    (the last CHAIN_MEMO_SIZE lengths are memoized, typed: True or 4.0 never
+    reads the entry of 1 or 4); its cached spectral key makes repeated
+    spectrum lookups for a length free of O(n) work.
     """
-    if n < 1:
-        raise ValueError(f"chain length must be >= 1, got {n}")
+    n = require_int("n", n, 1)
     return TokenGraph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graphs import NormalizedLaplacian, TokenGraph, normalized_laplacian
+from .graphs import NormalizedLaplacian, TokenGraph, normalized_laplacian, require_int
 
 SYMMETRY_TOL = 1e-12
 CLAMP_FLOOR = -1e-9  # round-off negatives above this are snapped to 0
@@ -118,12 +118,12 @@ def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
     of eigensystems.
 
     With m=None the system is full, from dense eigh on l.matrix.toarray()
-    (the only place a dense Laplacian exists). With m the system holds
-    exactly the m smallest eigenpairs: for m < n-1 and n >= LANCZOS_MIN_N
-    they come from shift-invert Lanczos on the sparse matrix (scipy's
-    eigsh, shift just below 0, seeded start vector), otherwise from dense
-    eigh, sliced to m pairs. Either way pairs are sorted, sign-fixed and
-    clamped alike, and the arrays are read-only.
+    (the only place a dense Laplacian exists). With m, an integer in [1, n],
+    the system holds exactly the m smallest eigenpairs: for m < n-1 and
+    n >= LANCZOS_MIN_N they come from shift-invert Lanczos on the sparse
+    matrix (scipy's eigsh, shift just below 0, seeded start vector),
+    otherwise from dense eigh, sliced to m pairs. Either way pairs are
+    sorted, sign-fixed and clamped alike, and the arrays are read-only.
 
     Failure of either solver, a residual ||L U - U diag(lam)||_max over
     RESIDUAL_TOL * max(1, |L|_max) * n (carried by the error), or a
@@ -132,7 +132,7 @@ def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
     solver stands in for another.
     """
     n = l.n
-    if m is not None and not 1 <= m <= n:
+    if m is not None and require_int("m", m, 1) > n:
         raise ValueError(f"m must be in [1, {n}], got m={m} for n={n}")
     lanczos = m is not None and LANCZOS_MIN_N <= n and m < n - 1
     mat = l.matrix if lanczos else l.matrix.toarray()
@@ -188,20 +188,12 @@ def apply_filter_exact(eig: EigenSystem, h, x: np.ndarray) -> np.ndarray:
     return eig.u @ (hv[:, None] * (eig.u.T @ x))
 
 
-def _require_int(what: str, value, low: int) -> int:
-    """value as an int; ValueError naming what and value unless it is an
-    integer >= low (NumPy integers included, bools not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 def chebyshev_nodes(order: int):
     """The P+1 first-kind Chebyshev nodes mapped onto [0, LAMBDA_MAX], and
     the (P+1, P+1) Chebyshev-Gauss matrix that takes a function's values
     at those nodes to its degree-P expansion coefficients. The order P
     must be an integer >= 0, as for MixMode's chebyshev:P."""
-    p1 = _require_int("chebyshev order", order, 0) + 1
+    p1 = require_int("chebyshev order", order, 0) + 1
     theta = np.pi * (np.arange(p1) + 0.5) / p1
     lam_nodes = 0.5 * LAMBDA_MAX * (np.cos(theta) + 1.0)
     fit = (2.0 / p1) * np.cos(np.outer(np.arange(p1), theta))
@@ -286,7 +278,7 @@ class MixMode:
         else:
             raise ValueError(
                 f"unknown mix mode {self.kind!r}; expected exact, truncated or chebyshev")
-        object.__setattr__(self, "param", _require_int(what, self.param, low))
+        object.__setattr__(self, "param", require_int(what, self.param, low))
 
     @classmethod
     def exact(cls) -> "MixMode":

@@ -8,11 +8,11 @@ dependency parses. Generation is deterministic per (spec, seed).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .graphs import TokenGraph, build_chain_graph, parse_conllu
+from .graphs import TokenGraph, build_chain_graph, parse_conllu, require_int
 from .spectral import MixMode
 
 TASK_KINDS = ("copy", "reverse", "masked_recovery")
@@ -51,9 +51,7 @@ class TaskSpec:
         if self.task not in TASK_KINDS:
             raise ValueError(f"task must be one of {', '.join(TASK_KINDS)}, got {self.task!r}")
         for name in ("n", "vocab"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+            require_int(name, getattr(self, name), 2)
         rate = self.mask_rate
         if isinstance(rate, bool) or not isinstance(rate, Real) or not 0.0 < rate < 1.0:
             raise ValueError(f"mask_rate must be a number in (0, 1), got {rate!r}")
@@ -173,5 +171,8 @@ def task_stream(spec: TaskSpec, seed: int, stream: str = "train"):
 
 
 def fixed_samples(spec: TaskSpec, seed: int, count: int, stream: str = "val") -> list:
+    """The first count samples of task_stream(spec, seed, stream); count is
+    an integer >= 0, checked before any sample is drawn."""
+    count = require_int("count", count, 0)
     gen = task_stream(spec, seed, stream)
     return [next(gen) for _ in range(count)]

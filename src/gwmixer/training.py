@@ -8,7 +8,7 @@ identical runs produce byte-identical checkpoints and metric traces.
 
 import os
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .filterbank import (
     wavelet_mix,
     wavelet_mix_backward,
 )
-from .graphs import build_chain_graph
+from .graphs import build_chain_graph, require_int
 from .serialize import fmt_float, write_text_atomic
 from .spectral import SpectrumCache, parse_mix_mode
 from .tasks import TaskSpec, check_mode, fixed_samples, gen_task_batch, task_stream
@@ -52,8 +52,7 @@ class ScheduleConfig:
 def lr_at(cfg: ScheduleConfig, step: int) -> float:
     """Linear warmup to base_lr, then inverse square-root decay. Continuous
     at the warmup boundary; steps start at 1."""
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
+    step = require_int("step", step, 1)
     if step <= cfg.warmup_steps:
         return cfg.base_lr * step / cfg.warmup_steps
     return cfg.base_lr * np.sqrt(cfg.warmup_steps / step)
@@ -174,11 +173,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in INT_MINIMUMS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+            require_int(name, getattr(self, name), low)
         if isinstance(self.lr, bool) or not isinstance(self.lr, Real):
             raise ValueError(f"lr must be a number, got {self.lr!r}")
         # lr = 0 is allowed: it freezes the model

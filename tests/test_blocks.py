@@ -160,7 +160,7 @@ class TestBuildModel:
     def test_zero_size_named_before_construction(self, name):
         args = dict(d=4, k=2, layers=1, ffn_mult=2, vocab=11)
         args[name] = 0
-        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got 0$"):
             build_model(**args)
 
 

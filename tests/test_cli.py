@@ -8,6 +8,7 @@ import pytest
 
 from gwmixer import build_model, graph_from_json, load_checkpoint, model_params, save_checkpoint
 from gwmixer.cli import cli_main
+import gwmixer.bench as bench_mod
 import gwmixer.serialize as serialize_mod
 import gwmixer.tasks as tasks_mod
 
@@ -201,8 +202,8 @@ class TestTrainEvalCommands:
 
     @pytest.mark.parametrize("command", ["spectrum", "eval"])
     @pytest.mark.parametrize("bad, message", [
-        ({"d": "4"}, "error: d must be an integer, got '4'"),
-        ({"d": 4.7}, "error: d must be an integer, got 4.7"),
+        ({"d": "4"}, "error: d must be an integer >= 1, got '4'"),
+        ({"d": 4.7}, "error: d must be an integer >= 1, got 4.7"),
         ({"mode": "nearest"}, "error: mode 'nearest' is invalid"),
         ({"bogus": 1}, "error: unknown config keys: ['bogus']"),
     ])
@@ -270,6 +271,27 @@ class TestBenchCommand:
         assert cli_main(["bench", "--sizes", "8,16", "--d", "4", "--k", "1",
                          "--modes", "exact", "--repeats", "1"]) == 0
         assert "n,d,k,mode,seconds,peak_bytes,checksum" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sizes, modes, message", [
+        ("64,x", "exact", "--sizes entry 'x' in '64,x' is not a decimal integer"),
+        ("8,,16", "exact", "--sizes entry '' in '8,,16' is not a decimal integer"),
+        ("", "exact", "--sizes entry '' in '' is not a decimal integer"),
+        ("8, 16", "exact", "--sizes entry ' 16' in '8, 16' is not a decimal integer"),
+        ("8,-16", "exact", "--sizes entry '-16' in '8,-16' is not a decimal integer"),
+        ("8,0", "exact", "sizes[1] must be an integer >= 1, got 0"),
+        ("8,8", "exact", "sizes lists 8 more than once"),
+        ("8", "exact,exact", "modes lists exact more than once"),
+        ("8,16", "truncated,truncated:16", "modes lists truncated:16 more than once"),
+    ])
+    def test_malformed_plan_rejected_before_timing(self, capsys, monkeypatch, sizes, modes,
+                                                   message):
+        timed = []
+        monkeypatch.setattr(bench_mod, "_time_call", lambda *args: timed.append(args))
+        argv = ["bench", "--sizes", sizes, "--d", "4", "--k", "1", "--modes", modes,
+                "--repeats", "1"]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert timed == []
 
 
 class TestBuildGraphCommand:

@@ -39,7 +39,7 @@ class TestTokenGraph:
 
     @pytest.mark.parametrize("n", [True, 2.5, "3", None])
     def test_rejects_non_integer_size(self, n):
-        with pytest.raises(ValueError, match=rf"n must be an integer, got {n!r}"):
+        with pytest.raises(ValueError, match=rf"n must be an integer >= 1, got {n!r}"):
             TokenGraph(n)
 
     @pytest.mark.parametrize("edge", [(0, 1, 2), (0.7, 1), "01", (0,), (True, 1), (0, False),
@@ -55,7 +55,7 @@ class TestTokenGraph:
         assert type(g.n) is int and all(type(i) is int for e in g.edges for i in e)
 
     def test_rejects_empty_graph(self):
-        with pytest.raises(ValueError, match="at least one node"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
             TokenGraph(0)
 
     def test_node_labels_length_checked(self):

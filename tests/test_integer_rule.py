@@ -1,0 +1,122 @@
+"""One integer rule: every size, count and index the package takes is
+checked by graphs.require_int, so a bad one raises ValueError
+"<what> must be an integer >= <low>, got <value!r>" before any work is
+done: nothing drawn, solved, evaluated or timed."""
+
+import re
+
+import numpy as np
+import pytest
+
+import gwmixer.bench as bench_mod
+import gwmixer.filterbank as filterbank_mod
+import gwmixer.graphs as graphs_mod
+import gwmixer.spectral as spectral_mod
+import gwmixer.tasks as tasks_mod
+from gwmixer import (
+    ScheduleConfig,
+    TaskSpec,
+    bench_scaling,
+    build_chain_graph,
+    build_filter_bank,
+    build_model,
+    eigendecompose,
+    fixed_samples,
+    lr_at,
+    normalized_laplacian,
+    spectrum_csv,
+)
+from gwmixer.graphs import require_int
+
+SPEC = TaskSpec("copy", 4, 8)
+BANK = build_filter_bank(2, 1)
+LAP = normalized_laplacian(build_chain_graph(6))
+
+
+def _message(what, low, value):
+    return f"{what} must be an integer >= {low}, got {value!r}"
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_integers_accepted_as_int(self, value):
+        assert type(require_int("x", value, 1)) is int
+        assert require_int("x", value, 3) == 3
+
+    @pytest.mark.parametrize("value", [True, False, 3.0, np.float64(3), "3", None, [3], 2])
+    def test_rejected_with_one_message(self, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(_message('x', 3, value))}$"):
+            require_int("x", value, 3)
+
+
+def _build_model(**bad):
+    return lambda: build_model(**{"d": 4, "k": 2, "layers": 1, "ffn_mult": 2, "vocab": 8, **bad})
+
+
+# (call, the work it must not start as (module, name) or None, expected message)
+DEFECTS = {
+    "build_model-layers-True": (_build_model(layers=True), (np.random, "default_rng"),
+                                "layers must be an integer >= 1, got True"),
+    "build_model-ffn_mult-True": (_build_model(ffn_mult=True), (np.random, "default_rng"),
+                                  "ffn_mult must be an integer >= 1, got True"),
+    "build_model-d-2.5": (_build_model(d=2.5), (np.random, "default_rng"),
+                          "d must be an integer >= 1, got 2.5"),
+    "build_model-k-2.5": (_build_model(k=2.5), (np.random, "default_rng"),
+                          "k must be an integer >= 1, got 2.5"),
+    "build_model-vocab-8.0": (_build_model(vocab=8.0), (np.random, "default_rng"),
+                              "vocab must be an integer >= 2, got 8.0"),
+    "build_filter_bank-k-2.5": (lambda: build_filter_bank(2.5, 3),
+                                (filterbank_mod, "draw_filter_bank"),
+                                "k must be an integer >= 1, got 2.5"),
+    "build_filter_bank-k-True": (lambda: build_filter_bank(True, 3),
+                                 (filterbank_mod, "draw_filter_bank"),
+                                 "k must be an integer >= 1, got True"),
+    "build_filter_bank-d-2.5": (lambda: build_filter_bank(2, 2.5),
+                                (filterbank_mod, "draw_filter_bank"),
+                                "d must be an integer >= 1, got 2.5"),
+    "fixed_samples-count-2.5": (lambda: fixed_samples(SPEC, 0, 2.5),
+                                (tasks_mod, "gen_task_batch"),
+                                "count must be an integer >= 0, got 2.5"),
+    "spectrum_csv-samples-2.5": (lambda: spectrum_csv(BANK, samples=2.5),
+                                 (filterbank_mod, "bank_responses"),
+                                 "samples must be an integer >= 2, got 2.5"),
+    "eigendecompose-m-True": (lambda: eigendecompose(LAP, m=True),
+                              (spectral_mod, "_dense_eigh"),
+                              "m must be an integer >= 1, got True"),
+    "eigendecompose-m-2.5": (lambda: eigendecompose(LAP, m=2.5),
+                             (spectral_mod, "_dense_eigh"),
+                             "m must be an integer >= 1, got 2.5"),
+    "bench_scaling-sizes-8.9": (lambda: bench_scaling(sizes=(8.9, 16), modes=("exact",)),
+                                (bench_mod, "_time_call"),
+                                "sizes[0] must be an integer >= 1, got 8.9"),
+    "bench_scaling-sizes-True": (lambda: bench_scaling(sizes=(True, 16), modes=("exact",)),
+                                 (bench_mod, "_time_call"),
+                                 "sizes[0] must be an integer >= 1, got True"),
+    "bench_scaling-repeats-2.5": (lambda: bench_scaling(sizes=(8, 16), modes=("exact",),
+                                                        repeats=2.5),
+                                  (bench_mod, "_time_call"),
+                                  "repeats must be an integer >= 1, got 2.5"),
+    "build_chain_graph-n-2.5": (lambda: build_chain_graph(2.5), (graphs_mod, "TokenGraph"),
+                                "n must be an integer >= 1, got 2.5"),
+    "lr_at-step-2.5": (lambda: lr_at(ScheduleConfig(), 2.5), None,
+                       "step must be an integer >= 1, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", list(DEFECTS))
+def test_rejected_before_any_work(monkeypatch, case):
+    call, work, message = DEFECTS[case]
+    started = []
+    if work is not None:
+        monkeypatch.setattr(*work, lambda *args, **kwargs: started.append(args))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+    assert started == []
+
+
+@pytest.mark.parametrize("n, bad", [(1, True), (4, 4.0), (4, np.float64(4))])
+def test_chain_memo_never_answers_a_non_integer(n, bad):
+    build_chain_graph(n)  # an entry for the integer length
+    with pytest.raises(ValueError, match=f"^{re.escape(_message('n', 1, bad))}$"):
+        build_chain_graph(bad)
+

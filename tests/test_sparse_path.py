@@ -216,7 +216,8 @@ class TestPartialSpectrum:
 
     @pytest.mark.parametrize("m", [0, 41])
     def test_m_out_of_range(self, m):
-        with pytest.raises(ValueError, match="m must be in"):
+        with pytest.raises(ValueError, match={0: "m must be an integer >= 1, got 0",
+                                              41: "m must be in"}[m]):
             eigendecompose(normalized_laplacian(symmetrize(build_chain_graph(40))), m=m)
 
     def test_residual_over_bound_raises_with_residual(self, monkeypatch):
