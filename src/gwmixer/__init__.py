@@ -32,13 +32,10 @@ from .blocks import (
 )
 from .filterbank import (
     FilterBank,
-    FilterMlp,
-    MixGrads,
     bank_responses,
     build_filter_bank,
     filter_eval,
     filter_eval_grad,
-    init_filter_mlp,
     spectrum_csv,
     wavelet_mix,
     wavelet_mix_backward,

@@ -128,8 +128,8 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
     wavelet modes share one bank and input per size, so their checksums
     agree up to mode error. Each size's Laplacian and spectra come from a
     SpectrumCache of its own, outside all timed regions. Before any timing,
-    repeats and each size must be an integer >= 1, and no size or mode may
-    be listed twice (ValueError).
+    repeats and each size must be an integer >= 1, no size or mode may be
+    listed twice, and every mode must fit every size (ValueError).
     """
     repeats = require_int("repeats", repeats, 1)
     sizes = tuple(require_int(f"sizes[{i}]", n, 1) for i, n in enumerate(sizes))
@@ -139,6 +139,9 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
         for i, item in enumerate(items):
             if item in items[:i]:
                 raise ValueError(f"{what} lists {item} more than once")
+    for n in sizes:  # a mode that cannot mix n nodes raises here, before any timing
+        for mode in filter(None, parsed):
+            mode.pairs(n)
     records = []
     for n in sizes:
         rng = np.random.default_rng(seed + n)

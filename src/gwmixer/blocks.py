@@ -17,7 +17,6 @@ import numpy as np
 
 from .filterbank import (
     FilterBank,
-    MixGrads,
     MixMode,
     draw_filter_bank,
     named_bank_tensors,
@@ -80,28 +79,19 @@ def layer_forward(layer: WaveletLayer, eig: EigenSystem | None,
     return y, LayerTape(x, r, pre, mode, eig)
 
 
-@dataclass
-class LayerGrads:
-    x: np.ndarray
-    mix: MixGrads
-    ffn: dict  # w1/b1/w2/b2
-
-
-def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray) -> LayerGrads:
-    """Gradients from the tape alone, over the system the forward pass mixed over."""
+def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray):
+    """Gradients from the tape alone, over the system the forward pass
+    mixed over: (grad_x, WaveletLayer of the gradients of the layer's
+    arrays)."""
     ffn = layer.ffn
     hidden = np.maximum(tape.pre, 0.0)
     d_hidden = upstream @ ffn.w2.T
     d_pre = d_hidden * (tape.pre > 0.0)
-    ffn_grads = {
-        "w1": tape.r.T @ d_pre,
-        "b1": d_pre.sum(axis=0),
-        "w2": hidden.T @ upstream,
-        "b2": upstream.sum(axis=0),
-    }
+    grad_ffn = FeedForward(w1=tape.r.T @ d_pre, b1=d_pre.sum(axis=0),
+                           w2=hidden.T @ upstream, b2=upstream.sum(axis=0))
     d_r = upstream + d_pre @ ffn.w1.T
-    mix = wavelet_mix_backward(layer.bank, tape.eig, tape.x, tape.mode, d_r)
-    return LayerGrads(d_r + mix.x, mix, ffn_grads)
+    grad_x, grad_bank = wavelet_mix_backward(layer.bank, tape.eig, tape.x, tape.mode, d_r)
+    return d_r + grad_x, WaveletLayer(grad_bank, grad_ffn)
 
 
 @dataclass
@@ -182,22 +172,15 @@ def model_forward(model: WaveletModel, graph: TokenGraph, token_ids,
 def model_backward(model: WaveletModel, tape: ModelTape,
                    grad_logits: np.ndarray) -> dict:
     """Gradients for every named parameter, keyed and ordered like
-    model_params."""
+    model_params, which names them."""
     grad_readout = tape.h_final.T @ grad_logits
     d_x = grad_logits @ model.readout.T
-    layer_grads = []
+    grad_layers = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
-        lg = layer_backward(model.layers[i], tape.layer_tapes[i], d_x)
-        d_x = lg.x
-        layer_grads.append(lg)
+        d_x, grad_layers[i] = layer_backward(model.layers[i], tape.layer_tapes[i], d_x)
     grad_embed = np.zeros_like(model.embed)
     np.add.at(grad_embed, tape.token_ids, d_x)
-    grads = {"embed": grad_embed, "readout": grad_readout}
-    for i, lg in enumerate(reversed(layer_grads)):
-        grads.update(named_bank_tensors(lg.mix, f"layers.{i}.bank."))
-        for name in ("w1", "b1", "w2", "b2"):
-            grads[f"layers.{i}.ffn.{name}"] = lg.ffn[name]
-    return grads
+    return model_params(WaveletModel(grad_embed, grad_layers, grad_readout))
 
 
 def checkpoint_text(config: dict, params: dict) -> str:

@@ -12,11 +12,13 @@ Chebyshev recurrence of sparse Laplacian products with the bank's
 coefficients and alpha folded together. Backward treats U and Lam as
 constants.
 
-A bank stores its K filters stacked, as (K, H) arrays, and evaluates all
-of them in one pass (one broadcast tanh, one batched contraction): once
-for the responses in the forward mix, once for the responses plus every
-parameter Jacobian in the backward. The single-filter functions
-filter_eval and filter_eval_grad run the same code with K = 1.
+FilterBank is the one filter type. It stores K filters stacked, as
+(K, H) arrays, and evaluates all of them in one pass (one broadcast tanh,
+one batched contraction): once for the responses in the forward mix,
+once for the responses plus every parameter Jacobian in the backward. A
+single filter is a one-row bank (bank.filters holds K of them, views of
+the bank's rows), which filter_eval and filter_eval_grad take; the
+gradient of a bank is a bank of the same shapes.
 """
 
 from dataclasses import dataclass
@@ -40,45 +42,91 @@ FILTER_TENSORS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
-class FilterMlp:
-    """1 -> H -> 1 spectral response MLP. b2 is a 0-d array so the
-    optimizer can update it in place like every other tensor."""
+class FilterBank:
+    """K filters stored stacked: w1, b1, w2 of shape (K, H), b2 of shape
+    (K,), and per-filter channel gains alpha of shape (K, d).
+
+    A single filter is a bank with K = 1, and the gradient of a bank is a
+    bank of the same shapes. Construction checks shapes only, with no
+    scan over values, since backward builds a gradient bank per call.
+    """
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+    alpha: np.ndarray
+
+    def __post_init__(self):
+        shape = getattr(self.w1, "shape", None)
+        if shape is None or len(shape) != 2 or shape[0] < 1:
+            raise ValueError(f"FilterBank w1 must have shape (K, H) with K >= 1, got {shape}")
+        k = shape[0]
+        for name, want in (("b1", shape), ("w2", shape), ("b2", (k,))):
+            got = getattr(getattr(self, name), "shape", None)
+            if got != want:
+                raise ValueError(f"FilterBank {name} must have shape {want}, got {got}")
+        got = getattr(self.alpha, "shape", None)
+        if got is None or len(got) != 2 or got[0] != k:
+            raise ValueError(f"FilterBank alpha must have shape ({k}, d), got {got}")
+
+    @property
+    def k(self) -> int:
+        return len(self.b2)
+
+    @property
+    def d(self) -> int:
+        return self.alpha.shape[1]
+
+    @property
+    def filters(self) -> tuple:
+        """K one-filter banks whose arrays are views of row k (slice
+        k:k+1), so writing through a filter writes the bank."""
+        return tuple(FilterBank(self.w1[k:k + 1], self.b1[k:k + 1], self.w2[k:k + 1],
+                                self.b2[k:k + 1], self.alpha[k:k + 1])
+                     for k in range(self.k))
 
 
-def init_filter_mlp(rng: np.random.Generator) -> FilterMlp:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per layer; fan_in is 1 for
-    the input layer and HIDDEN for the output layer."""
+def draw_filter_bank(rng: np.random.Generator, k: int, d: int) -> FilterBank:
+    """K filters drawn from rng in index order, each as w1, b1, w2 and then
+    the scalar b2, Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per layer (fan_in
+    1 for the input layer, HIDDEN for the output layer); alpha filled with
+    1/K."""
     bound2 = 1.0 / np.sqrt(HIDDEN)
-    return FilterMlp(
-        w1=rng.uniform(-1.0, 1.0, HIDDEN),
-        b1=rng.uniform(-1.0, 1.0, HIDDEN),
-        w2=rng.uniform(-bound2, bound2, HIDDEN),
-        b2=np.array(rng.uniform(-bound2, bound2)),
-    )
+    w1, b1, w2 = (np.empty((k, HIDDEN)) for _ in range(3))
+    b2 = np.empty(k)
+    for row in range(k):
+        w1[row] = rng.uniform(-1.0, 1.0, HIDDEN)
+        b1[row] = rng.uniform(-1.0, 1.0, HIDDEN)
+        w2[row] = rng.uniform(-bound2, bound2, HIDDEN)
+        b2[row] = rng.uniform(-bound2, bound2)
+    return FilterBank(w1, b1, w2, b2, np.full((k, d), 1.0 / k))
 
 
-def _bank_eval(w1, b1, w2, b2, lam: np.ndarray):
-    """All K filters of stacked (K, H) weights at once: one broadcast tanh
-    and one batched contraction. Returns clamped lam (m,), t (K, m, H),
-    y (K, m) before the softplus head, and g = softplus(y) (K, m)."""
+def build_filter_bank(k: int, d: int, seed: int = 0) -> FilterBank:
+    """Seeded bank of k filters over d channels, both integers >= 1:
+    filters drawn in index order, alpha filled with 1/K."""
+    return draw_filter_bank(np.random.default_rng(seed), require_int("k", k, 1),
+                            require_int("d", d, 1))
+
+
+def _bank_eval(bank: FilterBank, lam: np.ndarray):
+    """All K filters at once: one broadcast tanh and one batched
+    contraction. Returns clamped lam (m,), t (K, m, H), y (K, m) before
+    the softplus head, and g = softplus(y) (K, m)."""
     lam = np.clip(lam, 0.0, LAMBDA_MAX)
-    t = np.tanh(w1[:, None, :] * lam[:, None] + b1[:, None, :])
-    y = (t @ w2[:, :, None])[..., 0] + b2[:, None]
+    t = np.tanh(bank.w1[:, None, :] * lam[:, None] + bank.b1[:, None, :])
+    y = (t @ bank.w2[:, :, None])[..., 0] + bank.b2[:, None]
     return lam, t, y, np.logaddexp(0.0, y)
 
 
-def _bank_eval_grad(w1, b1, w2, b2, lam: np.ndarray):
+def _bank_eval_grad(bank: FilterBank, lam: np.ndarray):
     """Values (K, m) and parameter Jacobians of all K filters: w1, b1, w2
     of shape (K, m, H), b2 of shape (K, m)."""
-    lam, t, y, out = _bank_eval(w1, b1, w2, b2, lam)
+    lam, t, y, out = _bank_eval(bank, lam)
     s = expit(y)  # d softplus / dy
     gw2 = s[..., None] * t
-    gb1 = s[..., None] * (w2[:, None, :] * (1.0 - t**2))
+    gb1 = s[..., None] * (bank.w2[:, None, :] * (1.0 - t**2))
     gw1 = gb1 * lam[:, None]
     return out, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": s}
 
@@ -90,25 +138,26 @@ def _finite_lambda(lam) -> np.ndarray:
     return arr
 
 
-def _stacked(f: FilterMlp):
-    """One filter's parameters as a K = 1 stack (views, no copies)."""
-    return f.w1[None], f.b1[None], f.w2[None], np.reshape(f.b2, 1)
+def _one_filter(f: FilterBank) -> FilterBank:
+    if f.k != 1:
+        raise ValueError(f"need a one-filter bank such as bank.filters[k], got K={f.k}")
+    return f
 
 
-def filter_eval(f: FilterMlp, lam) -> np.ndarray:
-    """g(lambda), vectorized over lambda. Input is clamped into [0, 2];
-    output is strictly positive (softplus head)."""
-    out = _bank_eval(*_stacked(f), _finite_lambda(lam))[3][0]
+def filter_eval(f: FilterBank, lam) -> np.ndarray:
+    """g(lambda) of a one-filter bank, vectorized over lambda. Input is
+    clamped into [0, 2]; output is strictly positive (softplus head)."""
+    out = _bank_eval(_one_filter(f), _finite_lambda(lam))[3][0]
     return out if np.ndim(lam) else out[0]
 
 
-def filter_eval_grad(f: FilterMlp, lam):
-    """Value and parameter gradients of g at each lambda.
+def filter_eval_grad(f: FilterBank, lam):
+    """Value and parameter gradients of a one-filter bank's g at each lambda.
 
     Returns (values, grads) where grads has keys w1/b1/w2/b2. For array
     input the gradient arrays carry a leading lambda axis.
     """
-    out, jac = _bank_eval_grad(*_stacked(f), _finite_lambda(lam))
+    out, jac = _bank_eval_grad(_one_filter(f), _finite_lambda(lam))
     if np.ndim(lam):
         return out[0], {name: g[0] for name, g in jac.items()}
     grads = {name: g[0, 0] for name, g in jac.items()}
@@ -116,55 +165,10 @@ def filter_eval_grad(f: FilterMlp, lam):
     return out[0, 0], grads
 
 
-class FilterBank:
-    """K filters stored as stacked arrays w1, b1, w2 of shape (K, H) and
-    b2 of shape (K,), plus per-filter channel gains alpha of shape (K, d).
-
-    Built from a sequence of FilterMlp, whose parameters are copied in.
-    filters is a tuple of FilterMlp row views into the stacked arrays (b2
-    a 0-d view), so writing through a filter writes the bank and the
-    per-filter names of model_params reach the same memory.
-    """
-
-    def __init__(self, filters, alpha: np.ndarray):
-        filters = tuple(filters)
-        if not filters:
-            raise ValueError("need at least one filter")
-        self.w1, self.b1, self.w2, self.b2 = (
-            np.array([getattr(f, name) for f in filters], dtype=np.float64)
-            for name in FILTER_TENSORS)
-        self.alpha = alpha
-        self.filters = tuple(
-            FilterMlp(self.w1[k], self.b1[k], self.w2[k], self.b2[k, ...])
-            for k in range(len(filters)))
-
-    @property
-    def k(self) -> int:
-        return len(self.b2)
-
-    @property
-    def d(self) -> int:
-        return self.alpha.shape[1]
-
-
-def draw_filter_bank(rng: np.random.Generator, k: int, d: int) -> FilterBank:
-    """K filters drawn from rng in index order by init_filter_mlp, alpha
-    filled with 1/K."""
-    filters = [init_filter_mlp(rng) for _ in range(k)]
-    return FilterBank(filters, np.full((k, d), 1.0 / k))
-
-
-def build_filter_bank(k: int, d: int, seed: int = 0) -> FilterBank:
-    """Seeded bank of k filters over d channels, both integers >= 1:
-    filters drawn in index order, alpha filled with 1/K."""
-    return draw_filter_bank(np.random.default_rng(seed), require_int("k", k, 1),
-                            require_int("d", d, 1))
-
-
 def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
     """Stacked responses g_k(lam), shape (K, m), from one evaluation of
     all K filters."""
-    out = _bank_eval(bank.w1, bank.b1, bank.w2, bank.b2, _finite_lambda(lam))[3]
+    out = _bank_eval(bank, _finite_lambda(lam))[3]
     return out if np.ndim(lam) else out[:, 0]
 
 
@@ -213,30 +217,10 @@ def wavelet_mix(bank: FilterBank, eig: EigenSystem | None, x: np.ndarray,
     return u @ (weight * (u.T @ x))
 
 
-@dataclass
-class MixGrads:
-    """Gradients of a scalar objective through wavelet_mix. The filter
-    gradients are stacked like the bank's parameters: w1, b1, w2 of shape
-    (K, H) and b2 of shape (K,)."""
-
-    x: np.ndarray
-    alpha: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    @property
-    def filters(self) -> tuple:
-        """Per filter: a dict of w1/b1/w2/b2 views into the stacked
-        gradients (b2 a 0-d view)."""
-        return tuple({name: getattr(self, name)[k, ...] for name in FILTER_TENSORS}
-                     for k in range(len(self.b2)))
-
-
 def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem, x: np.ndarray,
-                         mode: MixMode, upstream: np.ndarray) -> MixGrads:
-    """Reverse-mode gradients of wavelet_mix for exact/truncated modes.
+                         mode: MixMode, upstream: np.ndarray):
+    """Reverse-mode gradients of wavelet_mix for exact/truncated modes:
+    (grad_x, FilterBank of the gradients of the bank's arrays).
 
     U and Lam are constants of the graph; gradients flow to x, alpha and
     the filter parameters only. Responses and every parameter Jacobian
@@ -251,7 +235,7 @@ def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem, x: np.ndarray,
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != signal shape {x.shape}")
     u = eig.u
-    resp, jac = _bank_eval_grad(bank.w1, bank.b1, bank.w2, bank.b2, _finite_lambda(eig.lam))
+    resp, jac = _bank_eval_grad(bank, _finite_lambda(eig.lam))
     xhat = u.T @ x  # (m, d)
     ghat = u.T @ upstream  # (m, d)
     prod = xhat * ghat  # (m, d)
@@ -261,14 +245,14 @@ def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem, x: np.ndarray,
     row = wresp[:, None, :]  # (K, 1, m) against the (K, m, H) Jacobians
     weight = resp.T @ bank.alpha  # (m, d)
     grad_x = u @ (weight * ghat)
-    return MixGrads(grad_x, grad_alpha, (row @ jac["w1"])[:, 0], (row @ jac["b1"])[:, 0],
-                    (row @ jac["w2"])[:, 0], np.sum(wresp * jac["b2"], axis=1))
+    return grad_x, FilterBank((row @ jac["w1"])[:, 0], (row @ jac["b1"])[:, 0],
+                              (row @ jac["w2"])[:, 0], np.sum(wresp * jac["b2"], axis=1),
+                              grad_alpha)
 
 
-
-def named_bank_tensors(bank, prefix: str = "") -> dict:
+def named_bank_tensors(bank: FilterBank, prefix: str = "") -> dict:
     """Per-filter views ``{prefix}filters.{k}.{w1,b1,w2,b2}`` into the
-    stacked arrays of a FilterBank (or of its MixGrads), then
+    stacked arrays of a FilterBank (parameters or gradients), then
     ``{prefix}alpha``: the parameter names and order of model_params and
     the checkpoint."""
     out = {}

@@ -102,16 +102,19 @@ def require_int(what: str, value, low: int) -> int:
     return int(value)
 
 
-@lru_cache(maxsize=CHAIN_MEMO_SIZE, typed=True)
 def build_chain_graph(n: int) -> TokenGraph:
     """Directed path over n >= 1 positions: edges (i, i+1). n=1 gives no edges.
 
     Graphs are immutable, so one shared object is returned per length
-    (the last CHAIN_MEMO_SIZE lengths are memoized, typed: True or 4.0 never
-    reads the entry of 1 or 4); its cached spectral key makes repeated
-    spectrum lookups for a length free of O(n) work.
+    (the last CHAIN_MEMO_SIZE lengths are memoized, keyed by the int that
+    require_int returns); its cached spectral key makes repeated spectrum
+    lookups for a length free of O(n) work.
     """
-    n = require_int("n", n, 1)
+    return _chain_graph(require_int("n", n, 1))
+
+
+@lru_cache(maxsize=CHAIN_MEMO_SIZE)
+def _chain_graph(n: int) -> TokenGraph:
     return TokenGraph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 

@@ -25,6 +25,7 @@ from .blocks import (
     save_checkpoint,
 )
 from .filterbank import (
+    FILTER_TENSORS,
     MixMode,
     build_filter_bank,
     filter_eval,
@@ -389,6 +390,15 @@ def _fd_check(params: dict, loss_fn, analytic: dict, step: float) -> list:
     return entries
 
 
+def _named_layer_tensors(layer: WaveletLayer) -> dict:
+    """A layer's arrays, or its gradient's, under the names grad_check
+    reports: the bank's (filters.{k}.*, alpha), then ffn.*."""
+    named = named_bank_tensors(layer.bank)
+    for name in ("w1", "b1", "w2", "b2"):
+        named[f"ffn.{name}"] = getattr(layer.ffn, name)
+    return named
+
+
 def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
                tol: float = 1e-4, corrupt=None) -> GradCheckReport:
     """Compare hand-written gradients against central differences.
@@ -401,24 +411,23 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
     """
     rng = np.random.default_rng(seed)
     if selector == "filter":
-        bank = build_filter_bank(1, 1, seed=seed)
-        f = bank.filters[0]
+        f = build_filter_bank(1, 1, seed=seed)
         lam = rng.uniform(0.0, 2.0, 12)
         wts = rng.standard_normal(12)
-        params = {"w1": f.w1, "b1": f.b1, "w2": f.w2, "b2": f.b2}
+        params = {name: getattr(f, name) for name in FILTER_TENSORS}
 
         def loss_fn():
             return float(wts @ filter_eval(f, lam))
 
         _, g = filter_eval_grad(f, lam)
-        analytic = {k: np.asarray(wts @ g[k]) for k in params}
+        analytic = {name: np.reshape(wts @ g[name], p.shape) for name, p in params.items()}
     elif selector in ("mix", "layer"):
         n, d, k = 6, 4, 2
         lap, eig = SpectrumCache().get_or_compute(build_chain_graph(n))
         x = rng.standard_normal((n, d))
         mode = MixMode.exact()
+        bank = build_filter_bank(k, d, seed=seed)
         if selector == "mix":
-            bank = build_filter_bank(k, d, seed=seed)
             params = named_bank_tensors(bank)
 
             def loss_fn():
@@ -426,24 +435,17 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
                 return 0.5 * float((y * y).sum())
 
             y = wavelet_mix(bank, eig, x, mode)
-            mg = wavelet_mix_backward(bank, eig, x, mode, y)
-            analytic = named_bank_tensors(mg)
+            analytic = named_bank_tensors(wavelet_mix_backward(bank, eig, x, mode, y)[1])
         else:
-            bank = build_filter_bank(k, d, seed=seed)
             layer = WaveletLayer(bank, build_feed_forward(d, 4, rng))
-            params = named_bank_tensors(layer.bank)
-            for nm in ("w1", "b1", "w2", "b2"):
-                params[f"ffn.{nm}"] = getattr(layer.ffn, nm)
+            params = _named_layer_tensors(layer)
 
             def loss_fn():
                 y, _ = layer_forward(layer, eig, lap, x, mode)
                 return 0.5 * float((y * y).sum())
 
             y, tape = layer_forward(layer, eig, lap, x, mode)
-            lg = layer_backward(layer, tape, y)
-            analytic = named_bank_tensors(lg.mix)
-            for nm in ("w1", "b1", "w2", "b2"):
-                analytic[f"ffn.{nm}"] = lg.ffn[nm]
+            analytic = _named_layer_tensors(layer_backward(layer, tape, y)[1])
     elif selector == "model":
         # acceptance configuration: n=6, d=8, K=2, 2 layers, vocab 11
         spec = TaskSpec("copy", 6, 11)

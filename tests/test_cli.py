@@ -282,6 +282,8 @@ class TestBenchCommand:
         ("8,8", "exact", "sizes lists 8 more than once"),
         ("8", "exact,exact", "modes lists exact more than once"),
         ("8,16", "truncated,truncated:16", "modes lists truncated:16 more than once"),
+        ("64,8", "exact,truncated:16",
+         "truncated:16 needs m <= n, got m=16 for a graph of n=8 nodes"),
     ])
     def test_malformed_plan_rejected_before_timing(self, capsys, monkeypatch, sizes, modes,
                                                    message):

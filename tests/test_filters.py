@@ -1,4 +1,4 @@
-"""Filter MLPs, filter banks, mixing modes, and the mixing operator."""
+"""Filters, filter banks, mixing modes, and the mixing operator."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from gwmixer import (
     FilterBank,
-    FilterMlp,
     MixMode,
     bank_responses,
     build_chain_graph,
@@ -15,7 +14,6 @@ from gwmixer import (
     eigendecompose,
     filter_eval,
     filter_eval_grad,
-    init_filter_mlp,
     normalized_laplacian,
     parse_mix_mode,
     spectrum_csv,
@@ -23,6 +21,7 @@ from gwmixer import (
     wavelet_mix,
     wavelet_mix_backward,
 )
+from gwmixer.filterbank import draw_filter_bank
 
 LN2 = math.log(2.0)
 
@@ -44,49 +43,54 @@ def naive_mix(bank, eig, x):
     return out
 
 
+def one_filter(w1, b1, w2, b2):
+    """A one-filter bank of the given weights (w1, b1, w2 of shape (H,))."""
+    return FilterBank(w1[None], b1[None], w2[None], np.array([b2]), np.ones((1, 1)))
+
+
 def constant_one_filter(hidden=16):
     """Exact g(lambda) = 1: w2 = 0, b2 = ln(e - 1) makes softplus(b2) = 1."""
-    return FilterMlp(
+    return one_filter(
         w1=np.zeros(hidden),
         b1=np.zeros(hidden),
         w2=np.zeros(hidden),
-        b2=np.array(math.log(math.e - 1.0)),
+        b2=math.log(math.e - 1.0),
     )
 
 
 class TestFilterMlp:
     def test_zero_parameters_give_ln2(self):
-        f = FilterMlp(np.zeros(16), np.zeros(16), np.zeros(16), np.array(0.0))
+        f = one_filter(np.zeros(16), np.zeros(16), np.zeros(16), 0.0)
         assert filter_eval(f, 0.7) == pytest.approx(LN2, abs=1e-15)
 
     def test_zero_parameter_output_bias_gradient_is_half(self):
-        f = FilterMlp(np.zeros(16), np.zeros(16), np.zeros(16), np.array(0.0))
+        f = one_filter(np.zeros(16), np.zeros(16), np.zeros(16), 0.0)
         _, grads = filter_eval_grad(f, np.array([0.3, 1.1]))
         assert np.allclose(grads["b2"], 0.5, atol=1e-15)
 
     def test_init_shapes_and_bounds(self):
         rng = np.random.default_rng(0)
-        f = init_filter_mlp(rng)
-        assert f.w1.shape == (16,) and f.b1.shape == (16,)
-        assert f.w2.shape == (16,) and f.b2.shape == ()
+        f = draw_filter_bank(rng, 1, 1)
+        assert f.w1.shape == (1, 16) and f.b1.shape == (1, 16)
+        assert f.w2.shape == (1, 16) and f.b2.shape == (1,)
         assert np.max(np.abs(f.w1)) <= 1.0  # fan_in 1 -> U(-1, 1)
         assert np.max(np.abs(f.w2)) <= 1.0 / 4.0  # fan_in 16 -> U(-1/4, 1/4)
 
     def test_output_positive(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            f = init_filter_mlp(rng)
+            f = draw_filter_bank(rng, 1, 1)
             vals = filter_eval(f, np.linspace(0, 2, 50))
             assert np.all(vals > 0.0)  # softplus range
 
     def test_scalar_and_array_polymorphism(self):
-        f = init_filter_mlp(np.random.default_rng(1))
+        f = draw_filter_bank(np.random.default_rng(1), 1, 1)
         arr = filter_eval(f, np.array([0.5, 1.5]))
         assert arr.shape == (2,)
         assert filter_eval(f, 0.5) == pytest.approx(arr[0], abs=1e-15)
 
     def test_lambda_clamped_to_spectrum_range(self):
-        f = init_filter_mlp(np.random.default_rng(2))
+        f = draw_filter_bank(np.random.default_rng(2), 1, 1)
         assert filter_eval(f, -0.5) == pytest.approx(filter_eval(f, 0.0), abs=1e-15)
         assert filter_eval(f, 2.7) == pytest.approx(filter_eval(f, 2.0), abs=1e-15)
 
@@ -95,7 +99,7 @@ class TestFilterMlp:
         assert np.allclose(vals, 1.0, atol=1e-15)
 
     def test_eval_grad_matches_finite_differences(self):
-        f = init_filter_mlp(np.random.default_rng(3))
+        f = draw_filter_bank(np.random.default_rng(3), 1, 1)
         lam = np.array([0.1, 0.9, 1.8])
         _, grads = filter_eval_grad(f, lam)
         eps = 1e-6
@@ -192,7 +196,8 @@ class TestWaveletMix:
     def test_constant_one_bank_is_identity(self):
         n, d = 9, 5
         lap, eig, _, x = chain_setup(n, d)
-        bank = FilterBank((constant_one_filter(),), np.ones((1, d)))
+        f = constant_one_filter()
+        bank = FilterBank(f.w1, f.b1, f.w2, f.b2, np.ones((1, d)))
         y = wavelet_mix(bank, eig, x, MixMode.exact())
         assert np.allclose(y, x, atol=1e-13)
 
@@ -280,7 +285,7 @@ class TestMixBackward:
                             * self.upstream))
 
     def test_grad_x_matches_fd(self):
-        grads = wavelet_mix_backward(self.bank, self.eig, self.x,
+        grad_x, _ = wavelet_mix_backward(self.bank, self.eig, self.x,
                                      MixMode.exact(), self.upstream)
         eps = 1e-6
         fd = np.zeros_like(self.x)
@@ -290,10 +295,10 @@ class TestMixBackward:
             xm = self.x.copy()
             xm[idx] -= eps
             fd[idx] = (self.loss(self.bank, xp) - self.loss(self.bank, xm)) / (2 * eps)
-        assert np.allclose(grads.x, fd, atol=1e-6)
+        assert np.allclose(grad_x, fd, atol=1e-6)
 
     def test_grad_alpha_matches_fd(self):
-        grads = wavelet_mix_backward(self.bank, self.eig, self.x,
+        _, grads = wavelet_mix_backward(self.bank, self.eig, self.x,
                                      MixMode.exact(), self.upstream)
         eps = 1e-6
         for idx in np.ndindex(self.bank.alpha.shape):
@@ -306,13 +311,13 @@ class TestMixBackward:
             assert grads.alpha[idx] == pytest.approx((up - dn) / (2 * eps), abs=2e-5)
 
     def test_filter_grads_match_fd(self):
-        grads = wavelet_mix_backward(self.bank, self.eig, self.x,
+        _, grads = wavelet_mix_backward(self.bank, self.eig, self.x,
                                      MixMode.exact(), self.upstream)
         eps = 1e-6
         for k, f in enumerate(self.bank.filters):
             for name in ("w1", "b1", "w2", "b2"):
                 p = getattr(f, name).reshape(-1)
-                g = grads.filters[k][name].reshape(-1)
+                g = getattr(grads.filters[k], name).reshape(-1)
                 for i in range(p.size):
                     orig = p[i]
                     p[i] = orig + eps
@@ -325,7 +330,7 @@ class TestMixBackward:
     def test_truncated_mode_backward_consistent(self):
         mode = MixMode.truncated(4)
         eig = eigendecompose(self.lap, m=4)
-        grads = wavelet_mix_backward(self.bank, eig, self.x, mode, self.upstream)
+        grad_x, _ = wavelet_mix_backward(self.bank, eig, self.x, mode, self.upstream)
         eps = 1e-6
         idx = (1, 2)
         xp = self.x.copy()
@@ -334,7 +339,7 @@ class TestMixBackward:
         xm[idx] -= eps
         up = float(np.sum(wavelet_mix(self.bank, eig, xp, mode) * self.upstream))
         dn = float(np.sum(wavelet_mix(self.bank, eig, xm, mode) * self.upstream))
-        assert grads.x[idx] == pytest.approx((up - dn) / (2 * eps), abs=1e-6)
+        assert grad_x[idx] == pytest.approx((up - dn) / (2 * eps), abs=1e-6)
 
     def test_chebyshev_backward_rejected(self):
         with pytest.raises(ValueError, match="[Cc]hebyshev"):

@@ -98,6 +98,12 @@ DEFECTS = {
                                   "repeats must be an integer >= 1, got 2.5"),
     "build_chain_graph-n-2.5": (lambda: build_chain_graph(2.5), (graphs_mod, "TokenGraph"),
                                 "n must be an integer >= 1, got 2.5"),
+    "build_chain_graph-n-[3]": (lambda: build_chain_graph([3]), (graphs_mod, "TokenGraph"),
+                                "n must be an integer >= 1, got [3]"),
+    "build_chain_graph-n-'3'": (lambda: build_chain_graph("3"), (graphs_mod, "TokenGraph"),
+                                "n must be an integer >= 1, got '3'"),
+    "build_chain_graph-n-None": (lambda: build_chain_graph(None), (graphs_mod, "TokenGraph"),
+                                 "n must be an integer >= 1, got None"),
     "lr_at-step-2.5": (lambda: lr_at(ScheduleConfig(), 2.5), None,
                        "step must be an integer >= 1, got 2.5"),
 }
@@ -119,4 +125,5 @@ def test_chain_memo_never_answers_a_non_integer(n, bad):
     build_chain_graph(n)  # an entry for the integer length
     with pytest.raises(ValueError, match=f"^{re.escape(_message('n', 1, bad))}$"):
         build_chain_graph(bad)
+
 

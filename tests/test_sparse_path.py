@@ -322,7 +322,7 @@ class TestInferenceCost:
                 return original(g)
 
             monkeypatch.setattr(graphs_mod, name, spy)
-        build_chain_graph.cache_clear()  # the first request below is cold
+        graphs_mod._chain_graph.cache_clear()  # the first request below is cold
         model = build_model(4, 2, 1, 2, 7, seed=0)
         cache = SpectrumCache()
         n = 257
@@ -358,7 +358,7 @@ class TestInferenceCost:
 
     def test_chain_graphs_shared_and_memo_bounded(self):
         assert build_chain_graph(33) is build_chain_graph(33)
-        assert build_chain_graph.cache_info().maxsize == CHAIN_MEMO_SIZE
+        assert graphs_mod._chain_graph.cache_info().maxsize == CHAIN_MEMO_SIZE
 
 
 def test_import_leaves_lanczos_module_unloaded():

@@ -2,6 +2,7 @@
 per-filter / per-tensor formulas they replace."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.special import expit
 
 from gwmixer import (
     FilterBank,
-    FilterMlp,
     MixMode,
     SpectrumCache,
     adam_step,
@@ -20,7 +20,6 @@ from gwmixer import (
     eigendecompose,
     filter_eval,
     filter_eval_grad,
-    init_filter_mlp,
     init_train_state,
     load_checkpoint,
     model_forward,
@@ -30,20 +29,27 @@ from gwmixer import (
     symmetrize,
     wavelet_mix_backward,
 )
-from gwmixer.blocks import build_feed_forward, checkpoint_text
+from gwmixer.blocks import (
+    FeedForward,
+    WaveletLayer,
+    build_feed_forward,
+    checkpoint_text,
+    layer_backward,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 REL = 1e-12
 
 
 def reference_eval_grad(f, lam):
-    """One filter at a time, as the per-filter code computed it: values
-    (m,) and Jacobians w1/b1/w2 (m, H), b2 (m,)."""
+    """One filter (a one-filter bank) at a time, as the per-filter code
+    computed it: values (m,) and Jacobians w1/b1/w2 (m, H), b2 (m,)."""
+    w1, b1, w2, b2 = f.w1[0], f.b1[0], f.w2[0], f.b2[0]
     lam = np.clip(np.atleast_1d(np.asarray(lam, dtype=np.float64)), 0.0, 2.0)
-    t = np.tanh(np.outer(f.w1, lam) + f.b1[:, None])  # (H, m)
-    y = f.w2 @ t + float(f.b2)
+    t = np.tanh(np.outer(w1, lam) + b1[:, None])  # (H, m)
+    y = w2 @ t + float(b2)
     s = expit(y)
-    gb1 = s[:, None] * (f.w2[None, :] * (1.0 - t.T**2))
+    gb1 = s[:, None] * (w2[None, :] * (1.0 - t.T**2))
     return np.logaddexp(0.0, y), {"w1": gb1 * lam[:, None], "b1": gb1,
                                   "w2": s[:, None] * t.T, "b2": s}
 
@@ -76,9 +82,10 @@ class TestAgainstPerFilterReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_single_filter_api(self, seed):
         rng = np.random.default_rng(seed)
-        h = int(rng.integers(1, 20))  # any width, not only the one init_filter_mlp draws
-        f = FilterMlp(rng.uniform(-1.0, 1.0, h), rng.uniform(-1.0, 1.0, h),
-                      rng.uniform(-1.0, 1.0, h) / np.sqrt(h), np.array(rng.uniform(-0.5, 0.5)))
+        h = int(rng.integers(1, 20))  # any width, not only the one draw_filter_bank draws
+        f = FilterBank(rng.uniform(-1.0, 1.0, (1, h)), rng.uniform(-1.0, 1.0, (1, h)),
+                       rng.uniform(-1.0, 1.0, (1, h)) / np.sqrt(h),
+                       np.array([rng.uniform(-0.5, 0.5)]), np.ones((1, 1)))
         lam = random_lambdas(rng)
         ref_val, ref_jac = reference_eval_grad(f, lam)
         assert_rel_close(filter_eval(f, lam), ref_val, "filter_eval")
@@ -106,7 +113,7 @@ class TestAgainstPerFilterReference:
         bank.alpha[...] = rng.standard_normal((k, d))
         x = rng.standard_normal((n, d))
         up = rng.standard_normal((n, d))
-        grads = wavelet_mix_backward(bank, eig, x, mode, up)
+        _, grads = wavelet_mix_backward(bank, eig, x, mode, up)
 
         u, lam = eig.u, eig.lam
         wresp = bank.alpha @ ((u.T @ x) * (u.T @ up)).T  # dLoss/dg_k(lam_i)
@@ -114,8 +121,23 @@ class TestAgainstPerFilterReference:
             _, jac = reference_eval_grad(f, lam)
             for name in jac:
                 assert_rel_close(getattr(grads, name)[kk], wresp[kk] @ jac[name], name)
-                assert_rel_close(grads.filters[kk][name], wresp[kk] @ jac[name], name)
+                assert_rel_close(getattr(grads.filters[kk], name)[0], wresp[kk] @ jac[name], name)
         assert grads.w1.shape == (k, 16) and grads.b2.shape == (k,)
+
+
+class TestTypedGradients:
+    def test_each_gradient_has_its_parameters_type_and_shapes(self):
+        model = build_model(d=4, k=3, layers=2, ffn_mult=2, vocab=7, seed=1)
+        _, tape = model_forward(model, build_chain_graph(6), np.arange(6) % 7, MixMode.exact())
+        layer = model.layers[1]
+        grad_x, grad_layer = layer_backward(layer, tape.layer_tapes[1], np.ones((6, 4)))
+        assert grad_x.shape == (6, 4)
+        assert isinstance(grad_layer, WaveletLayer)
+        assert isinstance(grad_layer.bank, FilterBank) and isinstance(grad_layer.ffn, FeedForward)
+        for name in ("w1", "b1", "w2", "b2", "alpha"):
+            assert getattr(grad_layer.bank, name).shape == getattr(layer.bank, name).shape
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(grad_layer.ffn, name).shape == getattr(layer.ffn, name).shape
 
 
 class TestStackedStorage:
@@ -124,19 +146,41 @@ class TestStackedStorage:
         assert bank.w1.shape == bank.b1.shape == bank.w2.shape == (3, 16)
         assert bank.b2.shape == (3,)
         f = bank.filters[1]
-        assert f.b2.shape == () and np.shares_memory(f.b2, bank.b2)
-        f.w1[4] = 0.25
+        assert f.b2.shape == (1,) and np.shares_memory(f.b2, bank.b2)
+        f.w1[0, 4] = 0.25
         f.b2[...] = -1.5
         assert bank.w1[1, 4] == 0.25 and bank.b2[1] == -1.5
 
-    def test_constructor_copies_filters_in(self):
-        src = [init_filter_mlp(np.random.default_rng(s)) for s in range(2)]
-        bank = FilterBank(src, np.ones((2, 4)))
-        before = bank_responses(bank, np.linspace(0.0, 2.0, 5))
-        src[0].w2[:] = 9.0
-        src[1].b2[...] = 9.0
-        assert np.array_equal(bank_responses(bank, np.linspace(0.0, 2.0, 5)), before)
-        assert isinstance(bank.filters, tuple) and isinstance(bank.filters[0], FilterMlp)
+    def test_filters_are_one_filter_banks(self):
+        bank = build_filter_bank(2, 4, seed=0)
+        assert isinstance(bank.filters, tuple) and isinstance(bank.filters[0], FilterBank)
+        for kk, f in enumerate(bank.filters):
+            assert f.k == 1 and f.d == 4 and np.shares_memory(f.alpha, bank.alpha)
+            assert np.array_equal(bank_responses(f, np.linspace(0.0, 2.0, 5)),
+                                  bank_responses(bank, np.linspace(0.0, 2.0, 5))[kk:kk + 1])
+
+    @pytest.mark.parametrize("name, bad, message", [
+        ("w1", np.ones((0, 16)), "w1 must have shape (K, H) with K >= 1, got (0, 16)"),
+        ("w1", np.ones(16), "w1 must have shape (K, H) with K >= 1, got (16,)"),
+        ("w1", [[1.0] * 16] * 2, "w1 must have shape (K, H) with K >= 1, got None"),
+        ("b1", np.ones((2, 15)), "b1 must have shape (2, 16), got (2, 15)"),
+        ("w2", np.ones((3, 16)), "w2 must have shape (2, 16), got (3, 16)"),
+        ("b2", np.ones(3), "b2 must have shape (2,), got (3,)"),
+        ("b2", np.ones((2, 1)), "b2 must have shape (2,), got (2, 1)"),
+        ("alpha", np.ones(4), "alpha must have shape (2, d), got (4,)"),
+        ("alpha", np.ones((3, 4)), "alpha must have shape (2, d), got (3, 4)"),
+        ("alpha", np.ones((2, 3, 4)), "alpha must have shape (2, d), got (2, 3, 4)"),
+    ])
+    def test_inconsistent_shapes_rejected_naming_the_array(self, name, bad, message):
+        bank = build_filter_bank(2, 4, seed=0)
+        arrays = {f: getattr(bank, f) for f in ("w1", "b1", "w2", "b2", "alpha")}
+        with pytest.raises(ValueError, match=f"^FilterBank {re.escape(message)}$"):
+            FilterBank(**{**arrays, name: bad})
+
+    @pytest.mark.parametrize("fn", [filter_eval, filter_eval_grad])
+    def test_single_filter_functions_reject_a_bank(self, fn):
+        with pytest.raises(ValueError, match=r"one-filter bank .* got K=2$"):
+            fn(build_filter_bank(2, 4, seed=0), 0.5)
 
     def test_write_through_model_params_moves_the_output(self):
         model = build_model(d=4, k=2, layers=2, ffn_mult=2, vocab=7, seed=0)

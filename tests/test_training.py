@@ -486,6 +486,22 @@ class TestGradCheck:
         assert report.selector == selector
         assert all(e.max_rel_err >= 0.0 for e in report.entries)
 
+    @pytest.mark.parametrize("selector", ["filter", "mix", "layer", "model"])
+    def test_entry_names_pinned(self, selector):
+        bank = [f"filters.{k}.{t}" for k in range(2) for t in ("w1", "b1", "w2", "b2")]
+        bank.append("alpha")
+        ffn = [f"ffn.{t}" for t in ("w1", "b1", "w2", "b2")]
+        expected = {
+            "filter": ["w1", "b1", "w2", "b2"],
+            "mix": bank,
+            "layer": bank + ffn,
+            "model": ["embed", "readout"] + [f"layers.{i}.{name}" for i in range(2)
+                                             for name in [f"bank.{b}" for b in bank] + ffn],
+        }[selector]
+        names = [e.name for e in grad_check(selector=selector, seed=0).entries]
+        assert names == expected
+        assert len(names) == {"filter": 4, "mix": 9, "layer": 13, "model": 28}[selector]
+
     def test_corrupted_gradient_detected(self):
         def negate(grads):
             return {k: -np.asarray(v) for k, v in grads.items()}
