@@ -24,7 +24,6 @@ gradient of a bank is a bank of the same shapes.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .graphs import NormalizedLaplacian, require_int
 from .serialize import fmt_float
@@ -124,11 +123,19 @@ def _bank_eval_grad(bank: FilterBank, lam: np.ndarray):
     """Values (K, m) and parameter Jacobians of all K filters: w1, b1, w2
     of shape (K, m, H), b2 of shape (K, m)."""
     lam, t, y, out = _bank_eval(bank, lam)
-    s = expit(y)  # d softplus / dy
+    s = _expit(y)  # d softplus / dy
     gw2 = s[..., None] * t
     gb1 = s[..., None] * (bank.w2[:, None, :] * (1.0 - t**2))
     gw1 = gb1 * lam[:, None]
     return out, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": s}
+
+
+def _expit(y: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-y)). exp(-y) overflows to inf
+    for y below about -709, which gives the right limit 0, so the overflow
+    warning is silenced."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-y))
 
 
 def _finite_lambda(lam) -> np.ndarray:

@@ -13,7 +13,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -29,43 +28,29 @@ class ConlluParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TokenGraph:
     """Immutable directed graph over n token positions.
 
-    n is an integer >= 1 (checked by require_int) and each edge a
-    (src, dst) tuple, list or array of two integer indices (NumPy integers
-    included, bools not); anything else raises ValueError.
-    Duplicates collapse to one; self loops are rejected. Optional
-    node_labels (e.g. word forms) are a sequence of n strings, kept as
-    given: a label that is not a string raises ValueError.
+    n is an integer >= 1 (checked by require_int). edges is stored as a
+    read-only (E, 2) int64 array of (src, dst) rows. It may be given as an
+    (E, 2) integer array, or as a sequence of (src, dst) tuples, lists or
+    arrays of two integer indices (NumPy integers included, bools not);
+    anything else raises ValueError, and so does the first edge that is out
+    of range or a self loop. Duplicates collapse to their first occurrence.
+    Two graphs are equal when their n, edge rows (in order) and labels are.
+    Optional node_labels (e.g. word forms) are a sequence of n strings, kept
+    as given: a label that is not a string raises ValueError.
     """
 
     n: int
-    edges: tuple = ()
+    edges: np.ndarray = ()
     node_labels: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", require_int("n", self.n, 1))
-        seen = set()
-        canon = []
-        for e in self.edges:
-            try:
-                s, d = e
-            except (TypeError, ValueError):  # not a pair
-                s = d = None
-            if type(e) is not tuple or type(s) is not int or type(d) is not int:
-                if not (isinstance(e, (tuple, list, np.ndarray)) and _is_index(s) and _is_index(d)):
-                    raise ValueError(f"edge {e!r} is not a (src, dst) pair of integers")
-                s, d = int(s), int(d)
-            if not (0 <= s < self.n and 0 <= d < self.n):
-                raise ValueError(f"edge ({s}, {d}) out of range for n={self.n}")
-            if s == d:
-                raise ValueError(f"self loop ({s}, {d}) not allowed")
-            if (s, d) not in seen:
-                seen.add((s, d))
-                canon.append((s, d))
-        object.__setattr__(self, "edges", tuple(canon))
+        n = require_int("n", self.n, 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", _edge_array(self.edges, n))
         if self.node_labels is not None:
             if isinstance(self.node_labels, str):
                 raise ValueError(f"node labels must be a sequence of strings, "
@@ -80,14 +65,89 @@ class TokenGraph:
                 )
             object.__setattr__(self, "node_labels", labels)
 
+    def __eq__(self, other):
+        if not isinstance(other, TokenGraph):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.edges, other.edges)
+                and self.node_labels == other.node_labels)
+
+    def __hash__(self):
+        return hash((self.n, self.edges.tobytes(), self.node_labels))
+
+    def __reduce__(self):  # copies and pickles rebuild, so their edges are read-only too
+        return TokenGraph, (self.n, self.edges, self.node_labels)
+
     def is_symmetric(self) -> bool:
-        es = set(self.edges)
-        return all((d, s) in es for s, d in es)
+        rev = self.edges[:, ::-1]
+        # both are duplicate free: the same set iff they sort to the same rows
+        return np.array_equal(self.edges[_first_rows(self.edges)], rev[_first_rows(rev)])
 
     @cached_property
     def spectral_key(self) -> str:
         """The spectrum cache key, content_hash(self), computed on first use."""
         return content_hash(self)
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _edge_array(edges, n: int) -> np.ndarray:
+    """edges as a new read-only (E, 2) int64 array, duplicates dropped after
+    their first occurrence. The first bad edge in order raises ValueError."""
+    if (isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 2
+            and edges.dtype.kind in "iu"):
+        arr, malformed = edges, None
+    else:
+        arr, malformed = _scan_pairs(edges, n)
+    out = arr.astype(np.int64)  # a copy, so the caller's array stays theirs
+    # as uint64 a negative index (or a wrapped uint64 one) is past any n
+    if out.view(np.uint64).max(initial=0) >= n or (out[:, 0] == out[:, 1]).any():
+        bad = ((arr < 0) | (arr >= n)).any(axis=1) | (arr[:, 0] == arr[:, 1])
+        s, d = arr[np.argmax(bad)].tolist()
+        if s == d and 0 <= s < n:
+            raise ValueError(f"self loop ({s}, {d}) not allowed")
+        raise ValueError(f"edge ({s}, {d}) out of range for n={n}")
+    if malformed is not None:
+        raise malformed
+    # rows whose dst strictly increases (parsed trees, chains) are distinct
+    if len(out) > 1 and not (out[1:, 1] > out[:-1, 1]).all():
+        keep = _first_rows(out)
+        if len(keep) < len(out):
+            out = out[np.sort(keep)]
+    out.flags.writeable = False
+    return out
+
+
+def _scan_pairs(edges, n: int):
+    """The edges before the first one that is not a pair of integer indices
+    (or does not fit int64), as an (E, 2) int64 array, and the ValueError
+    for that edge (None if there is none)."""
+    pairs = []
+    error = None
+    for e in edges:
+        try:
+            s, d = e
+        except (TypeError, ValueError):  # not a pair
+            s = d = None
+        if not (isinstance(e, (tuple, list, np.ndarray)) and _is_index(s) and _is_index(d)):
+            error = ValueError(f"edge {e!r} is not a (src, dst) pair of integers")
+            break
+        s, d = int(s), int(d)
+        if not (_INT64.min <= s <= _INT64.max and _INT64.min <= d <= _INT64.max):
+            error = ValueError(f"edge ({s}, {d}) out of range for n={n}")
+            break
+        pairs.append((s, d))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), error
+
+
+def _first_rows(e: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of the (E, 2)
+    array e, in lexicographic order of the rows."""
+    order = np.lexsort((e[:, 1], e[:, 0]))  # stable: equal rows keep their order
+    rows = e[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order[first]
 
 
 def _is_index(x) -> bool:
@@ -115,23 +175,23 @@ def build_chain_graph(n: int) -> TokenGraph:
 
 @lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def _chain_graph(n: int) -> TokenGraph:
-    return TokenGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return TokenGraph(n, np.stack((np.arange(n - 1), np.arange(1, n)), axis=1))
 
 
 def symmetrize(g: TokenGraph) -> TokenGraph:
     """Close the edge set under reversal. Node labels carry over."""
-    es = set(g.edges)
-    es.update((d, s) for s, d in g.edges)
-    return TokenGraph(g.n, tuple(sorted(es)), g.node_labels)
+    both = np.concatenate((g.edges, g.edges[:, ::-1]))
+    return TokenGraph(g.n, both[_first_rows(both)], g.node_labels)
 
 
 def _undirected(g: TokenGraph) -> np.ndarray:
     """Ascending int64 codes a*n + b, a < b, one per undirected edge of g
     (an edge given in both directions, or twice, counts once)."""
-    n = g.n
-    flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * len(g.edges))
-    src, dst = flat[0::2], flat[1::2]
-    return np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+    codes = g.edges.min(axis=1) * g.n + g.edges.max(axis=1)
+    codes.sort()
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
 
 
 def content_hash(g: TokenGraph) -> str:
@@ -192,62 +252,166 @@ def parse_conllu(text: str) -> list[TokenGraph]:
 
     One TokenGraph per sentence; node i is token i+1, node_labels are the
     FORM column, and each head h > 0 contributes a directed edge
-    (h-1, token-1). Multiword ranges ("1-2") and empty nodes ("1.1") are
-    skipped; comment lines are ignored. Malformed rows raise
-    ConlluParseError with the offending line number.
+    (h-1, token-1). Lines are those of text.splitlines(); whitespace-only
+    lines end a sentence. Multiword ranges ("1-2") and empty nodes ("1.1")
+    are skipped; comment lines are ignored. Malformed rows raise
+    ConlluParseError with the offending line number: a wrong column count,
+    an ID or HEAD that int() rejects, or an ID out of order at its line; a
+    head out of range or a token that is its own head when the sentence
+    ends, at the first such token's line.
+
+    The text is scanned in chunks of about CONLLU_CHUNK characters that end
+    just after a blank line, each with array operations over its character
+    codes, so that an error is raised where reading line by line would
+    raise it first.
     """
     graphs = []
-    tokens = []  # (id, form, head, line_no)
-
-    def finish():
-        if not tokens:
-            return
-        n = len(tokens)
-        edges = []
-        labels = []
-        for tid, form, head, line_no in tokens:
-            if head < 0 or head > n:
-                raise ConlluParseError(
-                    line_no, f"head {head} out of range for sentence of {n} tokens"
-                )
-            if head == tid:
-                raise ConlluParseError(line_no, f"token {tid} is its own head")
-            if head > 0:
-                edges.append((head - 1, tid - 1))
-            labels.append(form)
-        graphs.append(TokenGraph(n, tuple(edges), tuple(labels)))
-        tokens.clear()
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            finish()
-            continue
-        if line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 10:
-            raise ConlluParseError(
-                line_no, f"expected 10 tab-separated columns, got {len(cols)}"
-            )
-        tid = cols[0]
-        if "-" in tid or "." in tid:
-            continue  # multiword range / empty node: no graph node
-        try:
-            tid = int(tid)
-        except ValueError:
-            raise ConlluParseError(line_no, f"bad token id {cols[0]!r}") from None
-        if tid != len(tokens) + 1:
-            raise ConlluParseError(
-                line_no, f"token id {tid} out of order (expected {len(tokens) + 1})"
-            )
-        try:
-            head = int(cols[6])
-        except ValueError:
-            raise ConlluParseError(line_no, f"bad head {cols[6]!r}") from None
-        tokens.append((tid, cols[1], head, line_no))
-    finish()
+    pos, line = 0, 1
+    while pos < len(text):
+        end = _chunk_end(text, pos)
+        line = _parse_chunk(text[pos:end], line, graphs)
+        pos = end
     return graphs
+
+
+CONLLU_CHUNK = 1 << 20  # characters per parse_conllu scan; bounds its transient arrays
+
+_DIGITS_MAX = 18  # longer fields, or fields not all ASCII digits, go through int()
+
+
+def _chunk_end(text: str, pos: int) -> int:
+    """End of the chunk that starts at pos: just after the first blank line
+    ("\n\n" or "\n\r\n") that ends at least CONLLU_CHUNK characters in, or
+    the end of the text. Chunks therefore end at sentence boundaries."""
+    start = pos + CONLLU_CHUNK
+    cut = text.find("\n\n", start)
+    cut = len(text) if cut < 0 else cut + 2
+    crlf = text.find("\n\r\n", start, cut)
+    return cut if crlf < 0 else crlf + 3
+
+
+def _parse_chunk(text: str, first_line: int, graphs: list) -> int:
+    """Parse one chunk of CoNLL-U text, whole sentences whose first line is
+    number first_line, appending their graphs. Returns the number of the
+    line after the chunk."""
+    if text.isascii():
+        code = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        brk = (code - 10 < 4) | (code - 28 < 3)  # the str.splitlines breaks below 128
+    else:  # one UTF-32 unit per character, so offsets stay str offsets
+        code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        brk = (code - 10 < 4) | (code - 28 < 3) | (code == 0x85) | (code - 0x2028 < 2)
+    size = len(code)
+
+    # lines [starts, ends): a break ends a line, "\r\n" is one break
+    ends = np.flatnonzero(brk)
+    ends = ends[~((code[ends] == 10) & (ends > 0) & (code[ends - 1] == 13))]
+    crlf = (code[ends] == 13) & (ends + 1 < size)
+    crlf[crlf] = code[ends[crlf] + 1] == 10
+    starts = np.concatenate(([0], ends + 1 + crlf))
+    if starts[-1] < size:
+        ends = np.append(ends, size)
+    else:
+        starts = starts[:-1]
+    lines = len(starts)
+
+    # blank: empty, or whitespace only (asked of str.isspace for a line
+    # that starts with whitespace or a non-ASCII character)
+    blank = starts == ends
+    lead = code[starts]
+    maybe = ~blank & ((lead - 9 < 5) | (lead - 28 < 5) | (lead > 127))
+    for i in np.flatnonzero(maybe).tolist():
+        blank[i] = text[starts[i]:ends[i]].isspace()
+    data = ~blank & (lead != ord("#"))
+    tabs = np.flatnonzero(code == 9)
+    first_tab = np.searchsorted(tabs, starts)
+    columns = np.searchsorted(tabs, ends) - first_tab + 1
+
+    rows = np.flatnonzero(data & (columns == 10))
+    tab = tabs[first_tab[rows, None] + [0, 1, 5, 6]]  # tabs 1, 2, 6 and 7 of each row
+    marks = np.flatnonzero((code == ord("-")) | (code == ord(".")))
+    skipped = np.searchsorted(marks, tab[:, 0]) > np.searchsorted(marks, starts[rows])
+    tok, tab = rows[~skipped], tab[~skipped]  # token lines, in line order
+    id_at = (starts[tok], tab[:, 0])
+    head_at = (tab[:, 2] + 1, tab[:, 3])
+    tid, tid_ok, tid_exact = _field_ints(text, code, *id_at)
+    head, head_ok, head_exact = _field_ints(text, code, *head_at)
+
+    # a sentence is the token lines between blank lines
+    sentence = np.cumsum(blank)[tok]
+    opens = np.ones(len(tok), dtype=bool)
+    opens[1:] = sentence[1:] != sentence[:-1]
+    first = np.flatnonzero(opens)
+    sizes = np.diff(np.append(first, len(tok)))
+    ordinal = np.arange(len(tok)) - np.repeat(first, sizes) + 1
+    length = np.repeat(sizes, sizes)
+
+    # the first error a line-by-line reader meets: a bad line, or a bad
+    # head when the blank line (or the end of text) closing its sentence is read
+    bad_line = data & (columns != 10)
+    bad_line[tok] = ~tid_ok | (tid != ordinal) | ~head_ok
+    at = int(np.argmax(bad_line)) if bad_line.any() else None
+    bad_head = (head < 0) | (head > length) | (head == tid)
+    if bad_head.any():
+        t = int(np.argmax(bad_head))
+        closes = np.flatnonzero(blank[tok[t]:])
+        if at is None or (len(closes) and tok[t] + closes[0] < at):
+            n, h, k = int(length[t]), head_exact.get(t, int(head[t])), int(tid[t])
+            line = first_line + int(tok[t])
+            if h < 0 or h > n:
+                raise ConlluParseError(line, f"head {h} out of range for sentence of {n} tokens")
+            raise ConlluParseError(line, f"token {k} is its own head")
+    if at is not None:
+        line = first_line + at
+        if not data[at] or columns[at] != 10:
+            raise ConlluParseError(line, f"expected 10 tab-separated columns, got {columns[at]}")
+        t = int(np.searchsorted(tok, at))
+        if not tid_ok[t]:
+            raise ConlluParseError(line, f"bad token id {text[id_at[0][t]:id_at[1][t]]!r}")
+        if tid[t] != ordinal[t]:
+            k = tid_exact.get(t, int(tid[t]))
+            raise ConlluParseError(line, f"token id {k} out of order (expected {ordinal[t]})")
+        raise ConlluParseError(line, f"bad head {text[head_at[0][t]:head_at[1][t]]!r}")
+
+    labels = [text[i:j] for i, j in zip((tab[:, 0] + 1).tolist(), tab[:, 1].tolist())]
+    arcs = head > 0
+    edges = np.stack((head[arcs] - 1, ordinal[arcs] - 1), axis=1)
+    arc_first = np.searchsorted(np.flatnonzero(arcs), first).tolist() + [len(edges)]
+    for s, (t, n) in enumerate(zip(first.tolist(), sizes.tolist())):
+        graphs.append(TokenGraph(n, edges[arc_first[s]:arc_first[s + 1]],
+                                 tuple(labels[t:t + n])))
+    return first_line + lines
+
+
+def _field_ints(text: str, code: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """int() of each field text[lo:hi]: values (int64), a mask of the fields
+    int() accepts, and {field: value} for values that do not fit int64
+    (stored as -1). Fields of 1 to _DIGITS_MAX ASCII digits are read with
+    array operations; int() reads the rest, so it decides what is valid."""
+    width = hi - lo
+    ok = (width >= 1) & (width <= _DIGITS_MAX)
+    value = np.zeros(len(lo), dtype=np.int64)
+    zero = code.dtype.type(ord("0"))
+    for j in range(min(int(width.max(initial=0)), _DIGITS_MAX)):
+        # digit j from the right; unsigned, so a character below "0" wraps
+        # past 9. A negative index (a field at the start of the text) reads
+        # a character that inside masks out.
+        inside = width > j
+        digit = code[hi - 1 - j] - zero
+        ok &= (digit < 10) | ~inside
+        value += np.where(inside, digit, 0) * np.int64(10 ** j)
+    exact = {}
+    for f in np.flatnonzero(~ok).tolist():
+        try:
+            v = int(text[lo[f]:hi[f]])
+        except ValueError:
+            value[f] = 0
+            continue
+        ok[f] = True
+        if _INT64.min <= v <= _INT64.max:
+            value[f] = v
+        else:
+            value[f], exact[f] = -1, v
+    return value, ok, exact
 
 
 def to_conllu(g: TokenGraph) -> str:
@@ -256,7 +420,7 @@ def to_conllu(g: TokenGraph) -> str:
     Requires every node to have at most one incoming edge.
     """
     head = [0] * g.n
-    for s, d in g.edges:
+    for s, d in g.edges.tolist():
         if head[d] != 0:
             raise ValueError(f"node {d} has multiple heads; not a forest")
         head[d] = s + 1
@@ -271,7 +435,7 @@ def to_conllu(g: TokenGraph) -> str:
 
 def graph_to_json(g: TokenGraph) -> str:
     """Graph as a JSON object {"n", "edges", "labels"?}."""
-    doc = {"n": g.n, "edges": [[s, d] for s, d in g.edges]}
+    doc = {"n": g.n, "edges": g.edges.tolist()}
     if g.node_labels is not None:
         doc["labels"] = list(g.node_labels)
     return json.dumps(doc, sort_keys=True)

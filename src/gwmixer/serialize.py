@@ -28,7 +28,10 @@ def dumps_canonical(obj) -> str:
 
 def _emit(obj, out) -> None:
     if isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out)
+        if obj.dtype.kind == "f" and obj.ndim:
+            _emit_floats(obj, out)
+        else:
+            _emit(obj.tolist(), out)
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -57,6 +60,22 @@ def _emit(obj, out) -> None:
         out.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit_floats(arr: np.ndarray, out) -> None:
+    """A float array of one or more dimensions, as _emit writes the nested
+    lists of arr.tolist(): one isfinite check for the whole array, then one
+    format pass over each innermost row."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        fmt_float(arr[~finite][0])  # raises, naming the first in row-major order
+    out.append(_float_rows(arr.tolist(), arr.ndim))
+
+
+def _float_rows(rows: list, ndim: int) -> str:
+    if ndim == 1:
+        return "[" + ",".join([format(x, ".17g") for x in rows]) + "]"
+    return "[" + ",".join([_float_rows(row, ndim - 1) for row in rows]) + "]"
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -407,8 +407,13 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
     wavelet_mix), "layer" (0.5 ||y||^2 of one layer), "model" (cross
     entropy of the full model, the acceptance configuration). `corrupt`
     is a test hook applied to the analytic gradient dict before
-    comparison.
+    comparison. step must be finite and > 0, tol finite and >= 0; either
+    is checked before anything is evaluated.
     """
+    if isinstance(step, bool) or not isinstance(step, Real) or not np.isfinite(step) or step <= 0:
+        raise ValueError(f"step must be a finite number > 0, got {step!r}")
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not np.isfinite(tol) or tol < 0:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     if selector == "filter":
         f = build_filter_bank(1, 1, seed=seed)

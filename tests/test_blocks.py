@@ -414,6 +414,22 @@ class TestCheckpoint:
             model_from_params(self.config(), params)
 
 
+def reference_dumps(obj) -> str:
+    """The per-element emitter that preceded whole-array float formatting:
+    every array through tolist(), every float through fmt_float."""
+    if isinstance(obj, np.ndarray):
+        return reference_dumps(obj.tolist())
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + reference_dumps(obj[k]) for k in sorted(obj)) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_dumps(x) for x in obj) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    return fmt_float(obj)
+
+
 class TestSerialize:
     def test_float_17_digits_round_trip(self):
         for x in (1 / 3, 1e-17, 2.5e-4, np.pi, -0.0, 5.0):
@@ -434,3 +450,36 @@ class TestSerialize:
     def test_scalar_types(self):
         out = dumps_canonical({"i": 3, "s": "x", "t": True, "n": None})
         assert json.loads(out) == {"i": 3, "s": "x", "t": True, "n": None}
+
+    EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                2.2250738585072014e-308, 1 / 3, -2.5e-4, 1e16, 123456789.0]
+
+    @pytest.mark.parametrize("arr", [
+        np.array(EXTREMES),
+        np.array(EXTREMES[:10]).reshape(2, 5),
+        np.array(EXTREMES[:8]).reshape(2, 2, 2),
+        np.array(EXTREMES[:1]),
+        np.array(1.7976931348623157e308),
+        np.array(-0.0),
+        np.zeros(0),
+        np.zeros((2, 0)),
+        np.zeros((0, 3)),
+        np.array([1 / 3, -0.0, 1e-45, 3.4028235e38, -2.5e-4], dtype=np.float32),
+        np.arange(-3, 4),
+        np.arange(6, dtype=np.uint8).reshape(2, 3),
+        np.array([True, False]),
+        np.random.default_rng(3).standard_normal((7, 5)),
+    ], ids=lambda a: f"{a.dtype}{a.shape}")
+    def test_array_bytes_equal_the_per_element_emitter(self, arr):
+        assert dumps_canonical({"a": arr, "b": [arr]}) == reference_dumps({"a": arr, "b": [arr]})
+
+    @pytest.mark.parametrize("first, later", [(np.nan, np.inf), (np.inf, -np.inf),
+                                              (-np.inf, np.nan)])
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+    def test_non_finite_array_value_rejected(self, shape, first, later):
+        arr = np.ones(shape)
+        arr.flat[-1] = later
+        arr.flat[min(1, arr.size - 1)] = first  # the first in row-major order is named
+        message = f"^non-finite value {float(first)!r} cannot be serialized$"
+        with pytest.raises(ValueError, match=message):
+            dumps_canonical({"w": arr})

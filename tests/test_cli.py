@@ -61,6 +61,21 @@ class TestGradcheckCommand:
         assert cli_main(["gradcheck", "--selector", "filter", "--tol", "1e-18"]) == 1
         assert "FAIL: max rel err" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--step", "0", "step must be a finite number > 0, got 0.0"),
+        ("--step", "-1e-5", "step must be a finite number > 0, got -1e-05"),
+        ("--step", "nan", "step must be a finite number > 0, got nan"),
+        ("--step", "inf", "step must be a finite number > 0, got inf"),
+        ("--tol", "-1", "tol must be a finite number >= 0, got -1.0"),
+        ("--tol", "nan", "tol must be a finite number >= 0, got nan"),
+        ("--tol", "inf", "tol must be a finite number >= 0, got inf"),
+    ])
+    def test_bad_step_or_tol_exits_one_naming_it(self, capsys, flag, value, message):
+        assert cli_main(["gradcheck", "--selector", "filter", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
 
 class TestSpectrumCommand:
     def test_fresh_bank_csv(self, tmp_path, capsys):
@@ -307,7 +322,7 @@ class TestBuildGraphCommand:
         assert len(lines) == 2
         g0 = graph_from_json(lines[0])
         assert g0.n == 3
-        assert g0.edges == ((1, 0), (2, 1))  # head -> dependent
+        assert g0.edges.tolist() == [[1, 0], [2, 1]]  # head -> dependent
         assert graph_from_json(lines[1]).n == 2
         capsys.readouterr()
 

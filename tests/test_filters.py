@@ -1,6 +1,7 @@
 """Filters, filter banks, mixing modes, and the mixing operator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gwmixer import (
     wavelet_mix,
     wavelet_mix_backward,
 )
-from gwmixer.filterbank import draw_filter_bank
+from gwmixer.filterbank import _expit, draw_filter_bank
 
 LN2 = math.log(2.0)
 
@@ -365,3 +366,24 @@ class TestSpectrumCsv:
                                          abs=1e-15)
         assert last[2] == pytest.approx(float(filter_eval(bank.filters[1], 2.0)),
                                         abs=1e-15)
+
+
+class TestExpit:
+    def test_the_logistic_formula_with_exp_within_one_ulp(self):
+        # _expit is 1 / (1 + exp(-y)); NumPy's exp may differ from the C
+        # library's by one ulp, and the rest of the formula is the same
+        rng = np.random.default_rng(5)
+        y = np.concatenate([np.linspace(-700.0, 700.0, 4001), 6.0 * rng.standard_normal(4000),
+                            [0.0, -0.0, 5e-324, 36.7, -36.7]])
+        got = _expit(y)
+        e = np.array([math.exp(-v) for v in y])
+        ok = np.zeros(len(y), dtype=bool)
+        for towards in (-np.inf, np.inf, e):
+            ok |= got == 1.0 / (1.0 + np.nextafter(e, towards))
+        assert ok.all(), y[~ok]
+
+    def test_saturates_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expit(np.array([-1000.0, -745.2, 745.2, 1000.0]))
+        assert got.tolist() == [0.0, 0.0, 1.0, 1.0]

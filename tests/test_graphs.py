@@ -1,7 +1,10 @@
 """Token graphs, Laplacian construction, and CoNLL-U parsing."""
 
+import copy
 import json
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ S2 = 1.0 / math.sqrt(2.0)
 class TestTokenGraph:
     def test_edges_canonicalized_dedup_preserves_order(self):
         g = TokenGraph(3, ((1, 0), (0, 1), (1, 0), (1, 2)))
-        assert g.edges == ((1, 0), (0, 1), (1, 2))
+        assert g.edges.tolist() == [[1, 0], [0, 1], [1, 2]]
 
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -52,7 +55,7 @@ class TestTokenGraph:
     def test_numpy_integers_accepted(self):
         g = TokenGraph(np.int64(3), ((np.int32(0), np.int64(1)), np.array([2, 1]), [1, 2]))
         assert g == TokenGraph(3, ((0, 1), (2, 1), (1, 2)))
-        assert type(g.n) is int and all(type(i) is int for e in g.edges for i in e)
+        assert type(g.n) is int and g.edges.dtype == np.int64
 
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
@@ -73,7 +76,7 @@ class TestTokenGraph:
 
     def test_single_node_no_edges(self):
         g = TokenGraph(1)
-        assert g.n == 1 and g.edges == ()
+        assert g.n == 1 and g.edges.shape == (0, 2)
         assert g.is_symmetric()
 
     def test_is_symmetric(self):
@@ -85,14 +88,62 @@ class TestTokenGraph:
         with pytest.raises(AttributeError):
             g.n = 3
 
+    def test_edges_are_a_read_only_int64_array(self):
+        g = TokenGraph(3, ((0, 1), (2, 1)), ("a", "b", "c"))
+        assert g.edges.dtype == np.int64 and g.edges.shape == (2, 2)
+        for h in (g, copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert h == g
+            with pytest.raises(ValueError):
+                h.edges[0, 0] = 2
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+    def test_integer_array_accepted_and_copied(self, dtype):
+        given = np.array([[2, 0], [0, 1], [2, 0], [1, 2]], dtype=dtype)
+        g = TokenGraph(3, given)
+        assert g.edges.tolist() == [[2, 0], [0, 1], [1, 2]]
+        given[0, 0] = 1  # the graph keeps its own copy
+        assert g.edges.tolist() == [[2, 0], [0, 1], [1, 2]]
+        assert g == TokenGraph(3, ((2, 0), (0, 1), (1, 2)))
+
+    @pytest.mark.parametrize("edges, message", [
+        (np.array([[0, 1], [1, 1]]), "self loop (1, 1) not allowed"),
+        (np.array([[0, 1], [-1, 1]]), "edge (-1, 1) out of range for n=3"),
+        (np.array([[0, 1], [2**64 - 1, 1]], dtype=np.uint64),
+         "edge (18446744073709551615, 1) out of range for n=3"),
+        (((0, 5), (1, 1)), "edge (0, 5) out of range for n=3"),
+        (((7, 7),), "edge (7, 7) out of range for n=3"),
+        (((0, 1), (2**70, 0)), f"edge ({2**70}, 0) out of range for n=3"),
+        # the first bad edge in order decides, whatever its fault
+        (((0, 3), (0.5, 1)), "edge (0, 3) out of range for n=3"),
+        (((0.5, 1), (0, 3)), "edge (0.5, 1) is not a (src, dst) pair of integers"),
+        (((1, 1), (2**70, 0)), "self loop (1, 1) not allowed"),
+        (np.array([[True, False]]), "edge array([ True, False]) is not a (src, dst) pair"),
+        (np.array([[0.0, 1.0]]), "edge array([0., 1.]) is not a (src, dst) pair"),
+        (np.array([0, 1]), "edge np.int64(0) is not a (src, dst) pair"),
+        (np.array([[0, 1, 2]]), "edge array([0, 1, 2]) is not a (src, dst) pair"),
+    ])
+    def test_first_bad_edge_named(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            TokenGraph(3, edges)
+
+    def test_equality_and_hash(self):
+        a = TokenGraph(3, ((0, 1), (1, 2)), ("a", "b", "c"))
+        b = TokenGraph(3, np.array([[0, 1], [1, 2], [0, 1]]), ["a", "b", "c"])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != TokenGraph(3, ((1, 2), (0, 1)), ("a", "b", "c"))  # edge order counts
+        assert a != TokenGraph(3, ((0, 1), (1, 2)))
+        assert a != TokenGraph(4, ((0, 1), (1, 2)), ("a", "b", "c", "d"))
+        assert TokenGraph(2) != TokenGraph(2, ((0, 1),))
+        assert a != "graph"
+
 
 class TestChainAndSymmetrize:
     def test_chain_edges(self):
         g = build_chain_graph(4)
-        assert g.edges == ((0, 1), (1, 2), (2, 3))
+        assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
 
     def test_chain_of_one(self):
-        assert build_chain_graph(1).edges == ()
+        assert build_chain_graph(1).edges.shape == (0, 2)
 
     def test_chain_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -101,11 +152,11 @@ class TestChainAndSymmetrize:
     def test_symmetrize_closes_under_reversal(self):
         g = symmetrize(TokenGraph(3, ((0, 1), (2, 1))))
         assert g.is_symmetric()
-        assert set(g.edges) == {(0, 1), (1, 0), (1, 2), (2, 1)}
+        assert set(map(tuple, g.edges.tolist())) == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
     def test_symmetrize_idempotent(self):
         g = symmetrize(build_chain_graph(5))
-        assert symmetrize(g).edges == g.edges
+        assert symmetrize(g).edges.tolist() == g.edges.tolist()
 
     def test_symmetrize_keeps_labels(self):
         g = TokenGraph(2, ((0, 1),), node_labels=("a", "b"))
@@ -193,7 +244,7 @@ class TestParseConllu:
         g = graphs[0]
         assert g.n == 4
         # heads [2, 0, 2, 3] -> arcs head-1 -> id-1
-        assert set(g.edges) == {(1, 0), (1, 2), (2, 3)}
+        assert set(map(tuple, g.edges.tolist())) == {(1, 0), (1, 2), (2, 3)}
         assert g.node_labels == ("the", "cat", "sat", "down")
 
     def test_two_sentences_split_on_blank_line(self):
@@ -215,7 +266,7 @@ class TestParseConllu:
         )
         g = parse_conllu(text)[0]
         assert g.n == 2
-        assert set(g.edges) == {(0, 1)}
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_empty_input(self):
         assert parse_conllu("") == []
@@ -269,7 +320,7 @@ class TestToConllu:
         g = parse_conllu(CONLLU_SAMPLE)[0]
         again = parse_conllu(to_conllu(g))[0]
         assert again.n == g.n
-        assert set(again.edges) == set(g.edges)
+        assert again.edges.tolist() == g.edges.tolist()
         assert again.node_labels == g.node_labels
 
     def test_ten_columns(self):

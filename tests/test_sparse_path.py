@@ -23,10 +23,12 @@ from gwmixer import (
     build_model,
     chebyshev_apply,
     chebyshev_fit,
+    content_hash,
     eigendecompose,
     filter_eval,
     model_forward,
     normalized_laplacian,
+    parse_conllu,
     parse_mix_mode,
     symmetrize,
     wavelet_mix,
@@ -44,7 +46,7 @@ def dense_laplacian_reference(g: TokenGraph) -> np.ndarray:
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     lap = np.zeros((n, n))
-    edges = sorted(g.edges)
+    edges = sorted(g.edges.tolist())
     if edges:
         src = np.array([e[0] for e in edges], dtype=np.intp)
         dst = np.array([e[1] for e in edges], dtype=np.intp)
@@ -80,6 +82,38 @@ class TestCsrLaplacian:
         TokenGraph(6, ((0, 1), (1, 0), (2, 3), (3, 2), (1, 4), (4, 1))),  # node 5 isolated
         TokenGraph(5, ((2, 0), (0, 2), (2, 1), (1, 2), (2, 3), (3, 2), (2, 4), (4, 2))),
     ]
+
+    # sha256 digests of GOLDEN and of three parsed trees, computed when
+    # edges were tuples read by a line-by-line parser; they must not change
+    GOLDEN_HASHES = (
+        "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+        "66c313335fc249aefd7420b063da1bbd123fa61351b9517955aa2623eba94038",
+        "b530701aed53024a817de16ac9c35b5682c837eec1cfb79736dd6e0aa028a102",
+        "f9434dd28907a505b21a2cdfc70228d6fe8594d92a8e532b0d990a42372d9b51",
+        "9b768a7138e147b4158a6b26c2e04ee536af084a18f7b751a9439af1a7cc0765",
+        "4426ae5ec4e67ecfe406052e7fa32aa1664dc812f9ced3d781d71ff1c5dfe588",
+        "47e396803d34bd795a09a091d7270f0109359911aa0babdc3efa214bda4be623",
+    )
+    TREES = (
+        "1\tthe\t_\t_\t_\t_\t2\tdep\t_\t_\n2\tcat\t_\t_\t_\t_\t3\tdep\t_\t_\n"
+        "3\tsat\t_\t_\t_\t_\t0\tdep\t_\t_\n4\tdown\t_\t_\t_\t_\t3\tdep\t_\t_\n\n"
+        "1-2\tdoesn't\t_\t_\t_\t_\t_\tdep\t_\t_\n1\tdoes\t_\t_\t_\t_\t0\tdep\t_\t_\n"
+        "2\tn't\t_\t_\t_\t_\t1\tdep\t_\t_\n2.1\tx\t_\t_\t_\t_\t_\tdep\t_\t_\n"
+        "3\tgo\t_\t_\t_\t_\t1\tdep\t_\t_\n\n"
+        "1\t\u00e9t\u00e9\t_\t_\t_\t_\t0\tdep\t_\t_\n"
+    )
+    TREE_HASHES = (
+        "a7320d3a592b453ecfc826f00a7489129fb2555e82f09c149c2492cc8efadfeb",
+        "7c4cec7a82e1aa578a08e41043044a9bfed3839e107aef17f4bf292878784259",
+        "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    )
+
+    def test_content_hash_digests_are_pinned(self):
+        assert tuple(content_hash(g) for g in self.GOLDEN) == self.GOLDEN_HASHES
+        trees = parse_conllu(self.TREES)
+        assert [g.n for g in trees] == [4, 3, 1]
+        assert tuple(content_hash(g) for g in trees) == self.TREE_HASHES
+        assert tuple(content_hash(symmetrize(g)) for g in trees) == self.TREE_HASHES
 
     @pytest.mark.parametrize("g", GOLDEN, ids=lambda g: f"n{g.n}e{len(g.edges)}")
     def test_dense_copy_bit_identical_to_dense_construction(self, g):

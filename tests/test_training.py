@@ -515,5 +515,28 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="selector"):
             grad_check(selector="everything")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"step": 0.0}, "step must be a finite number > 0, got 0.0"),
+        ({"step": -1e-5}, "step must be a finite number > 0, got -1e-05"),
+        ({"step": float("nan")}, "step must be a finite number > 0, got nan"),
+        ({"step": float("inf")}, "step must be a finite number > 0, got inf"),
+        ({"step": True}, "step must be a finite number > 0, got True"),
+        ({"step": "1e-5"}, "step must be a finite number > 0, got '1e-5'"),
+        ({"tol": -1.0}, "tol must be a finite number >= 0, got -1.0"),
+        ({"tol": float("nan")}, "tol must be a finite number >= 0, got nan"),
+        ({"tol": float("-inf")}, "tol must be a finite number >= 0, got -inf"),
+    ])
+    def test_step_and_tol_checked_before_any_evaluation(self, monkeypatch, kwargs, message):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated before the arguments were checked")
+
+        monkeypatch.setattr(training_mod, "build_model", no_evaluation)
+        monkeypatch.setattr(training_mod, "_fd_check", no_evaluation)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grad_check(selector="model", **kwargs)
+
+    def test_zero_tol_allowed(self):
+        assert grad_check(selector="filter", tol=0.0).tol == 0.0
+
     def test_floor_constant(self):
         assert FD_FLOOR == 1e-6
