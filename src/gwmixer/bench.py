@@ -72,8 +72,9 @@ def _naive_mix(bank: FilterBank, u: np.ndarray, lam: np.ndarray, x: np.ndarray) 
 def _verify_mode(mode: MixMode, out: np.ndarray, bank: FilterBank,
                  eig: EigenSystem, x: np.ndarray) -> None:
     """Gate a mode's output against an independent reference built on
-    eig, the full dense system, before its timing may be reported; the
-    reference keeps the mode.pairs(n) smoothest pairs (all for chebyshev)."""
+    eig, the full system (closed form for chains of n >= LANCZOS_MIN_N,
+    dense eigh below), before its timing may be reported; the reference
+    keeps the mode.pairs(n) smoothest pairs (all for chebyshev)."""
     m = mode.pairs(eig.n)
     ref = _naive_mix(bank, eig.u[:, :m], eig.lam[:m], x)
     if mode.kind == "chebyshev":  # against the exact spectral answer, bounded by fit error

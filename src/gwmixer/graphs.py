@@ -18,6 +18,7 @@ import numpy as np
 from scipy import sparse
 
 CHAIN_MEMO_SIZE = 64  # distinct chain lengths kept by build_chain_graph
+MAX_NODES = 2**31 - 1  # the largest n: CSR Laplacian indices are int32, edge codes int64
 
 
 class ConlluParseError(ValueError):
@@ -32,10 +33,10 @@ class ConlluParseError(ValueError):
 class TokenGraph:
     """Immutable directed graph over n token positions.
 
-    n is an integer >= 1 (checked by require_int). edges is stored as a
-    read-only (E, 2) int64 array of (src, dst) rows. It may be given as an
-    (E, 2) integer array, or as a sequence of (src, dst) tuples, lists or
-    arrays of two integer indices (NumPy integers included, bools not);
+    n is an integer in [1, MAX_NODES]. edges is stored as a read-only
+    (E, 2) int64 array of (src, dst) rows. It may be given as an (E, 2)
+    integer array, or as a sequence of (src, dst) tuples, lists or arrays
+    of two integer indices (NumPy integers included, bools not);
     anything else raises ValueError, and so does the first edge that is out
     of range or a self loop. Duplicates collapse to their first occurrence.
     Two graphs are equal when their n, edge rows (in order) and labels are.
@@ -48,7 +49,7 @@ class TokenGraph:
     node_labels: tuple | None = None
 
     def __post_init__(self):
-        n = require_int("n", self.n, 1)
+        n = _require_nodes(self.n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", _edge_array(self.edges, n))
         if self.node_labels is not None:
@@ -162,15 +163,24 @@ def require_int(what: str, value, low: int) -> int:
     return int(value)
 
 
+def _require_nodes(n) -> int:
+    """n as an int, the node count of a graph: an integer >= 1 (require_int)
+    and at most MAX_NODES, else ValueError."""
+    n = require_int("n", n, 1)
+    if n > MAX_NODES:
+        raise ValueError(f"n must be at most {MAX_NODES}, got {n}")
+    return n
+
+
 def build_chain_graph(n: int) -> TokenGraph:
     """Directed path over n >= 1 positions: edges (i, i+1). n=1 gives no edges.
 
     Graphs are immutable, so one shared object is returned per length
     (the last CHAIN_MEMO_SIZE lengths are memoized, keyed by the int that
-    require_int returns); its cached spectral key makes repeated spectrum
+    _require_nodes returns); its cached spectral key makes repeated spectrum
     lookups for a length free of O(n) work.
     """
-    return _chain_graph(require_int("n", n, 1))
+    return _chain_graph(_require_nodes(n))
 
 
 @lru_cache(maxsize=CHAIN_MEMO_SIZE)

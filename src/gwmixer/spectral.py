@@ -3,11 +3,15 @@ exact functional-calculus filtering, the Chebyshev fast path, and the
 spectrum cache.
 
 Eigenvalues are ascending, eigenvectors orthonormal with a deterministic
-sign convention, so identical inputs give bit-identical systems. Full
-spectra come from dense eigh; a partial spectrum of the m smoothest
-modes comes from shift-invert Lanczos on the sparse Laplacian. The
-Chebyshev path needs no spectrum at all: it runs a three-term recurrence
-of sparse products.
+sign convention, so identical inputs give bit-identical systems. Three
+solvers produce them, chosen by the Laplacian's structure and size. A
+path 0-1-...-(n-1) of n >= LANCZOS_MIN_N nodes has its pairs in closed
+form (the DCT-I is the path's graph Fourier transform), built on the
+sparse matrix with no solver. Any other graph of that size gets a partial
+spectrum of the m smoothest modes by shift-invert Lanczos on the sparse
+Laplacian, and everything else (full spectra, small graphs) comes from
+dense eigh. The Chebyshev path needs no spectrum at all: it runs a
+three-term recurrence of sparse products.
 """
 
 import threading
@@ -20,7 +24,8 @@ from .graphs import NormalizedLaplacian, TokenGraph, normalized_laplacian, requi
 
 SYMMETRY_TOL = 1e-12
 CLAMP_FLOOR = -1e-9  # round-off negatives above this are snapped to 0
-LANCZOS_MIN_N = 160  # below this dense eigh is faster than Lanczos for 16 pairs
+LANCZOS_MIN_N = 160  # from here on paths take the closed form and other graphs Lanczos
+# for m < n-1 pairs; below it dense eigh is faster than Lanczos for 16 pairs
 LANCZOS_SHIFT = -1e-5  # shift-invert target just below the smallest eigenvalue, 0
 LANCZOS_SEED = 0  # seeds the Lanczos start vector
 INERTIA_GAP = 1e-9  # the completeness count sits this far below the largest pair found
@@ -113,19 +118,60 @@ def _lanczos(mat, m: int):
     return lam, u
 
 
+def _is_path(l: NormalizedLaplacian) -> bool:
+    """Whether l is the Laplacian of the path 0-1-...-(n-1): degrees read
+    1, 2, ..., 2, 1 and the CSR pattern is exactly tridiagonal."""
+    n, mat, deg = l.n, l.matrix, l.degrees
+    if n < 2 or deg[0] != 1.0 or deg[-1] != 1.0 or not np.all(deg[1:-1] == 2.0):
+        return False
+    band = (np.arange(n)[:, None] + np.arange(-1, 2)).ravel()[1:-1]  # row k: k-1, k, k+1
+    rows = np.clip(3 * np.arange(n + 1) - 1, 0, 3 * n - 2)
+    return np.array_equal(mat.indptr, rows) and np.array_equal(mat.indices, band)
+
+
+def _path_pairs(mat, m: int):
+    """The m smallest eigenpairs of an n-node path's Laplacian in closed
+    form: lam_j = 1 - cos(pi j/h) and u_j(k) ∝ sqrt(deg_k) cos(pi j k/h),
+    h = n - 1. The h+1 distinct cosines are each taken at an angle in
+    [0, pi/2], so the mirror symmetry of u_j holds exactly, and gathered
+    by j k mod 2h."""
+    h = mat.shape[0] - 1
+    r = np.arange(2 * h)
+    np.minimum(r, 2 * h - r, out=r)  # cos(pi r/h) is even about r = h
+    flip = 2 * r > h  # and odd about r = h/2
+    cos = np.cos(np.where(flip, h - r, r) * (np.pi / h))
+    cos[flip] *= -1.0
+    j = np.arange(m)
+    jk = np.outer(np.arange(h + 1), j)
+    jk %= 2 * h
+    u = cos[jk]
+    del jk
+    scale = np.full(h + 1, np.sqrt(2.0 / h))  # sqrt(deg_k / h): deg 2 inside, 1 at the ends
+    scale[[0, h]] = np.sqrt(1.0 / h)
+    u *= scale[:, None]
+    u[:, (j == 0) | (j == h)] /= np.sqrt(2.0)  # the constant and alternating modes
+    lam = 2.0 * np.sin(0.5 * np.pi / h * j) ** 2  # = 1 - cos(pi j/h), without cancellation
+    return lam, u
+
+
 def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
     """Symmetric eigendecomposition L = U diag(lam) U^T, the only producer
     of eigensystems.
 
-    With m=None the system is full, from dense eigh on l.matrix.toarray()
-    (the only place a dense Laplacian exists). With m, an integer in [1, n],
-    the system holds exactly the m smallest eigenpairs: for m < n-1 and
-    n >= LANCZOS_MIN_N they come from shift-invert Lanczos on the sparse
-    matrix (scipy's eigsh, shift just below 0, seeded start vector),
-    otherwise from dense eigh, sliced to m pairs. Either way pairs are
-    sorted, sign-fixed and clamped alike, and the arrays are read-only.
+    m=None asks for the full system, an integer m in [1, n] for exactly
+    the m smallest eigenpairs. The solver follows from l alone:
+    - n >= LANCZOS_MIN_N and l is the path 0-1-...-(n-1) (an O(n) test of
+      its degrees and CSR pattern): the closed form, built on the sparse
+      matrix with no solver;
+    - n >= LANCZOS_MIN_N, any other graph, m < n-1: shift-invert Lanczos
+      on the sparse matrix (scipy's eigsh, shift just below 0, seeded start
+      vector);
+    - otherwise: dense eigh on l.matrix.toarray() (the only place a dense
+      Laplacian exists), sliced to m pairs.
+    Whichever the solver, pairs are checked, sorted, sign-fixed and clamped
+    alike, and the arrays are read-only.
 
-    Failure of either solver, a residual ||L U - U diag(lam)||_max over
+    Failure of a solver, a residual ||L U - U diag(lam)||_max over
     RESIDUAL_TOL * max(1, |L|_max) * n (carried by the error), or a
     Lanczos result that misses a copy of a repeated eigenvalue (an
     inertia count below the largest pair found) raises NumericalError; no
@@ -134,10 +180,14 @@ def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
     n = l.n
     if m is not None and require_int("m", m, 1) > n:
         raise ValueError(f"m must be in [1, {n}], got m={m} for n={n}")
-    lanczos = m is not None and LANCZOS_MIN_N <= n and m < n - 1
-    mat = l.matrix if lanczos else l.matrix.toarray()
+    solver = None  # dense eigh
+    if n >= LANCZOS_MIN_N and _is_path(l):
+        solver = _path_pairs
+    elif n >= LANCZOS_MIN_N and m is not None and m < n - 1:
+        solver = _lanczos
+    mat = l.matrix if solver else l.matrix.toarray()
     _check_square_symmetric(mat)
-    lam, u = _lanczos(mat, m) if lanczos else _dense_eigh(mat)
+    lam, u = solver(mat, n if m is None else m) if solver else _dense_eigh(mat)
     residual = float(np.max(np.abs(mat @ u - u * lam))) if n else 0.0
     scale = float(abs(mat).max()) if mat.size else 0.0
     bound = RESIDUAL_TOL * max(1.0, scale) * max(n, 1)

@@ -21,6 +21,7 @@ from gwmixer import (
     symmetrize,
     to_conllu,
 )
+from gwmixer.graphs import MAX_NODES
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -60,6 +61,21 @@ class TestTokenGraph:
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
             TokenGraph(0)
+
+    def test_rejects_graphs_whose_edge_codes_would_collide(self):
+        # at n = 2**33 both edges would get the int64 code 2**32, so one
+        # content hash (spectrum-cache key) for two different graphs
+        for edges in (((2**31, 2**32),), ((0, 2**32),)):
+            with pytest.raises(ValueError, match=r"^n must be at most 2147483647, got 8589934592$"):
+                TokenGraph(2**33, edges)
+        with pytest.raises(ValueError, match=r"^n must be at most 2147483647, got 2147483648$"):
+            build_chain_graph(2**31)  # raised before any edge array is built
+
+    def test_largest_node_count_accepted_and_hashed_apart(self):
+        top = MAX_NODES - 1
+        a = TokenGraph(MAX_NODES, ((top - 1, top),))
+        b = TokenGraph(MAX_NODES, ((0, top),))
+        assert a.n == MAX_NODES and content_hash(a) != content_hash(b)
 
     def test_node_labels_length_checked(self):
         with pytest.raises(ValueError, match="node labels"):

@@ -18,6 +18,7 @@ from gwmixer import (
     NumericalError,
     SpectrumCache,
     TokenGraph,
+    bench_scaling,
     build_chain_graph,
     build_filter_bank,
     build_model,
@@ -59,17 +60,30 @@ def random_tree(rng, n):
     return symmetrize(TokenGraph(n, [(int(rng.integers(i)), i) for i in range(1, n)]))
 
 
+def relabelled_chain(rng, n):
+    """A path over n nodes visited in a random order: the chain's spectrum,
+    but not the path 0-1-...-(n-1), so no closed form."""
+    order = rng.permutation(n)
+    return symmetrize(TokenGraph(n, np.stack((order[:-1], order[1:]), axis=1)))
+
+
+def spy_on(monkeypatch, *names):
+    """Record, in call order, which of spectral's solver functions run."""
+    calls = []
+    for name in names:
+        original = getattr(spectral_mod, name)
+
+        def spy(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(spectral_mod, name, spy)
+    return calls
+
+
 @pytest.fixture
 def lanczos_calls(monkeypatch):
-    calls = []
-    original = spectral_mod._lanczos
-
-    def spy(mat, m):
-        calls.append(m)
-        return original(mat, m)
-
-    monkeypatch.setattr(spectral_mod, "_lanczos", spy)
-    return calls
+    return spy_on(monkeypatch, "_lanczos")
 
 
 class TestCsrLaplacian:
@@ -188,7 +202,8 @@ class TestMixModeValidation:
 class TestPartialSpectrum:
     def test_partial_mixing_matches_dense_then_slice(self, lanczos_calls):
         rng = np.random.default_rng(5)
-        graphs = [symmetrize(build_chain_graph(n)) for n in (LANCZOS_MIN_N, 300, 777)]
+        relabel = np.random.default_rng(6)  # a stream apart, so rng draws the same trees
+        graphs = [relabelled_chain(relabel, n) for n in (LANCZOS_MIN_N, 300, 777)]
         graphs += [random_tree(rng, int(rng.integers(LANCZOS_MIN_N, 400))) for _ in range(12)]
         checked = 0
         for i, g in enumerate(graphs):
@@ -241,7 +256,7 @@ class TestPartialSpectrum:
             a.u[0, 0] = 1.0
 
     def test_near_full_and_small_requests_use_dense(self, lanczos_calls):
-        big = normalized_laplacian(symmetrize(build_chain_graph(LANCZOS_MIN_N)))
+        big = normalized_laplacian(relabelled_chain(np.random.default_rng(0), LANCZOS_MIN_N))
         small = normalized_laplacian(symmetrize(build_chain_graph(40)))
         for lap, m in ((big, LANCZOS_MIN_N - 1), (big, LANCZOS_MIN_N), (small, 16)):
             eig = eigendecompose(lap, m=m)
@@ -268,9 +283,94 @@ class TestPartialSpectrum:
             raise linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
         monkeypatch.setattr(linalg, "eigsh", fail)
-        lap = normalized_laplacian(symmetrize(build_chain_graph(300)))
+        lap = normalized_laplacian(relabelled_chain(np.random.default_rng(0), 300))
         with pytest.raises(NumericalError, match="Lanczos"):
             eigendecompose(lap, m=8)
+
+
+class TestClosedFormPath:
+    """Paths of n >= LANCZOS_MIN_N nodes take their eigenpairs in closed
+    form; every other graph keeps the solver it had."""
+
+    ORACLE_SIZES = tuple(range(1, 201)) + (223, 256, 311, 400, 457, 512, 601, 700, 777, 850,
+                                           960, 1024)
+
+    def test_matches_dense_eigh_sign_fixed_and_repeatable(self, monkeypatch):
+        # with the size gate at 0 every chain of n >= 2 takes the closed form
+        monkeypatch.setattr(spectral_mod, "LANCZOS_MIN_N", 0)
+        calls = spy_on(monkeypatch, "_path_pairs", "_dense_eigh", "_lanczos")
+        rng = np.random.default_rng(12)
+        bank = build_filter_bank(3, 4, seed=12)
+        bank.alpha[...] = rng.standard_normal(bank.alpha.shape)
+        for n in self.ORACLE_SIZES:
+            lap = normalized_laplacian(build_chain_graph(n))
+            ref_lam, ref_u = np.linalg.eigh(lap.matrix.toarray())
+            x = rng.standard_normal((n, 4))
+            m = min(n, 16)
+            calls.clear()
+            full, part = eigendecompose(lap), eigendecompose(lap, m=m)
+            assert calls == (["_dense_eigh"] * 2 if n == 1 else ["_path_pairs"] * 2)
+            assert np.max(np.abs(full.lam - ref_lam)) < 1e-13
+            assert part.lam.tobytes() == full.lam[:m].tobytes()
+            for eig, mode, ref in (
+                (full, MixMode.exact(), EigenSystem(ref_u, ref_lam)),
+                (part, MixMode.truncated(m), EigenSystem(ref_u[:, :m], ref_lam[:m])),
+            ):
+                out = wavelet_mix(bank, eig, x, mode)
+                err = np.max(np.abs(out - wavelet_mix(bank, ref, x, mode)))
+                assert err < 1e-12, (n, str(mode), err)
+                lead = eig.u[np.argmax(np.abs(eig.u), axis=0), np.arange(eig.m)]
+                assert np.all(lead >= 0.0)
+            again = eigendecompose(lap)
+            assert again.u.tobytes() == full.u.tobytes()
+            assert again.lam.tobytes() == full.lam.tobytes()
+
+    @pytest.mark.parametrize("n", [LANCZOS_MIN_N, 1000])
+    def test_chain_calls_neither_lanczos_nor_dense_eigh(self, monkeypatch, n):
+        calls = spy_on(monkeypatch, "_lanczos", "_dense_eigh", "_path_pairs")
+        lap = normalized_laplacian(build_chain_graph(n))
+        for m in (None, 1, 16, n - 1, n):
+            eig = eigendecompose(lap, m=m)
+            assert eig.m == (n if m is None else m)
+            assert not (eig.u.flags.writeable or eig.lam.flags.writeable)
+        assert calls == ["_path_pairs"] * 5
+
+    NEAR_MISSES = {
+        "relabelled chain": (relabelled_chain(np.random.default_rng(3), 300), 8),
+        "chain plus an edge": (TokenGraph(300, [(i, i + 1) for i in range(299)] + [(3, 10)]), 8),
+        "trailing isolated node": (TokenGraph(301, [(i, i + 1) for i in range(299)]), 8),
+        "two disjoint paths": (TokenGraph(300, [(i, i + 1) for i in range(299) if i != 120]), 8),
+        "n=1": (TokenGraph(1), 1),
+        "n=2": (build_chain_graph(2), 1),
+        "n=3": (build_chain_graph(3), 2),
+    }
+
+    @pytest.mark.parametrize("name", NEAR_MISSES)
+    def test_near_misses_take_the_old_solver_and_match_dense_eigh(self, monkeypatch, name):
+        g, m = self.NEAR_MISSES[name]
+        n = g.n
+        calls = spy_on(monkeypatch, "_lanczos", "_dense_eigh", "_path_pairs")
+        lap = normalized_laplacian(g)
+        ref_lam, ref_u = np.linalg.eigh(lap.matrix.toarray())
+        full, part = eigendecompose(lap), eigendecompose(lap, m=m)
+        big = n >= LANCZOS_MIN_N
+        assert calls == ["_dense_eigh", "_lanczos" if big else "_dense_eigh"]
+        assert np.max(np.abs(full.lam - ref_lam)) < 1e-12
+        assert np.max(np.abs(part.lam - ref_lam[:m])) < 1e-12
+        rng = np.random.default_rng(n)
+        bank = build_filter_bank(3, 4, seed=n)
+        bank.alpha[...] = rng.standard_normal(bank.alpha.shape)
+        x = rng.standard_normal((n, 4))
+        mode = MixMode.truncated(m)
+        ref = wavelet_mix(bank, EigenSystem(ref_u[:, :m], ref_lam[:m]), x, mode)
+        assert np.max(np.abs(wavelet_mix(bank, part, x, mode) - ref)) < 1e-10
+
+    def test_bench_reference_needs_no_dense_eigh(self, monkeypatch):
+        calls = spy_on(monkeypatch, "_lanczos", "_dense_eigh")
+        records, _ = bench_scaling(sizes=(2048,), modes=("truncated:16", "chebyshev:16"),
+                                   repeats=1)
+        assert [r.mode for r in records] == ["truncated:16", "chebyshev:16"]
+        assert calls == []
 
 
 class TestFusedChebyshev:
@@ -393,6 +493,21 @@ class TestInferenceCost:
     def test_chain_graphs_shared_and_memo_bounded(self):
         assert build_chain_graph(33) is build_chain_graph(33)
         assert graphs_mod._chain_graph.cache_info().maxsize == CHAIN_MEMO_SIZE
+
+
+def test_chain_inference_leaves_lanczos_module_unloaded():
+    code = ("import sys, numpy as np, gwmixer as gw\n"
+            "model = gw.build_model(8, 2, 1, 2, 16, seed=0)\n"
+            "g = gw.build_chain_graph(1536)\n"
+            "for mode in ('truncated:16', 'exact'):\n"
+            "    logits, _ = gw.model_forward(model, g, np.arange(1536) % 15,\n"
+            "                                 gw.parse_mix_mode(mode), gw.SpectrumCache())\n"
+            "    assert np.all(np.isfinite(logits))\n"
+            "sys.exit(1 if 'scipy.sparse.linalg' in sys.modules else 0)")
+    src = os.path.dirname(os.path.dirname(graphs_mod.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr or "chain inference loaded scipy.sparse.linalg"
 
 
 def test_import_leaves_lanczos_module_unloaded():
