@@ -3,13 +3,15 @@ exact functional-calculus filtering, the Chebyshev fast path, and the
 spectrum cache.
 
 Eigenvalues are ascending, eigenvectors orthonormal with a deterministic
-sign convention, so identical inputs give bit-identical systems. Three
+sign convention, so identical inputs give bit-identical systems. Four
 solvers produce them, chosen by the Laplacian's structure and size. A
 path 0-1-...-(n-1) of n >= LANCZOS_MIN_N nodes has its pairs in closed
 form (the DCT-I is the path's graph Fourier transform), built on the
 sparse matrix with no solver. Any other graph of that size gets a partial
 spectrum of the m smoothest modes by shift-invert Lanczos on the sparse
-Laplacian, and everything else (full spectra, small graphs) comes from
+Laplacian. Everything else (full spectra, small graphs) comes from the
+dense matrix: a bipartite graph, every forest among them, from the SVD
+of its half-size normalized biadjacency block, any other graph from
 dense eigh. The Chebyshev path needs no spectrum at all: it runs a
 three-term recurrence of sparse products.
 """
@@ -31,6 +33,7 @@ LANCZOS_SEED = 0  # seeds the Lanczos start vector
 INERTIA_GAP = 1e-9  # the completeness count sits this far below the largest pair found
 LAMBDA_MAX = 2.0  # normalized Laplacian spectra lie in [0, 2]; filters live on this interval
 RESIDUAL_TOL = 1e-12  # scales the accepted eigendecomposition residual
+RESIDUAL_BLOCK = 256  # eigenvector columns per residual product, bounding its temporaries
 
 
 class NumericalError(RuntimeError):
@@ -72,12 +75,18 @@ def _check_square_symmetric(mat) -> None:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 
 
-def _fix_signs(u: np.ndarray) -> np.ndarray:
-    # Largest-magnitude component of each eigenvector made nonnegative,
-    # ties broken by lowest index (argmax picks the first maximum).
-    idx = np.argmax(np.abs(u), axis=0)
-    lead = u[idx, np.arange(u.shape[1])]
-    return u * np.where(lead < 0, -1.0, 1.0)
+def _fix_signs(u: np.ndarray) -> None:
+    """Flip, in place, each column of u whose largest-magnitude entry is
+    negative, ties broken by lowest index (argmax's first maximum). The
+    column maxima and minima decide every column but those whose extremes
+    have equal magnitude; only those are searched for their first one."""
+    hi, lo = u.max(axis=0), -u.min(axis=0)
+    flip = lo > hi
+    tie = np.flatnonzero(lo == hi)
+    if tie.size:
+        mag = u[:, tie]
+        flip[tie] = u[np.argmax(np.abs(mag, out=mag), axis=0), tie] < 0
+    u *= np.where(flip, -1.0, 1.0)
 
 
 def _dense_eigh(mat: np.ndarray):
@@ -154,53 +163,123 @@ def _path_pairs(mat, m: int):
     return lam, u
 
 
+def _two_colour(mat) -> np.ndarray | None:
+    """Colour 0 or 1 for each node of the CSR pattern's graph (diagonal
+    entries ignored) such that every edge joins the two colours, -1 for a
+    node with no edge; None if an odd cycle rules that out. One
+    depth-first pass over the pattern."""
+    n = mat.shape[0]
+    ptr, nbr = mat.indptr.tolist(), mat.indices.tolist()
+    side = [-1] * n
+    for root in range(n):
+        if side[root] >= 0 or all(w == root for w in nbr[ptr[root]:ptr[root + 1]]):
+            continue  # coloured already, or isolated
+        side[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            c = 1 - side[v]
+            for w in nbr[ptr[v]:ptr[v + 1]]:
+                if side[w] < 0:
+                    side[w] = c
+                    stack.append(w)
+                elif side[w] != c and w != v:
+                    return None
+    return np.array(side)
+
+
+def _bipartite_pairs(mat: np.ndarray, side: np.ndarray):
+    """All eigenpairs of the dense Laplacian mat of a bipartite graph,
+    side as from _two_colour, from the full SVD of the normalized
+    biadjacency block M = -mat[P, Q] = U diag(s) V^T, P the larger colour
+    class (Chung, Spectral Graph Theory, ch. 1). Each s_i gives
+    lam = 1 - s_i with [U_i; V_i]/sqrt(2) and lam = 1 + s_i with
+    [U_i; -V_i]/sqrt(2); the other |P| - |Q| columns of U have lam = 1;
+    an isolated node has lam = 0 with a unit vector. The columns come out
+    ascending, isolated nodes first."""
+    iso, p, q = (np.flatnonzero(side == c) for c in (-1, 0, 1))
+    if len(p) < len(q):
+        p, q = q, p
+    try:
+        left, s, right_t = np.linalg.svd(-mat[p[:, None], q])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    n, ni, k = len(side), len(iso), len(q)
+    left[:, :k] *= np.sqrt(0.5)
+    right = right_t.T * np.sqrt(0.5)
+    u = np.zeros((n, n))
+    u[iso, np.arange(ni)] = 1.0
+    u[p, ni:] = np.concatenate((left, left[:, :k][:, ::-1]), axis=1)
+    u[q, ni:ni + k] = right
+    u[q, n - k:] = -right[:, ::-1]
+    lam = np.concatenate((np.zeros(ni), 1.0 - s, np.ones(len(p) - k), 1.0 + s[::-1]))
+    return lam, u
+
+
 def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
     """Symmetric eigendecomposition L = U diag(lam) U^T, the only producer
     of eigensystems.
 
     m=None asks for the full system, an integer m in [1, n] for exactly
-    the m smallest eigenpairs. The solver follows from l alone:
+    the m smallest eigenpairs. The solver follows from l's structure
+    alone:
     - n >= LANCZOS_MIN_N and l is the path 0-1-...-(n-1) (an O(n) test of
       its degrees and CSR pattern): the closed form, built on the sparse
       matrix with no solver;
     - n >= LANCZOS_MIN_N, any other graph, m < n-1: shift-invert Lanczos
       on the sparse matrix (scipy's eigsh, shift just below 0, seeded start
       vector);
-    - otherwise: dense eigh on l.matrix.toarray() (the only place a dense
-      Laplacian exists), sliced to m pairs.
+    - otherwise the dense matrix l.matrix.toarray() (the only place a
+      dense Laplacian exists), sliced to m pairs. If its CSR pattern
+      two-colours (one depth-first pass) and its diagonal reads 1 on every
+      node with an edge and 0 on the rest, as for every forest, the pairs
+      come from the SVD of the half-size biadjacency block; any other
+      graph gets dense eigh.
     Whichever the solver, pairs are checked, sorted, sign-fixed and clamped
     alike, and the arrays are read-only.
 
     Failure of a solver, a residual ||L U - U diag(lam)||_max over
-    RESIDUAL_TOL * max(1, |L|_max) * n (carried by the error), or a
-    Lanczos result that misses a copy of a repeated eigenvalue (an
-    inertia count below the largest pair found) raises NumericalError; no
-    solver stands in for another.
+    RESIDUAL_TOL * max(1, |L|_max) * n (carried by the error; computed
+    from the sparse l.matrix in O(nnz m)), or a Lanczos result that
+    misses a copy of a repeated eigenvalue (an inertia count below the
+    largest pair found) raises NumericalError; no solver stands in for
+    another.
     """
-    n = l.n
+    n, mat = l.n, l.matrix
     if m is not None and require_int("m", m, 1) > n:
         raise ValueError(f"m must be in [1, {n}], got m={m} for n={n}")
-    solver = None  # dense eigh
     if n >= LANCZOS_MIN_N and _is_path(l):
-        solver = _path_pairs
+        _check_square_symmetric(mat)
+        lam, u = _path_pairs(mat, n if m is None else m)
     elif n >= LANCZOS_MIN_N and m is not None and m < n - 1:
-        solver = _lanczos
-    mat = l.matrix if solver else l.matrix.toarray()
-    _check_square_symmetric(mat)
-    lam, u = solver(mat, n if m is None else m) if solver else _dense_eigh(mat)
-    residual = float(np.max(np.abs(mat @ u - u * lam))) if n else 0.0
-    scale = float(abs(mat).max()) if mat.size else 0.0
+        _check_square_symmetric(mat)
+        lam, u = _lanczos(mat, m)
+    else:
+        dense = mat.toarray()
+        _check_square_symmetric(dense)
+        side = _two_colour(mat)
+        if side is not None and np.array_equal(dense.diagonal(), side >= 0):
+            lam, u = _bipartite_pairs(dense, side)
+        else:
+            lam, u = _dense_eigh(dense)
+    residual = 0.0
+    for j in range(0, u.shape[1], RESIDUAL_BLOCK):
+        r = mat @ u[:, j:j + RESIDUAL_BLOCK]
+        r -= u[:, j:j + RESIDUAL_BLOCK] * lam[j:j + RESIDUAL_BLOCK]
+        residual = max(residual, float(np.max(np.abs(r, out=r))))
+    scale = float(np.max(np.abs(mat.data), initial=0.0))
     bound = RESIDUAL_TOL * max(1.0, scale) * max(n, 1)
     if residual > bound:
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds {bound:.3e}",
             residual=residual,
         )
-    order = np.argsort(lam, kind="stable")[:m]
-    lam = lam[order]
-    u = _fix_signs(u[:, order])
+    if not np.all(lam[1:] >= lam[:-1]):  # a stable sort leaves ascending pairs in place
+        order = np.argsort(lam, kind="stable")
+        lam, u = lam[order], u[:, order]
+    lam, u = lam[:m], u[:, :m]
+    _fix_signs(u)
     lam = np.where((lam < 0.0) & (lam >= CLAMP_FLOOR), 0.0, lam)
-    lam = np.ascontiguousarray(lam)
     u = np.ascontiguousarray(u)
     lam.flags.writeable = False
     u.flags.writeable = False

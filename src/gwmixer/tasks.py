@@ -99,13 +99,17 @@ def check_mode(spec: TaskSpec, mode: MixMode) -> None:
 
 
 def _sticky_chain(rng: np.random.Generator, n: int, base: int, repeat: float) -> np.ndarray:
-    digit = np.empty(n, dtype=np.int64)
-    digit[0] = rng.integers(base)
-    stay = rng.random(n - 1) < repeat
-    fresh = rng.integers(base, size=n - 1)
-    for i in range(1, n):
-        digit[i] = digit[i - 1] if stay[i - 1] else fresh[i - 1]
-    return digit
+    """n digits in [0, base): a first draw, then each next digit repeats
+    the one before with probability repeat and is a fresh draw otherwise.
+    Draw order is fixed: the first digit, n-1 uniforms, n-1 fresh digits."""
+    draws = np.empty(n, dtype=np.int64)
+    draws[0] = rng.integers(base)
+    # each digit's own draw index, 0 where it repeats; the running maximum
+    # then names the draw that each digit copies
+    last = np.arange(n)
+    last[1:][rng.random(n - 1) < repeat] = 0
+    draws[1:] = rng.integers(base, size=n - 1)
+    return draws[np.maximum.accumulate(last)]
 
 
 def _multiscale_tokens(rng: np.random.Generator, n: int, values: int) -> np.ndarray:

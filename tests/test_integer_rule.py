@@ -31,6 +31,8 @@ from gwmixer.graphs import require_int
 SPEC = TaskSpec("copy", 4, 8)
 BANK = build_filter_bank(2, 1)
 LAP = normalized_laplacian(build_chain_graph(6))
+# every solver that could run for LAP (a 6-chain takes the bipartite SVD)
+SOLVERS = [(spectral_mod, "_dense_eigh"), (spectral_mod, "_bipartite_pairs")]
 
 
 def _message(what, low, value):
@@ -80,11 +82,9 @@ DEFECTS = {
     "spectrum_csv-samples-2.5": (lambda: spectrum_csv(BANK, samples=2.5),
                                  (filterbank_mod, "bank_responses"),
                                  "samples must be an integer >= 2, got 2.5"),
-    "eigendecompose-m-True": (lambda: eigendecompose(LAP, m=True),
-                              (spectral_mod, "_dense_eigh"),
+    "eigendecompose-m-True": (lambda: eigendecompose(LAP, m=True), SOLVERS,
                               "m must be an integer >= 1, got True"),
-    "eigendecompose-m-2.5": (lambda: eigendecompose(LAP, m=2.5),
-                             (spectral_mod, "_dense_eigh"),
+    "eigendecompose-m-2.5": (lambda: eigendecompose(LAP, m=2.5), SOLVERS,
                              "m must be an integer >= 1, got 2.5"),
     "bench_scaling-sizes-8.9": (lambda: bench_scaling(sizes=(8.9, 16), modes=("exact",)),
                                 (bench_mod, "_time_call"),
@@ -113,8 +113,9 @@ DEFECTS = {
 def test_rejected_before_any_work(monkeypatch, case):
     call, work, message = DEFECTS[case]
     started = []
-    if work is not None:
-        monkeypatch.setattr(*work, lambda *args, **kwargs: started.append(args))
+    targets = [] if work is None else work if isinstance(work, list) else [work]
+    for target in targets:
+        monkeypatch.setattr(*target, lambda *args, **kwargs: started.append(args))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
     assert started == []

@@ -1,6 +1,8 @@
 """The sub-quadratic inference path: CSR Laplacian, Lanczos partial
-spectra, the fused Chebyshev recurrence, the mode-aware spectrum cache
-and warm-request behaviour, each checked against a dense oracle."""
+spectra, closed-form paths, bipartite spectra from the SVD of the
+half-size biadjacency block, the fused Chebyshev recurrence, the
+mode-aware spectrum cache and warm-request behaviour, each checked
+against a dense oracle."""
 
 import os
 import subprocess
@@ -9,12 +11,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 import gwmixer.graphs as graphs_mod
 import gwmixer.spectral as spectral_mod
 from gwmixer import (
     EigenSystem,
     MixMode,
+    NormalizedLaplacian,
     NumericalError,
     SpectrumCache,
     TokenGraph,
@@ -36,6 +42,8 @@ from gwmixer import (
 )
 from gwmixer.graphs import CHAIN_MEMO_SIZE
 from gwmixer.spectral import LANCZOS_MIN_N
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 def dense_laplacian_reference(g: TokenGraph) -> np.ndarray:
@@ -298,7 +306,7 @@ class TestClosedFormPath:
     def test_matches_dense_eigh_sign_fixed_and_repeatable(self, monkeypatch):
         # with the size gate at 0 every chain of n >= 2 takes the closed form
         monkeypatch.setattr(spectral_mod, "LANCZOS_MIN_N", 0)
-        calls = spy_on(monkeypatch, "_path_pairs", "_dense_eigh", "_lanczos")
+        calls = spy_on(monkeypatch, "_path_pairs", "_dense_eigh", "_lanczos", "_bipartite_pairs")
         rng = np.random.default_rng(12)
         bank = build_filter_bank(3, 4, seed=12)
         bank.alpha[...] = rng.standard_normal(bank.alpha.shape)
@@ -309,7 +317,7 @@ class TestClosedFormPath:
             m = min(n, 16)
             calls.clear()
             full, part = eigendecompose(lap), eigendecompose(lap, m=m)
-            assert calls == (["_dense_eigh"] * 2 if n == 1 else ["_path_pairs"] * 2)
+            assert calls == (["_bipartite_pairs"] * 2 if n == 1 else ["_path_pairs"] * 2)
             assert np.max(np.abs(full.lam - ref_lam)) < 1e-13
             assert part.lam.tobytes() == full.lam[:m].tobytes()
             for eig, mode, ref in (
@@ -327,7 +335,7 @@ class TestClosedFormPath:
 
     @pytest.mark.parametrize("n", [LANCZOS_MIN_N, 1000])
     def test_chain_calls_neither_lanczos_nor_dense_eigh(self, monkeypatch, n):
-        calls = spy_on(monkeypatch, "_lanczos", "_dense_eigh", "_path_pairs")
+        calls = spy_on(monkeypatch, "_lanczos", "_dense_eigh", "_path_pairs", "_bipartite_pairs")
         lap = normalized_laplacian(build_chain_graph(n))
         for m in (None, 1, 16, n - 1, n):
             eig = eigendecompose(lap, m=m)
@@ -335,26 +343,34 @@ class TestClosedFormPath:
             assert not (eig.u.flags.writeable or eig.lam.flags.writeable)
         assert calls == ["_path_pairs"] * 5
 
+    # (graph, m, the solver of its full spectrum): all but the odd cycle
+    # are bipartite, so their full spectra come from the SVD solver
     NEAR_MISSES = {
-        "relabelled chain": (relabelled_chain(np.random.default_rng(3), 300), 8),
-        "chain plus an edge": (TokenGraph(300, [(i, i + 1) for i in range(299)] + [(3, 10)]), 8),
-        "trailing isolated node": (TokenGraph(301, [(i, i + 1) for i in range(299)]), 8),
-        "two disjoint paths": (TokenGraph(300, [(i, i + 1) for i in range(299) if i != 120]), 8),
-        "n=1": (TokenGraph(1), 1),
-        "n=2": (build_chain_graph(2), 1),
-        "n=3": (build_chain_graph(3), 2),
+        "relabelled chain": (relabelled_chain(np.random.default_rng(3), 300), 8,
+                             "_bipartite_pairs"),
+        "chain plus an edge": (TokenGraph(300, [(i, i + 1) for i in range(299)] + [(3, 10)]), 8,
+                               "_bipartite_pairs"),
+        "chain plus an odd-cycle edge": (
+            TokenGraph(300, [(i, i + 1) for i in range(299)] + [(3, 11)]), 8, "_dense_eigh"),
+        "trailing isolated node": (TokenGraph(301, [(i, i + 1) for i in range(299)]), 8,
+                                   "_bipartite_pairs"),
+        "two disjoint paths": (TokenGraph(300, [(i, i + 1) for i in range(299) if i != 120]), 8,
+                               "_bipartite_pairs"),
+        "n=1": (TokenGraph(1), 1, "_bipartite_pairs"),
+        "n=2": (build_chain_graph(2), 1, "_bipartite_pairs"),
+        "n=3": (build_chain_graph(3), 2, "_bipartite_pairs"),
     }
 
     @pytest.mark.parametrize("name", NEAR_MISSES)
     def test_near_misses_take_the_old_solver_and_match_dense_eigh(self, monkeypatch, name):
-        g, m = self.NEAR_MISSES[name]
+        g, m, solver = self.NEAR_MISSES[name]
         n = g.n
-        calls = spy_on(monkeypatch, "_lanczos", "_dense_eigh", "_path_pairs")
+        calls = spy_on(monkeypatch, "_lanczos", "_dense_eigh", "_path_pairs", "_bipartite_pairs")
         lap = normalized_laplacian(g)
         ref_lam, ref_u = np.linalg.eigh(lap.matrix.toarray())
         full, part = eigendecompose(lap), eigendecompose(lap, m=m)
         big = n >= LANCZOS_MIN_N
-        assert calls == ["_dense_eigh", "_lanczos" if big else "_dense_eigh"]
+        assert calls == [solver, "_lanczos" if big else solver]
         assert np.max(np.abs(full.lam - ref_lam)) < 1e-12
         assert np.max(np.abs(part.lam - ref_lam[:m])) < 1e-12
         rng = np.random.default_rng(n)
@@ -366,11 +382,160 @@ class TestClosedFormPath:
         assert np.max(np.abs(wavelet_mix(bank, part, x, mode) - ref)) < 1e-10
 
     def test_bench_reference_needs_no_dense_eigh(self, monkeypatch):
-        calls = spy_on(monkeypatch, "_lanczos", "_dense_eigh")
+        calls = spy_on(monkeypatch, "_lanczos", "_dense_eigh", "_bipartite_pairs")
         records, _ = bench_scaling(sizes=(2048,), modes=("truncated:16", "chebyshev:16"),
                                    repeats=1)
         assert [r.mode for r in records] == ["truncated:16", "chebyshev:16"]
         assert calls == []
+
+
+# Bipartite graphs below LANCZOS_MIN_N: the SVD solver against dense eigh
+
+
+@st.composite
+def forests(draw):
+    """Each node's parent is drawn among the nodes placed before it in a
+    random order, or is missing: a root, often an isolated node."""
+    n = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(n)))
+    edges = []
+    for i, node in enumerate(order[1:], start=1):
+        if draw(st.integers(0, 3)):
+            edges.append((order[draw(st.integers(0, i - 1))], node))
+    return TokenGraph(n, edges)
+
+
+@st.composite
+def stars(draw):
+    """A centre joined to every leaf (lam = 1 repeated), plus isolated nodes."""
+    leaves, isolated = draw(st.integers(1, 30)), draw(st.integers(0, 3))
+    n = leaves + 1 + isolated
+    order = draw(st.permutations(range(n)))
+    return TokenGraph(n, [(order[0], order[i]) for i in range(1, leaves + 1)])
+
+
+@st.composite
+def even_cycles(draw):
+    n = 2 * draw(st.integers(2, 20))
+    order = draw(st.permutations(range(n)))
+    return TokenGraph(n, [(order[i], order[(i + 1) % n]) for i in range(n)])
+
+
+@st.composite
+def complete_bipartite(draw):
+    a, b = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    order = draw(st.permutations(range(a + b)))
+    return TokenGraph(a + b, [(order[i], order[a + j]) for i in range(a) for j in range(b)])
+
+
+edgeless = st.integers(1, 10).map(TokenGraph)
+bipartite_graphs = st.one_of(forests(), stars(), even_cycles(), complete_bipartite(), edgeless,
+                             st.sampled_from([TokenGraph(1), build_chain_graph(2)]))
+
+
+def lead_entries(eig):
+    return eig.u[np.argmax(np.abs(eig.u), axis=0), np.arange(eig.m)]
+
+
+@PROPERTY
+@given(bipartite_graphs, st.integers(0, 2**32 - 1))
+def test_bipartite_svd_matches_dense_eigh(g, seed):
+    lap = normalized_laplacian(g)
+    n = g.n
+    ref_lam, ref_u = np.linalg.eigh(lap.matrix.toarray())
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on(mp, "_bipartite_pairs", "_dense_eigh")
+        full = eigendecompose(lap)
+    assert calls == ["_bipartite_pairs"]
+    assert np.max(np.abs(full.lam - ref_lam)) < 1e-13
+    rng = np.random.default_rng(seed)
+    # truncate only where the m smoothest modes span a unique subspace
+    cuts = [m for m in range(1, n + 1) if m == n or ref_lam[m] - ref_lam[m - 1] > 1e-8]
+    m = cuts[int(rng.integers(len(cuts)))]
+    part = eigendecompose(lap, m=m)
+    assert np.max(np.abs(part.lam - ref_lam[:m])) < 1e-13
+    bank = build_filter_bank(3, 4, seed=int(rng.integers(1000)))
+    bank.alpha[...] = rng.standard_normal(bank.alpha.shape)
+    x = rng.standard_normal((n, 4))
+    for eig, mode, ref in (
+        (full, MixMode.exact(), EigenSystem(ref_u, ref_lam)),
+        (part, MixMode.truncated(m), EigenSystem(ref_u[:, :m], ref_lam[:m])),
+    ):
+        err = np.max(np.abs(wavelet_mix(bank, eig, x, mode) - wavelet_mix(bank, ref, x, mode)))
+        assert err < 1e-12, (str(mode), err)
+        assert np.all(lead_entries(eig) >= 0.0)
+        assert not (eig.u.flags.writeable or eig.lam.flags.writeable)
+        assert np.all(np.diff(eig.lam) >= 0.0)
+    again = eigendecompose(lap)
+    assert again.u.tobytes() == full.u.tobytes()
+    assert again.lam.tobytes() == full.lam.tobytes()
+
+
+def test_isolated_nodes_take_lam_zero_with_unit_vectors():
+    # a 3-chain with isolated nodes 1 and 4 around it
+    g = TokenGraph(5, ((0, 2), (2, 3)))
+    eig = eigendecompose(normalized_laplacian(g))
+    assert np.allclose(eig.lam, [0.0, 0.0, 0.0, 1.0, 2.0], atol=1e-15)
+    for node in (1, 4):
+        assert np.sum(eig.u[node] == 1.0) == 1 and np.sum(eig.u[node] != 0.0) == 1
+
+
+ODD_CYCLES = {
+    "triangle": TokenGraph(3, ((0, 1), (1, 2), (2, 0))),
+    "5-cycle plus an isolated node": TokenGraph(6, [(i, (i + 1) % 5) for i in range(5)]),
+    "path closed into a 9-cycle": TokenGraph(40, [(i, i + 1) for i in range(39)] + [(3, 11)]),
+    "tree with one odd-cycle edge": TokenGraph(
+        30, [((i - 1) // 2, i) for i in range(1, 30)] + [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", ODD_CYCLES)
+def test_odd_cycles_never_reach_the_svd(monkeypatch, name):
+    lap = normalized_laplacian(ODD_CYCLES[name])
+    calls = spy_on(monkeypatch, "_bipartite_pairs", "_dense_eigh")
+    full, part = eigendecompose(lap), eigendecompose(lap, m=2)
+    assert calls == ["_dense_eigh", "_dense_eigh"]
+    ref = np.linalg.eigvalsh(lap.matrix.toarray())
+    assert np.max(np.abs(full.lam - ref)) < 1e-13
+    assert np.max(np.abs(part.lam - ref[:2])) < 1e-13
+
+
+def test_bipartite_pattern_without_unit_diagonal_takes_eigh(monkeypatch):
+    # the SVD pairs hold for L = I - [[0, M], [M^T, 0]] only
+    lap = normalized_laplacian(build_chain_graph(7))
+    scaled = NormalizedLaplacian(sparse.csr_array(2.0 * lap.matrix.toarray()), lap.degrees)
+    calls = spy_on(monkeypatch, "_bipartite_pairs", "_dense_eigh")
+    eig = eigendecompose(scaled)
+    assert calls == ["_dense_eigh"]
+    assert np.max(np.abs(eig.lam - 2.0 * eigendecompose(lap).lam)) < 1e-13
+
+
+def test_svd_failure_raises_numerical_error_and_runs_no_eigh(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    calls = spy_on(monkeypatch, "_bipartite_pairs", "_dense_eigh")
+    with pytest.raises(NumericalError, match="SVD"):
+        eigendecompose(normalized_laplacian(build_chain_graph(12)))
+    assert calls == ["_bipartite_pairs"]
+
+
+def test_pairs_sorted_whatever_order_the_solver_returns(monkeypatch):
+    # a 7-chain has 7 distinct eigenvalues, so the sorted system is unique
+    lap = normalized_laplacian(build_chain_graph(7))
+    ref = eigendecompose(lap)
+    original = spectral_mod._bipartite_pairs
+
+    def reversed_pairs(*args):
+        lam, u = original(*args)
+        return lam[::-1], u[:, ::-1]
+
+    monkeypatch.setattr(spectral_mod, "_bipartite_pairs", reversed_pairs)
+    for m in (None, 3):
+        eig = eigendecompose(lap, m=m)
+        assert eig.lam.tobytes() == ref.lam[:m].tobytes()
+        assert eig.u.tobytes() == np.ascontiguousarray(ref.u[:, :m]).tobytes()
 
 
 class TestFusedChebyshev:

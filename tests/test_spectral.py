@@ -153,6 +153,31 @@ class TestEigendecompose:
             eigendecompose(bad)
 
 
+def fix_signs_copying(u):
+    """The sign rule as first written, on a copy: the lead entry is the
+    first largest |u| of each column (argmax), made nonnegative."""
+    idx = np.argmax(np.abs(u), axis=0)
+    return u * np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+
+
+class TestFixSigns:
+    def test_in_place_flips_match_the_copying_rule_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        cases = []
+        for _ in range(500):
+            n, m = (int(v) for v in rng.integers(1, 12, size=2))
+            # small integers: many columns whose extremes tie in magnitude,
+            # many zeros, and -0.0 entries after negation
+            cases.append(rng.integers(-3, 4, size=(n, m)) * rng.choice([1.0, -0.5]))
+            cases.append(rng.standard_normal((n, m)))
+        _, u = spectral_mod._path_pairs(chain_lap(300).matrix, 300)  # mirror-symmetric columns
+        cases.append(u)
+        for u in cases:
+            got = u.copy()
+            spectral_mod._fix_signs(got)
+            assert got.tobytes() == fix_signs_copying(u).tobytes()
+
+
 class TestPartialSystem:
     # below LANCZOS_MIN_N the m pairs are the dense solve's first m
     def test_keeps_smallest_eigenvalues(self):

@@ -19,7 +19,13 @@ from gwmixer.filterbank import MixMode, build_filter_bank
 from gwmixer.graphs import build_chain_graph, normalized_laplacian, symmetrize
 from gwmixer.spectral import eigendecompose
 import gwmixer.tasks as tasks_mod
-from gwmixer.tasks import COUNTER_BASE, COUNTER_HOLDS, SENTENCE_FILES, STICKY_REPEAT
+from gwmixer.tasks import (
+    COUNTER_BASE,
+    COUNTER_HOLDS,
+    FALLBACK_REPEAT,
+    SENTENCE_FILES,
+    STICKY_REPEAT,
+)
 
 
 class TestTaskSpec:
@@ -116,6 +122,31 @@ class TestMaskedRecovery:
 
     def test_sticky_constant_pinned(self):
         assert STICKY_REPEAT == 15 / 16
+
+
+def sticky_chain_loop(rng, n, base, repeat):
+    """The per-token loop that _sticky_chain replaced, kept as an oracle."""
+    digit = np.empty(n, dtype=np.int64)
+    digit[0] = rng.integers(base)
+    stay = rng.random(n - 1) < repeat
+    fresh = rng.integers(base, size=n - 1)
+    for i in range(1, n):
+        digit[i] = digit[i - 1] if stay[i - 1] else fresh[i - 1]
+    return digit
+
+
+class TestStickyChain:
+    @pytest.mark.parametrize("repeat", [0.0, 0.5, FALLBACK_REPEAT, STICKY_REPEAT, 1.0])
+    def test_matches_the_loop_draw_for_draw(self, repeat):
+        for seed in range(400):
+            meta = np.random.default_rng([seed, 9])
+            n, base = int(meta.integers(1, 200)), int(meta.integers(1, 40))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = tasks_mod._sticky_chain(rng, n, base, repeat)
+            ref = sticky_chain_loop(ref_rng, n, base, repeat)
+            assert out.dtype == ref.dtype and np.array_equal(out, ref), (seed, n, base)
+            # the same draws in the same order: both streams are left in one state
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestDeterminismAndStreams:
