@@ -128,11 +128,7 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
     fitted log-log exponent. Outputs are verified before timing; the
     wavelet modes share one bank and input per size, so their checksums
     agree up to mode error. Each size's Laplacian and spectra come from a
-    SpectrumCache of its own, outside all timed regions. At each size the
-    attention baseline, if asked for, is timed (and listed) first: the
-    heap the spectral modes leave behind would otherwise decide whether
-    its n x n temporaries reuse warm memory or fault in fresh pages, as
-    they do in a process that runs only the baseline. Before any timing,
+    SpectrumCache of its own, outside all timed regions. Before any timing,
     repeats and each size must be an integer >= 1, no size or mode may be
     listed twice, and every mode must fit every size (ValueError).
     """
@@ -147,7 +143,6 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
     for n in sizes:  # a mode that cannot mix n nodes raises here, before any timing
         for mode in filter(None, parsed):
             mode.pairs(n)
-    plan = sorted(zip(modes, parsed), key=lambda mode: mode[1] is not None)  # baseline first
     records = []
     for n in sizes:
         rng = np.random.default_rng(seed + n)
@@ -156,7 +151,7 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
         bank = build_filter_bank(k, d, seed=seed)
         x = rng.standard_normal((n, d))
         att = make_attention_params(d, seed)
-        for mode_str, mode in plan:
+        for mode_str, mode in zip(modes, parsed):
             if mode is None:
                 fn = lambda: attention_baseline_forward(x, *att)
                 out = fn()

@@ -167,22 +167,23 @@ def _two_colour(mat) -> np.ndarray | None:
     """Colour 0 or 1 for each node of the CSR pattern's graph (diagonal
     entries ignored) such that every edge joins the two colours, -1 for a
     node with no edge; None if an odd cycle rules that out. One
-    depth-first pass over the pattern."""
+    breadth-first pass over the pattern that reads each row only when
+    its node is reached, so a dense graph with an odd cycle is ruled out
+    after a few rows."""
     n = mat.shape[0]
-    ptr, nbr = mat.indptr.tolist(), mat.indices.tolist()
+    ptr, nbr = mat.indptr.tolist(), memoryview(mat.indices)
     side = [-1] * n
     for root in range(n):
         if side[root] >= 0 or all(w == root for w in nbr[ptr[root]:ptr[root + 1]]):
             continue  # coloured already, or isolated
         side[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
+        queue = [root]
+        for v in queue:  # grows as nodes are reached
             c = 1 - side[v]
             for w in nbr[ptr[v]:ptr[v + 1]]:
                 if side[w] < 0:
                     side[w] = c
-                    stack.append(w)
+                    queue.append(w)
                 elif side[w] != c and w != v:
                     return None
     return np.array(side)
@@ -197,23 +198,31 @@ def _bipartite_pairs(mat: np.ndarray, side: np.ndarray):
     [U_i; -V_i]/sqrt(2); the other |P| - |Q| columns of U have lam = 1;
     an isolated node has lam = 0 with a unit vector. The columns come out
     ascending, isolated nodes first."""
-    iso, p, q = (np.flatnonzero(side == c) for c in (-1, 0, 1))
-    if len(p) < len(q):
-        p, q = q, p
+    n = len(side)
+    ni, n0, n1 = np.bincount(side + 1, minlength=3).tolist()
+    if n0 < n1:  # colour 0 names P
+        side = np.where(side < 0, -1, 1 - side)
+    order = np.argsort(side, kind="stable")  # isolated nodes, then P, then Q
+    k, nq = min(n0, n1), ni + max(n0, n1)
     try:
-        left, s, right_t = np.linalg.svd(-mat[p[:, None], q])
+        left, s, right_t = np.linalg.svd(-mat[order[ni:nq, None], order[nq:]])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    n, ni, k = len(side), len(iso), len(q)
     left[:, :k] *= np.sqrt(0.5)
     right = right_t.T * np.sqrt(0.5)
-    u = np.zeros((n, n))
-    u[iso, np.arange(ni)] = 1.0
-    u[p, ni:] = np.concatenate((left, left[:, :k][:, ::-1]), axis=1)
-    u[q, ni:ni + k] = right
-    u[q, n - k:] = -right[:, ::-1]
-    lam = np.concatenate((np.zeros(ni), 1.0 - s, np.ones(len(p) - k), 1.0 + s[::-1]))
-    return lam, u
+    u = np.zeros((n, n))  # rows in the order of `order`, columns ascending
+    u.flat[:ni * (n + 1):n + 1] = 1.0
+    u[ni:nq, ni:n - k] = left
+    u[ni:nq, n - k:] = left[:, :k][:, ::-1]
+    u[nq:, ni:ni + k] = right
+    np.negative(right[:, ::-1], out=u[nq:, n - k:])
+    lam = np.ones(n)
+    lam[:ni] = 0.0
+    np.subtract(1.0, s, out=lam[ni:ni + k])
+    np.add(1.0, s[::-1], out=lam[n - k:])
+    out = np.empty_like(u)
+    out[order] = u
+    return lam, out
 
 
 def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
@@ -231,7 +240,7 @@ def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
       vector);
     - otherwise the dense matrix l.matrix.toarray() (the only place a
       dense Laplacian exists), sliced to m pairs. If its CSR pattern
-      two-colours (one depth-first pass) and its diagonal reads 1 on every
+      two-colours (one breadth-first pass) and its diagonal reads 1 on every
       node with an edge and 0 on the rest, as for every forest, the pairs
       come from the SVD of the half-size biadjacency block; any other
       graph gets dense eigh.
@@ -240,34 +249,36 @@ def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
 
     Failure of a solver, a residual ||L U - U diag(lam)||_max over
     RESIDUAL_TOL * max(1, |L|_max) * n (carried by the error; computed
-    from the sparse l.matrix in O(nnz m)), or a Lanczos result that
+    in column blocks from the matrix the solver worked on, the sparse one
+    in O(nnz m) or the dense one by BLAS), or a Lanczos result that
     misses a copy of a repeated eigenvalue (an inertia count below the
     largest pair found) raises NumericalError; no solver stands in for
     another.
     """
-    n, mat = l.n, l.matrix
+    n = l.n
     if m is not None and require_int("m", m, 1) > n:
         raise ValueError(f"m must be in [1, {n}], got m={m} for n={n}")
+    solver = None  # a dense solver
     if n >= LANCZOS_MIN_N and _is_path(l):
-        _check_square_symmetric(mat)
-        lam, u = _path_pairs(mat, n if m is None else m)
+        solver = _path_pairs
     elif n >= LANCZOS_MIN_N and m is not None and m < n - 1:
-        _check_square_symmetric(mat)
-        lam, u = _lanczos(mat, m)
+        solver = _lanczos
+    mat = l.matrix if solver else l.matrix.toarray()
+    _check_square_symmetric(mat)
+    if solver:
+        lam, u = solver(mat, n if m is None else m)
     else:
-        dense = mat.toarray()
-        _check_square_symmetric(dense)
-        side = _two_colour(mat)
-        if side is not None and np.array_equal(dense.diagonal(), side >= 0):
-            lam, u = _bipartite_pairs(dense, side)
+        side = _two_colour(l.matrix)
+        if side is not None and np.array_equal(mat.diagonal(), side >= 0):
+            lam, u = _bipartite_pairs(mat, side)
         else:
-            lam, u = _dense_eigh(dense)
+            lam, u = _dense_eigh(mat)
     residual = 0.0
     for j in range(0, u.shape[1], RESIDUAL_BLOCK):
         r = mat @ u[:, j:j + RESIDUAL_BLOCK]
         r -= u[:, j:j + RESIDUAL_BLOCK] * lam[j:j + RESIDUAL_BLOCK]
         residual = max(residual, float(np.max(np.abs(r, out=r))))
-    scale = float(np.max(np.abs(mat.data), initial=0.0))
+    scale = float(np.max(np.abs(l.matrix.data), initial=0.0))
     bound = RESIDUAL_TOL * max(1.0, scale) * max(n, 1)
     if residual > bound:
         raise NumericalError(

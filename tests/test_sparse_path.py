@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -519,6 +520,40 @@ def test_svd_failure_raises_numerical_error_and_runs_no_eigh(monkeypatch):
     with pytest.raises(NumericalError, match="SVD"):
         eigendecompose(normalized_laplacian(build_chain_graph(12)))
     assert calls == ["_bipartite_pairs"]
+
+
+def test_dense_graph_with_an_odd_cycle_is_ruled_out_after_two_rows():
+    # K_n's pattern: row 0 colours every other node, row 1 meets a
+    # same-coloured neighbour. Rows 2.. name a node out of range, so
+    # reading any of them would fail.
+    n = 300
+    lap = normalized_laplacian(TokenGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]))
+    indices = lap.matrix.indices.copy()
+    indices[lap.matrix.indptr[2]:] = n + 1
+    pattern = SimpleNamespace(shape=lap.matrix.shape, indptr=lap.matrix.indptr, indices=indices)
+    assert spectral_mod._two_colour(pattern) is None
+    assert spectral_mod._two_colour(lap.matrix) is None
+
+
+class CsrWithoutProducts(sparse.csr_array):
+    def __matmul__(self, other):
+        raise AssertionError("product with the sparse matrix")
+
+
+@pytest.mark.parametrize("g, solver", [
+    (TokenGraph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)]), "_dense_eigh"),
+    (TokenGraph(12, [(i // 2, i) for i in range(1, 12)]), "_bipartite_pairs"),
+])
+def test_dense_solvers_check_their_residual_on_the_dense_copy(monkeypatch, g, solver):
+    # a dense graph's CSR product costs O(n^3) at sparse speed; BLAS does it faster
+    lap = normalized_laplacian(g)
+    bare = NormalizedLaplacian(CsrWithoutProducts(lap.matrix), lap.degrees)
+    calls = spy_on(monkeypatch, "_bipartite_pairs", "_dense_eigh")
+    for m in (None, 3):
+        eig = eigendecompose(bare, m=m)
+        ref = np.linalg.eigvalsh(lap.matrix.toarray())[:m]
+        assert np.max(np.abs(eig.lam - ref)) < 1e-13
+    assert calls == [solver, solver]
 
 
 def test_pairs_sorted_whatever_order_the_solver_returns(monkeypatch):
