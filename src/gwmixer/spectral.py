@@ -204,25 +204,24 @@ def _bipartite_pairs(mat: np.ndarray, side: np.ndarray):
         side = np.where(side < 0, -1, 1 - side)
     order = np.argsort(side, kind="stable")  # isolated nodes, then P, then Q
     k, nq = min(n0, n1), ni + max(n0, n1)
+    iso, p, q = order[:ni], order[ni:nq], order[nq:]
     try:
-        left, s, right_t = np.linalg.svd(-mat[order[ni:nq, None], order[nq:]])
+        left, s, right_t = np.linalg.svd(-mat[p[:, None], q])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     left[:, :k] *= np.sqrt(0.5)
     right = right_t.T * np.sqrt(0.5)
-    u = np.zeros((n, n))  # rows in the order of `order`, columns ascending
-    u.flat[:ni * (n + 1):n + 1] = 1.0
-    u[ni:nq, ni:n - k] = left
-    u[ni:nq, n - k:] = left[:, :k][:, ::-1]
-    u[nq:, ni:ni + k] = right
-    np.negative(right[:, ::-1], out=u[nq:, n - k:])
+    u = np.zeros((n, n))
+    u[iso, np.arange(ni)] = 1.0
+    u[p, ni:n - k] = left
+    u[p, n - k:] = left[:, :k][:, ::-1]
+    u[q, ni:ni + k] = right
+    u[q, n - k:] = -right[:, ::-1]
     lam = np.ones(n)
     lam[:ni] = 0.0
     np.subtract(1.0, s, out=lam[ni:ni + k])
     np.add(1.0, s[::-1], out=lam[n - k:])
-    out = np.empty_like(u)
-    out[order] = u
-    return lam, out
+    return lam, u
 
 
 def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
