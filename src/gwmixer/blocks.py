@@ -8,6 +8,12 @@ forward with a second residual (no normalization):
 The model embeds token ids, stacks layers over one shared graph spectrum,
 and projects to vocabulary logits. Forward passes record a tape; backward
 passes replay it with hand-written gradients.
+
+batch_forward runs the samples of an optimizer step as one pass: their
+rows are stacked for the embedding gather, every layer (its mix runs
+over the EigenStack of their systems, see filterbank) and the readout,
+and model_backward replays the stacked tape into one set of gradients.
+model_forward is its one-sample case.
 """
 
 import json
@@ -16,10 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import (
+    EigenStack,
     FilterBank,
     MixMode,
+    MixTape,
     draw_filter_bank,
     named_bank_tensors,
+    stack_systems,
     wavelet_mix,
     wavelet_mix_backward,
 )
@@ -58,25 +67,28 @@ class WaveletLayer:
 
 @dataclass
 class LayerTape:
-    """Intermediates needed to run a layer backward, its mix's mode and system included."""
+    """Intermediates needed to run a layer backward, its mix's mode,
+    system and tape included."""
 
     x: np.ndarray
     r: np.ndarray
     pre: np.ndarray  # FFN pre-activation
     mode: MixMode
-    eig: EigenSystem | None  # None in chebyshev mode
+    eig: EigenSystem | EigenStack | None  # None in chebyshev mode
+    mix: MixTape | None  # None in chebyshev mode
 
 
-def layer_forward(layer: WaveletLayer, eig: EigenSystem | None,
+def layer_forward(layer: WaveletLayer, eig: EigenSystem | EigenStack | None,
                   lap: NormalizedLaplacian | None, x: np.ndarray,
                   mode: MixMode):
-    """Returns (y, LayerTape)."""
+    """Returns (y, LayerTape). Over an EigenStack, x holds the stacked rows
+    of its graphs and the FFN runs on all of them at once."""
     x = np.asarray(x, dtype=np.float64)
-    m = wavelet_mix(layer.bank, eig, x, mode, lap)
+    m, mix = wavelet_mix(layer.bank, eig, x, mode, lap, return_tape=True)
     r = x + m
     pre = r @ layer.ffn.w1 + layer.ffn.b1
     y = r + np.maximum(pre, 0.0) @ layer.ffn.w2 + layer.ffn.b2
-    return y, LayerTape(x, r, pre, mode, eig)
+    return y, LayerTape(x, r, pre, mode, eig, mix)
 
 
 def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray):
@@ -84,13 +96,13 @@ def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray):
     mixed over: (grad_x, WaveletLayer of the gradients of the layer's
     arrays)."""
     ffn = layer.ffn
-    hidden = np.maximum(tape.pre, 0.0)
-    d_hidden = upstream @ ffn.w2.T
-    d_pre = d_hidden * (tape.pre > 0.0)
+    d_pre = upstream @ ffn.w2.T
+    d_pre *= tape.pre > 0.0  # in place: one (rows, f) temporary less over a step's stacked rows
     grad_ffn = FeedForward(w1=tape.r.T @ d_pre, b1=d_pre.sum(axis=0),
-                           w2=hidden.T @ upstream, b2=upstream.sum(axis=0))
+                           w2=np.maximum(tape.pre, 0.0).T @ upstream, b2=upstream.sum(axis=0))
     d_r = upstream + d_pre @ ffn.w1.T
-    grad_x, grad_bank = wavelet_mix_backward(layer.bank, tape.eig, tape.x, tape.mode, d_r)
+    grad_x, grad_bank = wavelet_mix_backward(layer.bank, tape.eig, tape.x, tape.mode, d_r,
+                                             tape.mix)
     return d_r + grad_x, WaveletLayer(grad_bank, grad_ffn)
 
 
@@ -147,32 +159,55 @@ class ModelTape:
     h_final: np.ndarray
 
 
-def model_forward(model: WaveletModel, graph: TokenGraph, token_ids,
-                  mode: MixMode, cache: SpectrumCache | None = None):
-    """Embeds ids, runs the layer stack over the graph spectrum, projects
-    to logits. Returns (logits, ModelTape). The Laplacian and whatever
-    spectrum the mode needs (none for chebyshev) come from the cache (a
+def batch_forward(model: WaveletModel, graphs, token_ids, mode: MixMode,
+                  cache: SpectrumCache | None = None):
+    """One forward pass over several samples: graphs[i] with token_ids[i].
+    Returns (logits, ModelTape), the rows of every sample stacked in
+    order. The Laplacians and whatever spectra the mode needs (none for
+    chebyshev, which mixes one graph per pass) come from the cache (a
     fresh one for this call when none is given)."""
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    if token_ids.ndim != 1 or len(token_ids) != graph.n:
-        raise ValueError(f"need {graph.n} token ids, got shape {token_ids.shape}")
-    if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= model.vocab:
+    if len(graphs) != len(token_ids) or not graphs:
+        raise ValueError(f"need one token id array per graph, got {len(token_ids)} "
+                         f"for {len(graphs)} graphs")
+    if mode.kind == "chebyshev" and len(graphs) > 1:
+        raise ValueError(f"{mode} mode mixes one graph per pass, got {len(graphs)}")
+    ids = []
+    for graph, t in zip(graphs, token_ids):
+        t = np.asarray(t, dtype=np.int64)
+        if t.ndim != 1 or len(t) != graph.n:
+            raise ValueError(f"need {graph.n} token ids, got shape {t.shape}")
+        ids.append(t)
+    ids = np.concatenate(ids)
+    if ids.min(initial=0) < 0 or ids.max(initial=0) >= model.vocab:
         raise ValueError("token id out of vocabulary range")
     cache = cache if cache is not None else SpectrumCache()
-    lap, eig = cache.get_or_compute(graph, mode)
-    x = model.embed[token_ids]
+    laps, systems = zip(*(cache.get_or_compute(g, mode) for g in graphs))
+    if mode.kind == "chebyshev":
+        eig, lap = None, laps[0]
+    else:
+        eig, lap = stack_systems(systems), None
+    x = model.embed[ids]
     tapes = []
     for layer in model.layers:
         x, tape = layer_forward(layer, eig, lap, x, mode)
         tapes.append(tape)
     logits = x @ model.readout
-    return logits, ModelTape(token_ids, tapes, x)
+    return logits, ModelTape(ids, tapes, x)
+
+
+def model_forward(model: WaveletModel, graph: TokenGraph, token_ids,
+                  mode: MixMode, cache: SpectrumCache | None = None):
+    """Embeds ids, runs the layer stack over the graph spectrum, projects
+    to logits: the one-sample case of batch_forward. Returns (logits,
+    ModelTape)."""
+    return batch_forward(model, (graph,), (token_ids,), mode, cache)
 
 
 def model_backward(model: WaveletModel, tape: ModelTape,
                    grad_logits: np.ndarray) -> dict:
     """Gradients for every named parameter, keyed and ordered like
-    model_params, which names them."""
+    model_params, which names them. A batch_forward tape gives the
+    gradient summed over its samples' rows."""
     grad_readout = tape.h_final.T @ grad_logits
     d_x = grad_logits @ model.readout.T
     grad_layers = [None] * len(model.layers)

@@ -14,11 +14,18 @@ constants.
 
 FilterBank is the one filter type. It stores K filters stacked, as
 (K, H) arrays, and evaluates all of them in one pass (one broadcast tanh,
-one batched contraction): once for the responses in the forward mix,
-once for the responses plus every parameter Jacobian in the backward. A
-single filter is a one-row bank (bank.filters holds K of them, views of
-the bank's rows), which filter_eval and filter_eval_grad take; the
-gradient of a bank is a bank of the same shapes.
+one batched contraction). A single filter is a one-row bank (bank.filters
+holds K of them, views of the bank's rows), which filter_eval and
+filter_eval_grad take; the gradient of a bank is a bank of the same
+shapes.
+
+The mix runs over an EigenSystem or over an EigenStack, the systems of
+all the graphs of an optimizer step: their signals are stacked by rows
+and the bank is evaluated once, at their concatenated eigenvalues, so
+the only per-graph work is the two U products. The forward keeps the
+bank's tanh layer, its pre-softplus output and U^T x on a MixTape, from
+which the backward contracts the bank gradient as (K, M) x (K, M, H)
+products without forming a gradient per eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -119,17 +126,6 @@ def _bank_eval(bank: FilterBank, lam: np.ndarray):
     return lam, t, y, np.logaddexp(0.0, y)
 
 
-def _bank_eval_grad(bank: FilterBank, lam: np.ndarray):
-    """Values (K, m) and parameter Jacobians of all K filters: w1, b1, w2
-    of shape (K, m, H), b2 of shape (K, m)."""
-    lam, t, y, out = _bank_eval(bank, lam)
-    s = _expit(y)  # d softplus / dy
-    gw2 = s[..., None] * t
-    gb1 = s[..., None] * (bank.w2[:, None, :] * (1.0 - t**2))
-    gw1 = gb1 * lam[:, None]
-    return out, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": s}
-
-
 def _expit(y: np.ndarray) -> np.ndarray:
     """The logistic function 1 / (1 + exp(-y)). exp(-y) overflows to inf
     for y below about -709, which gives the right limit 0, so the overflow
@@ -164,7 +160,10 @@ def filter_eval_grad(f: FilterBank, lam):
     Returns (values, grads) where grads has keys w1/b1/w2/b2. For array
     input the gradient arrays carry a leading lambda axis.
     """
-    out, jac = _bank_eval_grad(_one_filter(f), _finite_lambda(lam))
+    lam_c, t, y, out = _bank_eval(_one_filter(f), _finite_lambda(lam))
+    s = _expit(y)  # d softplus / dy
+    gb1 = s[..., None] * (f.w2[:, None, :] * (1.0 - t**2))
+    jac = {"w1": gb1 * lam_c[:, None], "b1": gb1, "w2": s[..., None] * t, "b2": s}
     if np.ndim(lam):
         return out[0], {name: g[0] for name, g in jac.items()}
     grads = {name: g[0, 0] for name, g in jac.items()}
@@ -179,15 +178,64 @@ def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
     return out if np.ndim(lam) else out[:, 0]
 
 
-def _check_eigensystem(eig: EigenSystem | None, mode: MixMode) -> None:
-    """A mode mixes over every pair it is given: a system of exactly
-    mode.pairs(n) pairs (a full one for exact, m pairs for truncated:m)."""
+@dataclass(frozen=True)
+class EigenStack:
+    """The eigensystems of several graphs, mixed as one signal whose rows
+    are the graphs' nodes in order. lam holds their eigenvalues
+    concatenated; rows and cols give each system its slice of the signal's
+    rows and of lam. It transforms as an EigenSystem does, system by
+    system. Built by stack_systems."""
+
+    systems: tuple
+    lam: np.ndarray
+    rows: tuple
+    cols: tuple
+
+    @property
+    def n(self) -> int:
+        return self.rows[-1].stop
+
+    def analysis(self, x: np.ndarray) -> np.ndarray:
+        """U_i^T x_i of every system, stacked: (M, d)."""
+        out = np.empty((len(self.lam), x.shape[1]))
+        for eig, r, c in zip(self.systems, self.rows, self.cols):
+            np.matmul(eig.u.T, x[r], out=out[c])
+        return out
+
+    def synthesis(self, h: np.ndarray) -> np.ndarray:
+        """U_i h_i of every system, stacked: (N, d)."""
+        out = np.empty((self.n, h.shape[1]))
+        for eig, r, c in zip(self.systems, self.rows, self.cols):
+            np.matmul(eig.u, h[c], out=out[r])
+        return out
+
+
+def stack_systems(systems) -> EigenSystem | EigenStack:
+    """The systems of a step's graphs, in sample order, as what wavelet_mix
+    mixes over: the lone system itself, or an EigenStack of several."""
+    systems = tuple(systems)
+    if len(systems) == 1:
+        return systems[0]
+    rows, cols = [], []
+    r0 = c0 = 0
+    for eig in systems:
+        rows.append(slice(r0, r0 + eig.n))
+        cols.append(slice(c0, c0 + eig.m))
+        r0, c0 = r0 + eig.n, c0 + eig.m
+    return EigenStack(systems, np.concatenate([e.lam for e in systems]), tuple(rows), tuple(cols))
+
+
+def _check_systems(eig: EigenSystem | EigenStack | None, mode: MixMode) -> None:
+    """A mode mixes over every pair it is given: each system must hold
+    exactly mode.pairs(n) pairs (a full one for exact, m pairs for
+    truncated:m)."""
     if eig is None:
         raise ValueError(f"{mode} mode needs an eigensystem")
-    need = mode.pairs(eig.n)
-    if eig.m != need:
-        raise ValueError(f"{mode} mode mixes over {need} eigenpairs, got an eigensystem "
-                         f"of m={eig.m} pairs for n={eig.n} nodes")
+    for s in eig.systems if isinstance(eig, EigenStack) else (eig,):
+        need = mode.pairs(s.n)
+        if s.m != need:
+            raise ValueError(f"{mode} mode mixes over {need} eigenpairs, got an eigensystem "
+                             f"of m={s.m} pairs for n={s.n} nodes")
 
 
 def _check_mix_args(bank: FilterBank, x: np.ndarray, n: int) -> np.ndarray:
@@ -197,17 +245,41 @@ def _check_mix_args(bank: FilterBank, x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def wavelet_mix(bank: FilterBank, eig: EigenSystem | None, x: np.ndarray,
-                mode: MixMode, lap: NormalizedLaplacian | None = None) -> np.ndarray:
+@dataclass
+class MixTape:
+    """What the backward of one exact or truncated mix needs from its
+    forward: the clamped eigenvalues lam (M,), the bank's tanh layer t
+    (K, M, H), its output y (K, M) before the softplus, the responses
+    g = softplus(y) (K, M) and xhat = U^T x (M, d)."""
+
+    lam: np.ndarray
+    t: np.ndarray
+    y: np.ndarray
+    g: np.ndarray
+    xhat: np.ndarray
+
+
+def _mix_tape(bank: FilterBank, eig: EigenSystem | EigenStack, x: np.ndarray) -> MixTape:
+    lam, t, y, g = _bank_eval(bank, _finite_lambda(eig.lam))
+    return MixTape(lam, t, y, g, eig.analysis(x))
+
+
+def wavelet_mix(bank: FilterBank, eig: EigenSystem | EigenStack | None, x: np.ndarray,
+                mode: MixMode, lap: NormalizedLaplacian | None = None,
+                return_tape: bool = False):
     """Mix node features through the filter bank.
 
     exact mixes over a full eigensystem and truncated:m over one of
     exactly m pairs, from eigendecompose(lap, m); any other system is a
-    ValueError. chebyshev needs only the sparse
+    ValueError. eig may be an EigenStack of such systems, x then holding
+    their graphs' rows stacked. chebyshev needs only the sparse
     Laplacian: the bank is evaluated once at the P+1 Chebyshev nodes, one
     matmul fits all K coefficient vectors c_k, alpha is folded in as
     w_p = sum_k c_kp alpha_k, and a single recurrence sums
     T_p(L - I) x * w_p in O(P |E| d) time and O(n d) memory.
+
+    With return_tape, returns (Y, MixTape) for wavelet_mix_backward, the
+    tape None in chebyshev mode, which has no backward.
     """
     if mode.kind == "chebyshev":
         if lap is None:
@@ -215,46 +287,48 @@ def wavelet_mix(bank: FilterBank, eig: EigenSystem | None, x: np.ndarray,
         x = _check_mix_args(bank, x, lap.n)
         nodes, fit = chebyshev_nodes(mode.param)
         coeffs = bank_responses(bank, nodes) @ fit.T  # (K, P+1)
-        return chebyshev_series(lap, coeffs.T @ bank.alpha, x)
-    _check_eigensystem(eig, mode)
+        y = chebyshev_series(lap, coeffs.T @ bank.alpha, x)
+        return (y, None) if return_tape else y
+    _check_systems(eig, mode)
     x = _check_mix_args(bank, x, eig.n)
-    u = eig.u
-    resp = bank_responses(bank, eig.lam)  # (K, m)
-    weight = resp.T @ bank.alpha  # (m, d): sum_k g_k(lam_i) alpha_k[j]
-    return u @ (weight * (u.T @ x))
+    tape = _mix_tape(bank, eig, x)
+    y = eig.synthesis((tape.g.T @ bank.alpha) * tape.xhat)  # g^T alpha: sum_k g_k(lam_i) alpha_k[j]
+    return (y, tape) if return_tape else y
 
 
-def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem, x: np.ndarray,
-                         mode: MixMode, upstream: np.ndarray):
+def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem | EigenStack, x: np.ndarray,
+                         mode: MixMode, upstream: np.ndarray, tape: MixTape | None = None):
     """Reverse-mode gradients of wavelet_mix for exact/truncated modes:
     (grad_x, FilterBank of the gradients of the bank's arrays).
 
     U and Lam are constants of the graph; gradients flow to x, alpha and
-    the filter parameters only. Responses and every parameter Jacobian
-    come from one evaluation of the whole bank. The chebyshev path has no
-    backward.
+    the filter parameters only. tape is the MixTape that
+    wavelet_mix(..., return_tape=True) gave for the same bank, eig and x;
+    without one, the bank is evaluated and U^T x formed here. The bank
+    gradient is contracted over all M eigenvalues at once:
+    dy = dLoss/dy (K, M) meets t and 1 - t^2 in (K, 1 or 2, M) x
+    (K, M, H) products. The chebyshev path has no backward.
     """
     if mode.kind == "chebyshev":
         raise ValueError("chebyshev mode is inference-only; no backward pass")
-    _check_eigensystem(eig, mode)
+    _check_systems(eig, mode)
     x = _check_mix_args(bank, x, eig.n)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != signal shape {x.shape}")
-    u = eig.u
-    resp, jac = _bank_eval_grad(bank, _finite_lambda(eig.lam))
-    xhat = u.T @ x  # (m, d)
-    ghat = u.T @ upstream  # (m, d)
-    prod = xhat * ghat  # (m, d)
-    grad_alpha = resp @ prod  # (K, d)
-    # response weights: dLoss/dg_k(lam_i) = sum_j xhat[i,j] alpha[k,j] ghat[i,j]
-    wresp = bank.alpha @ prod.T  # (K, m)
-    row = wresp[:, None, :]  # (K, 1, m) against the (K, m, H) Jacobians
-    weight = resp.T @ bank.alpha  # (m, d)
-    grad_x = u @ (weight * ghat)
-    return grad_x, FilterBank((row @ jac["w1"])[:, 0], (row @ jac["b1"])[:, 0],
-                              (row @ jac["w2"])[:, 0], np.sum(wresp * jac["b2"], axis=1),
-                              grad_alpha)
+    if tape is None:
+        tape = _mix_tape(bank, eig, x)
+    ghat = eig.analysis(upstream)  # (M, d)
+    prod = tape.xhat * ghat  # (M, d)
+    # dLoss/dg_k(lam_i) = sum_j xhat[i,j] alpha[k,j] ghat[i,j], then through the softplus
+    dy = (bank.alpha @ prod.T) * _expit(tape.y)  # (K, M)
+    # sums over i of dy (1 - t^2) and of dy lam (1 - t^2): the b1 and w1 gradients over w2
+    sech2 = np.square(tape.t)
+    np.subtract(1.0, sech2, out=sech2)  # tanh' = 1 - t^2, in place
+    dz = np.stack((dy, dy * tape.lam), axis=1) @ sech2  # (K, 2, H)
+    grad_bank = FilterBank(bank.w2 * dz[:, 1], bank.w2 * dz[:, 0], (dy[:, None, :] @ tape.t)[:, 0],
+                           dy.sum(axis=1), tape.g @ prod)
+    return eig.synthesis((tape.g.T @ bank.alpha) * ghat), grad_bank
 
 
 def named_bank_tensors(bank: FilterBank, prefix: str = "") -> dict:

@@ -63,6 +63,14 @@ class EigenSystem:
     def m(self) -> int:
         return self.u.shape[1]
 
+    def analysis(self, x: np.ndarray) -> np.ndarray:
+        """U^T x: (m, d)."""
+        return self.u.T @ x
+
+    def synthesis(self, h: np.ndarray) -> np.ndarray:
+        """U h: (n, d)."""
+        return self.u @ h
+
 
 def _check_square_symmetric(mat) -> None:
     # mat is a dense or a sparse array
@@ -79,13 +87,15 @@ def _fix_signs(u: np.ndarray) -> None:
     """Flip, in place, each column of u whose largest-magnitude entry is
     negative, ties broken by lowest index (argmax's first maximum). The
     column maxima and minima decide every column but those whose extremes
-    have equal magnitude; only those are searched for their first one."""
+    have equal magnitude; only those are searched for their first one,
+    RESIDUAL_BLOCK columns at a time."""
     hi, lo = u.max(axis=0), -u.min(axis=0)
     flip = lo > hi
     tie = np.flatnonzero(lo == hi)
-    if tie.size:
-        mag = u[:, tie]
-        flip[tie] = u[np.argmax(np.abs(mag, out=mag), axis=0), tie] < 0
+    for b in range(0, tie.size, RESIDUAL_BLOCK):
+        cols = tie[b:b + RESIDUAL_BLOCK]
+        mag = u[:, cols]
+        flip[cols] = u[np.argmax(np.abs(mag, out=mag), axis=0), cols] < 0
     u *= np.where(flip, -1.0, 1.0)
 
 
@@ -143,7 +153,8 @@ def _path_pairs(mat, m: int):
     form: lam_j = 1 - cos(pi j/h) and u_j(k) ∝ sqrt(deg_k) cos(pi j k/h),
     h = n - 1. The h+1 distinct cosines are each taken at an angle in
     [0, pi/2], so the mirror symmetry of u_j holds exactly, and gathered
-    by j k mod 2h."""
+    by j k mod 2h, RESIDUAL_BLOCK rows of indices at a time, so the peak
+    stays near the size of u."""
     h = mat.shape[0] - 1
     r = np.arange(2 * h)
     np.minimum(r, 2 * h - r, out=r)  # cos(pi r/h) is even about r = h
@@ -151,10 +162,14 @@ def _path_pairs(mat, m: int):
     cos = np.cos(np.where(flip, h - r, r) * (np.pi / h))
     cos[flip] *= -1.0
     j = np.arange(m)
-    jk = np.outer(np.arange(h + 1), j)
-    jk %= 2 * h
-    u = cos[jk]
-    del jk
+    u = np.empty((h + 1, m))
+    jk = np.empty((min(h + 1, RESIDUAL_BLOCK), m), dtype=np.int64)
+    for k in range(0, h + 1, RESIDUAL_BLOCK):
+        rows = u[k:k + RESIDUAL_BLOCK]  # contiguous, so take fills it in place
+        idx = jk[:len(rows)]
+        np.multiply.outer(np.arange(k, k + len(rows)), j, out=idx)
+        idx %= 2 * h
+        np.take(cos, idx, out=rows, mode="clip")  # indices in range; "raise" would buffer out
     scale = np.full(h + 1, np.sqrt(2.0 / h))  # sqrt(deg_k / h): deg 2 inside, 1 at the ends
     scale[[0, h]] = np.sqrt(1.0 / h)
     u *= scale[:, None]
@@ -244,7 +259,11 @@ def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
       come from the SVD of the half-size biadjacency block; any other
       graph gets dense eigh.
     Whichever the solver, pairs are checked, sorted, sign-fixed and clamped
-    alike, and the arrays are read-only.
+    alike, and the arrays are read-only. When lam_m = lam_{m+1}, the m
+    pairs are cut from inside a repeated eigenvalue, so which basis of
+    that eigenspace the solver returns decides the system, and with it
+    truncated:m output. Exact-mode output, and truncated:m output where
+    lam_m < lam_{m+1}, do not depend on that basis.
 
     Failure of a solver, a residual ||L U - U diag(lam)||_max over
     RESIDUAL_TOL * max(1, |L|_max) * n (carried by the error; computed
@@ -306,14 +325,12 @@ def as_signal(x, rows: int) -> np.ndarray:
 
 def gft(eig: EigenSystem, x: np.ndarray) -> np.ndarray:
     """Graph Fourier transform: U^T x, shape (m, d)."""
-    x = as_signal(x, eig.n)
-    return eig.u.T @ x
+    return eig.analysis(as_signal(x, eig.n))
 
 
 def igft(eig: EigenSystem, xhat: np.ndarray) -> np.ndarray:
     """Inverse transform: U xhat, shape (n, d)."""
-    xhat = as_signal(xhat, eig.m)
-    return eig.u @ xhat
+    return eig.synthesis(as_signal(xhat, eig.m))
 
 
 def apply_filter_exact(eig: EigenSystem, h, x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 from .blocks import (
     WaveletLayer,
     WaveletModel,
+    batch_forward,
     build_feed_forward,
     build_model,
     layer_backward,
@@ -110,13 +111,9 @@ def adam_step(state: TrainState, lr: float) -> TrainState:
     return state
 
 
-def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
-    """Mean negative log likelihood over scored positions (mask True).
-
-    Returns (loss, grad_logits); the gradient is (softmax - onehot)/count
-    on scored rows and zero elsewhere. Max-subtraction keeps the softmax
-    stable for large logits.
-    """
+def _check_scored(logits: np.ndarray, targets, mask):
+    """logits (N, V), targets (N,) ids below V and mask (N,) as arrays,
+    checked as cross_entropy_loss and token_accuracy take them."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
@@ -126,25 +123,48 @@ def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray
         )
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= logits.shape[1]:
         raise ValueError("target id out of range")
-    count = int(mask.sum())
-    if count == 0:
+    return logits, targets, mask
+
+
+def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray,
+                       sizes=None):
+    """Mean negative log likelihood over scored positions (mask True).
+
+    Returns (loss, grad_logits); the gradient is (softmax - onehot)/count
+    on scored rows and zero elsewhere. Max-subtraction keeps the softmax
+    stable for large logits. sizes, the row counts of samples stacked in
+    order (one sample of all rows by default), makes the loss the mean of
+    the samples' own losses, and the gradient that mean's.
+    """
+    logits, targets, mask = _check_scored(logits, targets, mask)
+    sizes = np.asarray([len(targets)] if sizes is None else sizes, dtype=np.int64)
+    if sizes.ndim != 1 or len(sizes) == 0 or sizes.min() < 1 or sizes.sum() != len(targets):
+        raise ValueError(f"shape mismatch: sample sizes {sizes.tolist()} for {len(targets)} rows")
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    counts = np.diff(np.concatenate(([0], np.cumsum(mask)))[bounds])
+    if counts.min() == 0:
         raise ValueError("mask scores no positions")
     z = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(z)
     denom = ez.sum(axis=1, keepdims=True)
     logp = z - np.log(denom)
     rows = np.arange(len(targets))
-    loss = -float(logp[rows, targets][mask].sum()) / count
+    picked = logp[rows, targets]
+    losses = [-float(picked[a:b][mask[a:b]].sum()) / int(count)
+              for a, b, count in zip(bounds[:-1], bounds[1:], counts)]
     grad = ez / denom
     grad[rows, targets] -= 1.0
-    grad *= mask[:, None] / count
-    return loss, grad
+    grad *= (mask / np.repeat(counts * len(sizes), sizes))[:, None]
+    return sum(losses) / len(losses), grad
 
 
 def token_accuracy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
-    """Fraction of scored positions where argmax(logits) hits the target."""
+    """Fraction of scored positions where argmax(logits) hits the target.
+    Inputs are checked as cross_entropy_loss checks them."""
+    logits, targets, mask = _check_scored(logits, targets, mask)
+    if not mask.any():
+        raise ValueError("mask scores no positions")
     pred = np.argmax(logits, axis=1)
-    mask = np.asarray(mask, dtype=bool)
     return float((pred[mask] == targets[mask]).mean())
 
 
@@ -273,7 +293,9 @@ def evaluate(model: WaveletModel, samples, mode: MixMode,
 
 def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None,
                cache: SpectrumCache | None = None) -> TrainResult:
-    """Run cfg.steps optimizer steps, each averaging cfg.accum samples.
+    """Run cfg.steps optimizer steps, each averaging cfg.accum samples,
+    pulled one by one from the task stream and run as one batch_forward,
+    one cross_entropy_loss and one model_backward.
 
     Validates (and checkpoints, when out_dir is set) every VAL_INTERVAL
     steps and at the last step; stops early after cfg.patience validation
@@ -307,19 +329,17 @@ def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None
     stale = 0
     stopped_early = False
     for step in range(1, cfg.steps + 1):
-        total_loss = 0.0
-        for _ in range(cfg.accum):
-            sample = next(stream)
-            logits, tape = model_forward(model, sample.graph, sample.tokens, mode, cache)
-            loss, grad_logits = cross_entropy_loss(logits, sample.targets, sample.mask)
-            total_loss += loss
-            grads = model_backward(model, tape, grad_logits)
-            state.grad_buf += np.concatenate([grads[name] for name in state.grads], axis=None)
-        mean_loss = total_loss / cfg.accum
+        samples = [next(stream) for _ in range(cfg.accum)]
+        logits, tape = batch_forward(model, [s.graph for s in samples],
+                                     [s.tokens for s in samples], mode, cache)
+        mean_loss, grad_logits = cross_entropy_loss(
+            logits, np.concatenate([s.targets for s in samples]),
+            np.concatenate([s.mask for s in samples]), [s.graph.n for s in samples])
         if not np.isfinite(mean_loss):
             raise ValueError(f"non-finite loss {mean_loss!r} at step {step}; aborting")
-        if cfg.accum > 1:
-            state.grad_buf /= cfg.accum
+        for grad, step_grad in zip(state.grads.values(),
+                                   model_backward(model, tape, grad_logits).values()):
+            grad += step_grad
         grad_norm = float(np.sqrt((state.grad_buf * state.grad_buf).sum()))
         lr = lr_at(schedule, step)
         adam_step(state, lr)

@@ -79,3 +79,33 @@ def test_train_loop_calls_step_hooks_through_module_globals(monkeypatch):
     gwmixer.train_loop(build_model(cfg.d, cfg.k, cfg.layers, cfg.ffn_mult, cfg.vocab), cfg)
     assert streams.count("train") == 1
     assert len(steps) == cfg.steps
+
+
+def test_each_step_pulls_accum_samples_before_its_adam_step(monkeypatch):
+    # perfbench's StepClock counts a step's tokens from the samples pulled
+    # between one adam_step and the next
+    events = []
+    task_stream = training_mod.task_stream
+    adam_step = training_mod.adam_step
+
+    def stream_spy(spec, seed, stream="train"):
+        inner = task_stream(spec, seed, stream)
+        if stream != "train":
+            return inner
+
+        def pulls():
+            for sample in inner:
+                events.append("pull")
+                yield sample
+        return pulls()
+
+    def adam_spy(*args, **kwargs):
+        events.append("adam")
+        return adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "task_stream", stream_spy)
+    monkeypatch.setattr(training_mod, "adam_step", adam_spy)
+    cfg = TrainConfig(d=4, k=2, layers=1, ffn_mult=2, vocab=8, task="copy", n=6, steps=4,
+                      accum=3)
+    gwmixer.train_loop(build_model(cfg.d, cfg.k, cfg.layers, cfg.ffn_mult, cfg.vocab), cfg)
+    assert events == (["pull"] * cfg.accum + ["adam"]) * cfg.steps

@@ -344,6 +344,18 @@ class TestClosedFormPath:
             assert not (eig.u.flags.writeable or eig.lam.flags.writeable)
         assert calls == ["_path_pairs"] * 5
 
+    def test_closed_form_peak_stays_near_its_output(self):
+        # the cosines are gathered a block of rows at a time, never through
+        # an (n, m) index array beside the (n, m) output
+        lap = normalized_laplacian(build_chain_graph(2048))
+        tracemalloc.start()
+        try:
+            lam, u = spectral_mod._path_pairs(lap.matrix, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (u.nbytes + lam.nbytes)
+
     # (graph, m, the solver of its full spectrum): all but the odd cycle
     # are bipartite, so their full spectra come from the SVD solver
     NEAR_MISSES = {

@@ -185,6 +185,14 @@ class TestTokenAccuracy:
         # scored: hit, miss, hit -> 2/3
         assert token_accuracy(logits, targets, mask) == pytest.approx(2 / 3)
 
+    def test_empty_mask_rejected(self):
+        with pytest.raises(ValueError, match="^mask scores no positions$"):
+            token_accuracy(np.zeros((3, 4)), [0, 1, 2], np.zeros(3, dtype=bool))
+
+    def test_mask_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="^shape mismatch: "):
+            token_accuracy(np.zeros((3, 4)), [0, 1, 2], np.ones(2, dtype=bool))
+
 
 class TestTrainConfig:
     def test_round_trip(self):
