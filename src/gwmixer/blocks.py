@@ -6,14 +6,17 @@ forward with a second residual (no normalization):
     m = mix(x);  r = x + m;  y = r + relu(r W1 + b1) W2 + b2
 
 The model embeds token ids, stacks layers over one shared graph spectrum,
-and projects to vocabulary logits. Forward passes record a tape; backward
-passes replay it with hand-written gradients.
+and projects to vocabulary logits. A forward pass asked for a tape
+records one; backward passes replay it with hand-written gradients.
+Without a tape, inference drops each layer's intermediates before the
+next layer runs, and every layer does its arithmetic in the arrays it
+already owns.
 
 batch_forward runs the samples of an optimizer step as one pass: their
 rows are stacked for the embedding gather, every layer (its mix runs
 over the EigenStack of their systems, see filterbank) and the readout,
-and model_backward replays the stacked tape into one set of gradients.
-model_forward is its one-sample case.
+and model_backward replays the stacked tape (return_tape=True) into one
+set of gradients. model_forward is its one-sample case.
 """
 
 import json
@@ -32,7 +35,7 @@ from .filterbank import (
     wavelet_mix,
     wavelet_mix_backward,
 )
-from .graphs import NormalizedLaplacian, TokenGraph, require_int
+from .graphs import NormalizedLaplacian, TokenGraph, require_int, require_int_array
 from .serialize import dumps_canonical, write_text_atomic
 from .spectral import EigenSystem, SpectrumCache
 
@@ -68,11 +71,12 @@ class WaveletLayer:
 @dataclass
 class LayerTape:
     """Intermediates needed to run a layer backward, its mix's mode,
-    system and tape included."""
+    system and tape included. layer_forward always makes one;
+    batch_forward keeps it only when asked for a tape."""
 
     x: np.ndarray
     r: np.ndarray
-    pre: np.ndarray  # FFN pre-activation
+    h: np.ndarray  # FFN hidden layer relu(r W1 + b1); h > 0 is the ReLU mask
     mode: MixMode
     eig: EigenSystem | EigenStack | None  # None in chebyshev mode
     mix: MixTape | None  # None in chebyshev mode
@@ -82,13 +86,19 @@ def layer_forward(layer: WaveletLayer, eig: EigenSystem | EigenStack | None,
                   lap: NormalizedLaplacian | None, x: np.ndarray,
                   mode: MixMode):
     """Returns (y, LayerTape). Over an EigenStack, x holds the stacked rows
-    of its graphs and the FFN runs on all of them at once."""
+    of its graphs and the FFN runs on all of them at once. The arithmetic
+    runs in place in the arrays this call made (x is only read), with the
+    operands in the order of y = (r + h W2) + b2."""
     x = np.asarray(x, dtype=np.float64)
-    m, mix = wavelet_mix(layer.bank, eig, x, mode, lap, return_tape=True)
-    r = x + m
-    pre = r @ layer.ffn.w1 + layer.ffn.b1
-    y = r + np.maximum(pre, 0.0) @ layer.ffn.w2 + layer.ffn.b2
-    return y, LayerTape(x, r, pre, mode, eig, mix)
+    r, mix = wavelet_mix(layer.bank, eig, x, mode, lap, return_tape=True)
+    r += x  # the mix output is always a fresh array
+    h = r @ layer.ffn.w1
+    h += layer.ffn.b1
+    np.maximum(h, 0.0, out=h)
+    y = h @ layer.ffn.w2
+    y += r
+    y += layer.ffn.b2
+    return y, LayerTape(x, r, h, mode, eig, mix)
 
 
 def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray):
@@ -97,9 +107,9 @@ def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray):
     arrays)."""
     ffn = layer.ffn
     d_pre = upstream @ ffn.w2.T
-    d_pre *= tape.pre > 0.0  # in place: one (rows, f) temporary less over a step's stacked rows
+    d_pre *= tape.h > 0.0  # in place: one (rows, f) temporary less over a step's stacked rows
     grad_ffn = FeedForward(w1=tape.r.T @ d_pre, b1=d_pre.sum(axis=0),
-                           w2=np.maximum(tape.pre, 0.0).T @ upstream, b2=upstream.sum(axis=0))
+                           w2=tape.h.T @ upstream, b2=upstream.sum(axis=0))
     d_r = upstream + d_pre @ ffn.w1.T
     grad_x, grad_bank = wavelet_mix_backward(layer.bank, tape.eig, tape.x, tape.mode, d_r,
                                              tape.mix)
@@ -160,12 +170,17 @@ class ModelTape:
 
 
 def batch_forward(model: WaveletModel, graphs, token_ids, mode: MixMode,
-                  cache: SpectrumCache | None = None):
-    """One forward pass over several samples: graphs[i] with token_ids[i].
-    Returns (logits, ModelTape), the rows of every sample stacked in
-    order. The Laplacians and whatever spectra the mode needs (none for
-    chebyshev, which mixes one graph per pass) come from the cache (a
-    fresh one for this call when none is given)."""
+                  cache: SpectrumCache | None = None, return_tape: bool = False):
+    """One forward pass over several samples: graphs[i] with token_ids[i],
+    each an integer array (bool, float and string ids are a ValueError).
+    Returns (logits, ModelTape) with return_tape, for model_backward, and
+    (logits, None) without; the logits are the same. The rows of every
+    sample are stacked in order. Without a tape, each layer's
+    intermediates are dropped before the next layer runs, so inference
+    holds only a layer's own arrays at a time. The Laplacians and
+    whatever spectra the mode needs (none for chebyshev, which mixes one
+    graph per pass) come from the cache (a fresh one for this call when
+    none is given)."""
     if len(graphs) != len(token_ids) or not graphs:
         raise ValueError(f"need one token id array per graph, got {len(token_ids)} "
                          f"for {len(graphs)} graphs")
@@ -173,7 +188,7 @@ def batch_forward(model: WaveletModel, graphs, token_ids, mode: MixMode,
         raise ValueError(f"{mode} mode mixes one graph per pass, got {len(graphs)}")
     ids = []
     for graph, t in zip(graphs, token_ids):
-        t = np.asarray(t, dtype=np.int64)
+        t = require_int_array("token ids", t)
         if t.ndim != 1 or len(t) != graph.n:
             raise ValueError(f"need {graph.n} token ids, got shape {t.shape}")
         ids.append(t)
@@ -190,17 +205,20 @@ def batch_forward(model: WaveletModel, graphs, token_ids, mode: MixMode,
     tapes = []
     for layer in model.layers:
         x, tape = layer_forward(layer, eig, lap, x, mode)
-        tapes.append(tape)
+        if return_tape:
+            tapes.append(tape)
+        del tape  # without a tape, the layer's intermediates go before the next layer runs
     logits = x @ model.readout
-    return logits, ModelTape(ids, tapes, x)
+    return logits, (ModelTape(ids, tapes, x) if return_tape else None)
 
 
 def model_forward(model: WaveletModel, graph: TokenGraph, token_ids,
-                  mode: MixMode, cache: SpectrumCache | None = None):
+                  mode: MixMode, cache: SpectrumCache | None = None,
+                  return_tape: bool = False):
     """Embeds ids, runs the layer stack over the graph spectrum, projects
     to logits: the one-sample case of batch_forward. Returns (logits,
-    ModelTape)."""
-    return batch_forward(model, (graph,), (token_ids,), mode, cache)
+    ModelTape) with return_tape and (logits, None) without."""
+    return batch_forward(model, (graph,), (token_ids,), mode, cache, return_tape)
 
 
 def model_backward(model: WaveletModel, tape: ModelTape,

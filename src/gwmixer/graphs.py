@@ -163,6 +163,16 @@ def require_int(what: str, value, low: int) -> int:
     return int(value)
 
 
+def require_int_array(what: str, values) -> np.ndarray:
+    """values as an int64 array, the check of every array of ids the package
+    takes. NumPy integer dtypes pass; bool, float, string and object arrays
+    do not, so nothing is truncated or parsed on the way in."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be an integer array, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _require_nodes(n) -> int:
     """n as an int, the node count of a graph: an integer >= 1 (require_int)
     and at most MAX_NODES, else ValueError."""

@@ -35,7 +35,7 @@ from .filterbank import (
     wavelet_mix,
     wavelet_mix_backward,
 )
-from .graphs import build_chain_graph, require_int
+from .graphs import build_chain_graph, require_int, require_int_array
 from .serialize import fmt_float, write_text_atomic
 from .spectral import SpectrumCache, parse_mix_mode
 from .tasks import TaskSpec, check_mode, fixed_samples, gen_task_batch, task_stream
@@ -112,10 +112,10 @@ def adam_step(state: TrainState, lr: float) -> TrainState:
 
 
 def _check_scored(logits: np.ndarray, targets, mask):
-    """logits (N, V), targets (N,) ids below V and mask (N,) as arrays,
-    checked as cross_entropy_loss and token_accuracy take them."""
+    """logits (N, V), targets (N,) integer ids below V and mask (N,) as
+    arrays, checked as cross_entropy_loss and token_accuracy take them."""
+    targets = require_int_array("targets", targets)
     logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],) or mask.shape != targets.shape:
         raise ValueError(
@@ -331,7 +331,7 @@ def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None
     for step in range(1, cfg.steps + 1):
         samples = [next(stream) for _ in range(cfg.accum)]
         logits, tape = batch_forward(model, [s.graph for s in samples],
-                                     [s.tokens for s in samples], mode, cache)
+                                     [s.tokens for s in samples], mode, cache, return_tape=True)
         mean_loss, grad_logits = cross_entropy_loss(
             logits, np.concatenate([s.targets for s in samples]),
             np.concatenate([s.mask for s in samples]), [s.graph.n for s in samples])
@@ -485,7 +485,8 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
             loss, _ = cross_entropy_loss(logits, sample.targets, sample.mask)
             return loss
 
-        logits, tape = model_forward(model, sample.graph, sample.tokens, mode, cache)
+        logits, tape = model_forward(model, sample.graph, sample.tokens, mode, cache,
+                                     return_tape=True)
         _, grad_logits = cross_entropy_loss(logits, sample.targets, sample.mask)
         analytic = model_backward(model, tape, grad_logits)
     else:

@@ -11,6 +11,7 @@ import os
 import pytest
 
 import gwmixer
+import gwmixer.blocks as blocks_mod
 import gwmixer.training as training_mod
 from gwmixer import TrainConfig, build_model
 
@@ -109,3 +110,23 @@ def test_each_step_pulls_accum_samples_before_its_adam_step(monkeypatch):
                       accum=3)
     gwmixer.train_loop(build_model(cfg.d, cfg.k, cfg.layers, cfg.ffn_mult, cfg.vocab), cfg)
     assert events == (["pull"] * cfg.accum + ["adam"]) * cfg.steps
+
+
+@pytest.mark.parametrize("return_tape", [False, True])
+def test_batch_forward_calls_layer_forward_through_the_module_global(monkeypatch, return_tape):
+    # perfbench times blocks.layer{i}.fwd_ms by rebinding blocks.layer_forward
+    # and numbering its calls within a forward
+    calls = []
+    layer_forward = blocks_mod.layer_forward
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return layer_forward(*args, **kwargs)
+
+    monkeypatch.setattr(blocks_mod, "layer_forward", spy)
+    model = build_model(4, 2, 3, 2, 7)
+    graph = gwmixer.build_chain_graph(5)
+    _, tape = blocks_mod.batch_forward(model, [graph, graph], [range(5)] * 2,
+                                       gwmixer.MixMode.exact(), return_tape=return_tape)
+    assert len(calls) == len(model.layers)
+    assert (tape is not None) == return_tape

@@ -170,7 +170,7 @@ class TestModelForward:
         g = build_chain_graph(5)
         ids = np.array([0, 3, 7, 12, 1])
         logits, tape = model_forward(model, g, ids, MixMode.exact(),
-                                     cache=SpectrumCache())
+                                     cache=SpectrumCache(), return_tape=True)
         assert logits.shape == (5, 13)
         assert len(tape.layer_tapes) == 2
 
@@ -219,7 +219,8 @@ class TestModelForward:
         model = build_model(4, 2, 3, 2, 7, seed=0)
         g = build_chain_graph(6)
         cache = SpectrumCache()
-        _, tape = model_forward(model, g, [0, 1, 2, 3, 4, 5], mode, cache=cache)
+        _, tape = model_forward(model, g, [0, 1, 2, 3, 4, 5], mode, cache=cache,
+                                return_tape=True)
         _, eig = cache.get_or_compute(g, mode)
         assert len(tape.layer_tapes) == 3
         for layer_tape in tape.layer_tapes:
@@ -231,7 +232,7 @@ class TestModelBackward:
         model = build_model(4, 2, 2, 2, 9, seed=0)
         g = build_chain_graph(5)
         logits, tape = model_forward(model, g, [0, 1, 2, 3, 4],
-                                     MixMode.exact(), cache=SpectrumCache())
+                                     MixMode.exact(), cache=SpectrumCache(), return_tape=True)
         grads = model_backward(model, tape, np.ones_like(logits))
         assert list(grads) == list(model_params(model))
         for name, p in model_params(model).items():
@@ -244,7 +245,7 @@ class TestModelBackward:
         up_rng = np.random.default_rng(3)
         upstream = up_rng.standard_normal((4, 6))
         _, tape_dup = model_forward(model, g, [2, 2, 2, 2], MixMode.exact(),
-                                    cache=cache)
+                                    cache=cache, return_tape=True)
         grads = model_backward(model, tape_dup, upstream)
         # the row for id 2 collects all four positions; other rows are zero
         nonzero_rows = np.flatnonzero(np.abs(grads["embed"]).sum(axis=1))
@@ -261,7 +262,8 @@ class TestModelBackward:
             logits, _ = model_forward(model, g, ids, MixMode.exact(), cache=cache)
             return float(np.sum(logits * direction))
 
-        logits, tape = model_forward(model, g, ids, MixMode.exact(), cache=cache)
+        logits, tape = model_forward(model, g, ids, MixMode.exact(), cache=cache,
+                                     return_tape=True)
         grads = model_backward(model, tape, direction)
         params = model_params(model)
         rng = np.random.default_rng(11)

@@ -1,7 +1,9 @@
 """One integer rule: every size, count and index the package takes is
 checked by graphs.require_int, so a bad one raises ValueError
 "<what> must be an integer >= <low>, got <value!r>" before any work is
-done: nothing drawn, solved, evaluated or timed."""
+done: nothing drawn, solved, evaluated or timed. Arrays of token ids and
+targets answer to graphs.require_int_array: an integer dtype or a
+ValueError, never a cast."""
 
 import re
 
@@ -9,23 +11,30 @@ import numpy as np
 import pytest
 
 import gwmixer.bench as bench_mod
+import gwmixer.blocks as blocks_mod
 import gwmixer.filterbank as filterbank_mod
 import gwmixer.graphs as graphs_mod
 import gwmixer.spectral as spectral_mod
 import gwmixer.tasks as tasks_mod
 from gwmixer import (
+    MixMode,
     ScheduleConfig,
+    SpectrumCache,
     TaskSpec,
     bench_scaling,
     build_chain_graph,
     build_filter_bank,
     build_model,
+    cross_entropy_loss,
     eigendecompose,
     fixed_samples,
     lr_at,
+    model_forward,
     normalized_laplacian,
     spectrum_csv,
+    token_accuracy,
 )
+from gwmixer.blocks import batch_forward
 from gwmixer.graphs import require_int
 
 SPEC = TaskSpec("copy", 4, 8)
@@ -128,3 +137,45 @@ def test_chain_memo_never_answers_a_non_integer(n, bad):
         build_chain_graph(bad)
 
 
+
+
+# token ids and targets are integer arrays: a bool, float or string array is
+# not cast (1.7 would become 1) but rejected before any spectrum or layer work
+NOT_INTEGER = [[0.0, 1.7, 2.2], [True, False, True], ["1", "2", "3"],
+               np.array([0.0, 1.0, 2.0])]
+
+
+@pytest.mark.parametrize("ids", NOT_INTEGER, ids=repr)
+def test_token_ids_must_be_an_integer_array(monkeypatch, ids):
+    started = []
+    monkeypatch.setattr(SpectrumCache, "get_or_compute", lambda *a: started.append(a))
+    monkeypatch.setattr(blocks_mod, "layer_forward", lambda *a: started.append(a))
+    model = build_model(4, 2, 1, 2, 7)
+    chain = build_chain_graph(3)
+    dtype = np.asarray(ids).dtype
+    message = f"token ids must be an integer array, got dtype {dtype}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        model_forward(model, chain, ids, MixMode.exact())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        batch_forward(model, [chain, chain], [[0, 1, 2], ids], MixMode.exact())
+    assert started == []
+
+
+@pytest.mark.parametrize("targets", NOT_INTEGER, ids=repr)
+def test_targets_must_be_an_integer_array(targets):
+    logits = np.zeros((3, 4))
+    message = f"targets must be an integer array, got dtype {np.asarray(targets).dtype}"
+    for score in (cross_entropy_loss, token_accuracy):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            score(logits, targets, np.ones(3, dtype=bool))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_ids_and_targets_pass(dtype):
+    model = build_model(4, 2, 1, 2, 7)
+    ids = np.array([0, 1, 2], dtype=dtype)
+    logits, _ = model_forward(model, build_chain_graph(3), ids, MixMode.exact())
+    want, _ = model_forward(model, build_chain_graph(3), [0, 1, 2], MixMode.exact())
+    assert np.array_equal(logits, want)
+    assert cross_entropy_loss(logits, ids, np.ones(3, dtype=bool))[0] == \
+        cross_entropy_loss(logits, [0, 1, 2], np.ones(3, dtype=bool))[0]

@@ -128,7 +128,8 @@ class TestAgainstPerFilterReference:
 class TestTypedGradients:
     def test_each_gradient_has_its_parameters_type_and_shapes(self):
         model = build_model(d=4, k=3, layers=2, ffn_mult=2, vocab=7, seed=1)
-        _, tape = model_forward(model, build_chain_graph(6), np.arange(6) % 7, MixMode.exact())
+        _, tape = model_forward(model, build_chain_graph(6), np.arange(6) % 7, MixMode.exact(),
+                                return_tape=True)
         layer = model.layers[1]
         grad_x, grad_layer = layer_backward(layer, tape.layer_tapes[1], np.ones((6, 4)))
         assert grad_x.shape == (6, 4)

@@ -56,7 +56,7 @@ def draw_batch(graphs, vocab, seed=0):
 
 def stacked_step(model, graphs, batch, mode, cache):
     ids, targets, masks = zip(*batch)
-    logits, tape = batch_forward(model, graphs, ids, mode, cache)
+    logits, tape = batch_forward(model, graphs, ids, mode, cache, return_tape=True)
     loss, grad_logits = cross_entropy_loss(logits, np.concatenate(targets),
                                            np.concatenate(masks), [g.n for g in graphs])
     return logits, loss, model_backward(model, tape, grad_logits)
@@ -162,7 +162,7 @@ def test_stacked_step_matches_the_per_sample_path(mode):
     per_loss, total = [], {name: np.zeros_like(g) for name, g in grads.items()}
     rows = 0
     for g, (ids, targets, mask) in zip(graphs, batch):
-        one, tape = model_forward(model, g, ids, mode, cache)
+        one, tape = model_forward(model, g, ids, mode, cache, return_tape=True)
         assert_rel(logits[rows:rows + g.n], one, "logits")
         rows += g.n
         sample_loss, grad_logits = cross_entropy_loss(one, targets, mask)
@@ -204,7 +204,7 @@ def test_central_differences_on_a_three_graph_batch():
         logits, _ = batch_forward(model, graphs, ids, mode, cache)
         return cross_entropy_loss(logits, targets, masks, sizes)[0]
 
-    logits, tape = batch_forward(model, graphs, ids, mode, cache)
+    logits, tape = batch_forward(model, graphs, ids, mode, cache, return_tape=True)
     _, grad_logits = cross_entropy_loss(logits, targets, masks, sizes)
     analytic = model_backward(model, tape, grad_logits)
     entries = _fd_check(model_params(model), loss_fn, analytic, 1e-5)

@@ -391,7 +391,7 @@ class TestTrainLoop:
         for _ in range(2):
             s = next(stream)
             logits, tape = model_forward(twin, s.graph, s.tokens,
-                                         cfg.mix_mode(), cache)
+                                         cfg.mix_mode(), cache, return_tape=True)
             _, gl = cross_entropy_loss(logits, s.targets, s.mask)
             grads = model_backward(twin, tape, gl)
             if total is None:
