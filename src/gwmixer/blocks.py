@@ -14,9 +14,11 @@ already owns.
 
 batch_forward runs the samples of an optimizer step as one pass: their
 rows are stacked for the embedding gather, every layer (its mix runs
-over the EigenStack of their systems, see filterbank) and the readout,
-and model_backward replays the stacked tape (return_tape=True) into one
-set of gradients. model_forward is its one-sample case.
+over the EigenStack of their systems, or in Chebyshev mode through one
+recurrence over the block-diagonal A2 = 2(L - I) of their graphs, see
+filterbank) and the readout, and model_backward replays the stacked
+tape (return_tape=True) into one set of gradients. model_forward is its
+one-sample case.
 """
 
 import json
@@ -37,7 +39,7 @@ from .filterbank import (
 )
 from .graphs import NormalizedLaplacian, TokenGraph, require_int, require_int_array
 from .serialize import dumps_canonical, write_text_atomic
-from .spectral import EigenSystem, SpectrumCache
+from .spectral import EigenSystem, SpectrumCache, stack_operators
 
 CHECKPOINT_VERSION = 2  # 2: the mix mode is one string, see _upgrade_v1_config
 
@@ -85,10 +87,11 @@ class LayerTape:
 def layer_forward(layer: WaveletLayer, eig: EigenSystem | EigenStack | None,
                   lap: NormalizedLaplacian | None, x: np.ndarray,
                   mode: MixMode):
-    """Returns (y, LayerTape). Over an EigenStack, x holds the stacked rows
-    of its graphs and the FFN runs on all of them at once. The arithmetic
-    runs in place in the arrays this call made (x is only read), with the
-    operands in the order of y = (r + h W2) + b2."""
+    """Returns (y, LayerTape). Over an EigenStack, or in chebyshev mode
+    over a block-diagonal A2 (lap as wavelet_mix takes it), x holds the
+    stacked rows of its graphs and the FFN runs on all of them at once.
+    The arithmetic runs in place in the arrays this call made (x is only
+    read), with the operands in the order of y = (r + h W2) + b2."""
     x = np.asarray(x, dtype=np.float64)
     r, mix = wavelet_mix(layer.bank, eig, x, mode, lap, return_tape=True)
     r += x  # the mix output is always a fresh array
@@ -178,14 +181,14 @@ def batch_forward(model: WaveletModel, graphs, token_ids, mode: MixMode,
     sample are stacked in order. Without a tape, each layer's
     intermediates are dropped before the next layer runs, so inference
     holds only a layer's own arrays at a time. The Laplacians and
-    whatever spectra the mode needs (none for chebyshev, which mixes one
-    graph per pass) come from the cache (a fresh one for this call when
-    none is given)."""
+    whatever spectra the mode needs come from the cache (a fresh one for
+    this call when none is given). Exact and truncated layers mix over
+    the EigenStack of the samples' systems; chebyshev needs no spectrum
+    and mixes every sample in one recurrence per layer over the
+    block-diagonal A2 of their Laplacians, built once per call."""
     if len(graphs) != len(token_ids) or not graphs:
         raise ValueError(f"need one token id array per graph, got {len(token_ids)} "
                          f"for {len(graphs)} graphs")
-    if mode.kind == "chebyshev" and len(graphs) > 1:
-        raise ValueError(f"{mode} mode mixes one graph per pass, got {len(graphs)}")
     ids = []
     for graph, t in zip(graphs, token_ids):
         t = require_int_array("token ids", t)
@@ -198,7 +201,7 @@ def batch_forward(model: WaveletModel, graphs, token_ids, mode: MixMode,
     cache = cache if cache is not None else SpectrumCache()
     laps, systems = zip(*(cache.get_or_compute(g, mode) for g in graphs))
     if mode.kind == "chebyshev":
-        eig, lap = None, laps[0]
+        eig, lap = None, stack_operators(laps)
     else:
         eig, lap = stack_systems(systems), None
     x = model.embed[ids]

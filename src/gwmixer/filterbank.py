@@ -8,7 +8,7 @@ features as
 
 evaluated exactly on the full eigenbasis, on the m smoothest modes
 (truncated), or, inference only, without any eigenbasis through one
-Chebyshev recurrence of sparse Laplacian products with the bank's
+Chebyshev recurrence of sparse products with A2 = 2(L - I), the bank's
 coefficients and alpha folded together. Backward treats U and Lam as
 constants.
 
@@ -22,7 +22,9 @@ shapes.
 The mix runs over an EigenSystem or over an EigenStack, the systems of
 all the graphs of an optimizer step: their signals are stacked by rows
 and the bank is evaluated once, at their concatenated eigenvalues, so
-the only per-graph work is the two U products. The forward keeps the
+the only per-graph work is the two U products. In Chebyshev mode the
+stacked rows mix through one recurrence over the block-diagonal A2 of
+their graphs (spectral.stack_operators). The forward keeps the
 bank's tanh layer, its pre-softplus output and U^T x on a MixTape, from
 which the backward contracts the bank gradient as (K, M) x (K, M, H)
 products without forming a gradient per eigenvalue.
@@ -272,11 +274,14 @@ def wavelet_mix(bank: FilterBank, eig: EigenSystem | EigenStack | None, x: np.nd
     exact mixes over a full eigensystem and truncated:m over one of
     exactly m pairs, from eigendecompose(lap, m); any other system is a
     ValueError. eig may be an EigenStack of such systems, x then holding
-    their graphs' rows stacked. chebyshev needs only the sparse
-    Laplacian: the bank is evaluated once at the P+1 Chebyshev nodes, one
+    their graphs' rows stacked. chebyshev needs no eigensystem, only lap:
+    the graph's NormalizedLaplacian, or for several graphs whose rows x
+    stacks, the sparse block-diagonal A2 that stack_operators makes of
+    theirs. The bank is evaluated once at the P+1 Chebyshev nodes, one
     matmul fits all K coefficient vectors c_k, alpha is folded in as
-    w_p = sum_k c_kp alpha_k, and a single recurrence sums
-    T_p(L - I) x * w_p in O(P |E| d) time and O(n d) memory.
+    w_p = sum_k c_kp alpha_k, and one chebyshev_series recurrence over
+    A2 = 2(L - I) sums T_p(L - I) x * w_p in O(P |E| d) time and O(n d)
+    memory.
 
     With return_tape, returns (Y, MixTape) for wavelet_mix_backward, the
     tape None in chebyshev mode, which has no backward.
@@ -284,10 +289,12 @@ def wavelet_mix(bank: FilterBank, eig: EigenSystem | EigenStack | None, x: np.nd
     if mode.kind == "chebyshev":
         if lap is None:
             raise ValueError("chebyshev mode needs the Laplacian")
-        x = _check_mix_args(bank, x, lap.n)
+        # no sparse.issparse: importing scipy here, ahead of graphs, slowed `import gwmixer`
+        op = lap.chebyshev_operator if isinstance(lap, NormalizedLaplacian) else lap
+        x = _check_mix_args(bank, x, op.shape[0])
         nodes, fit = chebyshev_nodes(mode.param)
         coeffs = bank_responses(bank, nodes) @ fit.T  # (K, P+1)
-        y = chebyshev_series(lap, coeffs.T @ bank.alpha, x)
+        y = chebyshev_series(op, coeffs.T @ bank.alpha, x)
         return (y, None) if return_tape else y
     _check_systems(eig, mode)
     x = _check_mix_args(bank, x, eig.n)

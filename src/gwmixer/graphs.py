@@ -229,6 +229,9 @@ class NormalizedLaplacian:
     column indices, with the convention that isolated nodes get an empty
     row/column (diagonal 0, not 1). Its arrays and degrees are frozen.
     Products cost O(|E| d); only eigendecompose forms a dense copy.
+
+    chebyshev_operator is its one Chebyshev form, A2 = 2(L - I), built
+    on first use only, so exact and truncated mixes never pay for it.
     """
 
     matrix: sparse.csr_array
@@ -237,6 +240,22 @@ class NormalizedLaplacian:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def chebyshev_operator(self) -> sparse.csr_array:
+        """A2 = 2(L - I), the operator of the Chebyshev recurrence, as a CSR
+        array with frozen arrays, built once. Doubling is exact and the
+        unit diagonal cancels exactly, so A2 stores the doubled
+        off-diagonal entries of L, plus -2 on the diagonal of each
+        isolated node (whose row of L is empty); the sparse subtraction
+        stores no zeros."""
+        a2 = 2.0 * self.matrix - 2.0 * sparse.eye_array(self.n, format="csr")
+        # own copies: the subtraction's result may view arrays sized for both operands
+        a2 = sparse.csr_array((a2.data.copy(), a2.indices.copy(), a2.indptr.copy()),
+                              shape=a2.shape)
+        for arr in (a2.data, a2.indices, a2.indptr):
+            arr.flags.writeable = False
+        return a2
 
 
 def normalized_laplacian(g: TokenGraph) -> NormalizedLaplacian:

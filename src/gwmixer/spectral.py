@@ -12,12 +12,19 @@ spectrum of the m smoothest modes by shift-invert Lanczos on the sparse
 Laplacian. Everything else (full spectra, small graphs) comes from the
 dense matrix: a bipartite graph, every forest among them, from the SVD
 of its half-size normalized biadjacency block, any other graph from
-dense eigh. The Chebyshev path needs no spectrum at all: it runs a
-three-term recurrence of sparse products.
+dense eigh.
+
+The Chebyshev path needs no spectrum at all. It runs one kernel,
+chebyshev_series, a three-term recurrence T_{p+1} = A2 T_p - T_{p-1} of
+sparse products with A2 = 2(L - I), the Laplacian's
+chebyshev_operator. Several graphs mix in one pass over the block
+diagonal of their operators (stack_operators), which is the operator of
+their disjoint union.
 """
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -34,6 +41,7 @@ INERTIA_GAP = 1e-9  # the completeness count sits this far below the largest pai
 LAMBDA_MAX = 2.0  # normalized Laplacian spectra lie in [0, 2]; filters live on this interval
 RESIDUAL_TOL = 1e-12  # scales the accepted eigendecomposition residual
 RESIDUAL_BLOCK = 256  # eigenvector columns per residual product, bounding its temporaries
+CHEBYSHEV_MEMO_SIZE = 64  # distinct orders whose nodes and fit matrix chebyshev_nodes keeps
 
 
 class NumericalError(RuntimeError):
@@ -348,12 +356,22 @@ def chebyshev_nodes(order: int):
     """The P+1 first-kind Chebyshev nodes mapped onto [0, LAMBDA_MAX], and
     the (P+1, P+1) Chebyshev-Gauss matrix that takes a function's values
     at those nodes to its degree-P expansion coefficients. The order P
-    must be an integer >= 0, as for MixMode's chebyshev:P."""
-    p1 = require_int("chebyshev order", order, 0) + 1
+    must be an integer >= 0, as for MixMode's chebyshev:P. Both arrays
+    are read-only and computed once per order (the last
+    CHEBYSHEV_MEMO_SIZE orders are kept)."""
+    # checked first: True hashes like 1 and would find order 1's entry
+    return _chebyshev_nodes(require_int("chebyshev order", order, 0))
+
+
+@lru_cache(maxsize=CHEBYSHEV_MEMO_SIZE)
+def _chebyshev_nodes(order: int):
+    p1 = order + 1
     theta = np.pi * (np.arange(p1) + 0.5) / p1
     lam_nodes = 0.5 * LAMBDA_MAX * (np.cos(theta) + 1.0)
     fit = (2.0 / p1) * np.cos(np.outer(np.arange(p1), theta))
     fit[0] *= 0.5
+    lam_nodes.flags.writeable = False
+    fit.flags.writeable = False
     return lam_nodes, fit
 
 
@@ -375,39 +393,57 @@ def chebyshev_fit(h, order: int):
     return coeffs, max_err
 
 
-def chebyshev_series(l: NormalizedLaplacian, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_p T_p(Lt) x * w[p] with Lt = L - I, the [0, 2] spectrum mapped
-    onto [-1, 1].
+def chebyshev_series(op: sparse.csr_array, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_p T_p(L - I) x * w[p], the Chebyshev kernel: L - I maps the
+    [0, 2] spectrum onto [-1, 1].
 
-    w is (P+1, 1) for one scalar series or (P+1, d) for one series per
-    channel. Runs T_{p+1} = 2 Lt T_p - T_{p-1} with CSR products: P
-    products of O(|E| d) each, holding only T_{p-1}, T_p and the sum.
+    op is A2 = 2(L - I) as a sparse array: a Laplacian's
+    chebyshev_operator, or stack_operators' block diagonal of several, x
+    then holding their graphs' rows stacked. w is (P+1, 1) for one scalar
+    series or (P+1, d) for one series per channel. T_1 x = A2 x / 2
+    (exact: halving undoes the exact doubling) and
+    T_{p+1} x = A2 T_p x - T_{p-1} x: per order one CSR product of
+    O(|E| d), one subtraction and one multiply-add into the sum, holding
+    only T_{p-1} x, T_p x, the sum and one term buffer.
     """
-    mat = l.matrix
     out = w[0] * x
     if len(w) == 1:
         return out
     term = np.empty_like(out)  # reused: a fresh (n, d) temporary per order is slower
     t_prev = x
-    t_cur = mat @ x
-    t_cur -= x
+    t_cur = op @ x
+    t_cur *= 0.5
     out += np.multiply(w[1], t_cur, out=term)
     for p in range(2, len(w)):
-        t_next = mat @ t_cur
-        t_next -= t_cur
-        t_next *= 2.0
+        t_next = op @ t_cur
         t_next -= t_prev
         out += np.multiply(w[p], t_next, out=term)
         t_prev, t_cur = t_cur, t_next
     return out
 
 
-def chebyshev_apply(l: NormalizedLaplacian, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+def stack_operators(laps) -> sparse.csr_array:
+    """The Chebyshev operator of a step's graphs, in sample order, for one
+    chebyshev_series pass over their stacked rows: the lone Laplacian's
+    chebyshev_operator itself, or the block-diagonal CSR of several."""
+    ops = [lap.chebyshev_operator for lap in laps]
+    return ops[0] if len(ops) == 1 else sparse.block_diag(ops, format="csr")
+
+
+def chebyshev_apply(l: NormalizedLaplacian, coeffs, x: np.ndarray) -> np.ndarray:
     """f(L) x for the expansion coeffs of f (from chebyshev_fit), via the
-    three-term recurrence of chebyshev_series. Never touches
-    eigenvectors."""
+    chebyshev_series kernel on l's chebyshev_operator. Never touches
+    eigenvectors. coeffs must be a non-empty, 1-D, finite array of
+    numbers, checked before any product; anything else is a ValueError."""
+    try:
+        w = np.asarray(coeffs, dtype=np.float64)
+    except (TypeError, ValueError):
+        w = None
+    if w is None or w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
+        raise ValueError("chebyshev coefficients must be a non-empty 1-D array of finite "
+                         f"numbers, got {coeffs!r}")
     x = as_signal(x, l.n)
-    return chebyshev_series(l, np.asarray(coeffs, dtype=np.float64)[:, None], x)
+    return chebyshev_series(l.chebyshev_operator, w[:, None], x)
 
 
 @dataclass(frozen=True)

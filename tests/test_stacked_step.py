@@ -246,8 +246,6 @@ def test_batch_checks_its_inputs():
         batch_forward(model, [chain, chain], [[0, 1, 2], [0, 1]], MixMode.exact())
     with pytest.raises(ValueError, match="vocabulary"):
         batch_forward(model, [chain, chain], [[0, 1, 2], [0, 1, 7]], MixMode.exact())
-    with pytest.raises(ValueError, match="one graph per pass"):
-        batch_forward(model, [chain, chain], [[0, 1, 2]] * 2, MixMode.chebyshev(8))
     logits = np.zeros((5, 4))
     targets = np.zeros(5, dtype=int)
     with pytest.raises(ValueError, match="mask scores no positions"):
