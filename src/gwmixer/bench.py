@@ -2,11 +2,10 @@
 baseline, with per-size correctness gates so a timing is never reported
 for wrong output.
 
-Timing excludes eigendecomposition and setup: the Laplacian and each
-mode's spectrum come from a SpectrumCache before timing, as in
-model_forward, so truncated:m mixes over its own m-pair system and the
-Chebyshev mode needs no spectrum at all. Memory is measured in a
-separate untimed pass with tracemalloc.
+Timing excludes eigendecomposition and setup: each mode's operand comes
+from SpectrumCache.operand before timing, as in model_forward, so
+truncated:m mixes over its own m-pair system and chebyshev over the
+Laplacian alone. Memory is measured by tracemalloc in an untimed pass.
 """
 
 import time
@@ -127,16 +126,19 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
     Returns (records, slopes) where slopes maps mode string to the
     fitted log-log exponent. Outputs are verified before timing; the
     wavelet modes share one bank and input per size, so their checksums
-    agree up to mode error. Each size's Laplacian and spectra come from a
-    SpectrumCache of its own, outside all timed regions. Before any timing,
-    repeats and each size must be an integer >= 1, no size or mode may be
-    listed twice, and every mode must fit every size (ValueError).
+    agree up to mode error. Each size's operands come from a SpectrumCache
+    of its own, outside all timed regions. Before any timing, repeats and
+    each size must be an integer >= 1, sizes and modes must list at least
+    one entry and none twice, and every mode must fit every size (ValueError).
     """
     repeats = require_int("repeats", repeats, 1)
     sizes = tuple(require_int(f"sizes[{i}]", n, 1) for i, n in enumerate(sizes))
+    modes = tuple(modes)  # read twice: a generator would leave nothing to time
     parsed = [m if isinstance(m, MixMode) else None if m == "attention" else parse_mix_mode(m)
               for m in modes]
     for what, items in (("sizes", sizes), ("modes", [str(m or "attention") for m in parsed])):
+        if not items:
+            raise ValueError(f"{what} must list at least one entry")
         for i, item in enumerate(items):
             if item in items[:i]:
                 raise ValueError(f"{what} lists {item} more than once")
@@ -156,10 +158,10 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
                 fn = lambda: attention_baseline_forward(x, *att)
                 out = fn()
             else:
-                lap, eig = cache.get_or_compute(graph, mode)
-                fn = lambda: wavelet_mix(bank, eig, x, mode, lap)
+                operand = cache.operand([graph], mode)
+                fn = lambda: wavelet_mix(bank, operand, x, mode)
                 out = fn()
-                _verify_mode(mode, out, bank, cache.get_or_compute(graph)[1], x)
+                _verify_mode(mode, out, bank, cache.operand([graph], MixMode.exact()), x)
             seconds = _time_call(fn, repeats)
             peak = _peak_bytes(fn)
             records.append(BenchRecord(n, d, k, str(mode_str), seconds, peak,

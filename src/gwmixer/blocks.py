@@ -13,9 +13,8 @@ next layer runs, and every layer does its arithmetic in the arrays it
 already owns.
 
 batch_forward runs the samples of an optimizer step as one pass: their
-rows are stacked for the embedding gather, every layer (its mix runs
-over the EigenStack of their systems, or in Chebyshev mode through one
-recurrence over the block-diagonal A2 = 2(L - I) of their graphs, see
+rows are stacked for the embedding gather, every layer (each mixing over
+the one operand SpectrumCache.operand builds for all of them, see
 filterbank) and the readout, and model_backward replays the stacked
 tape (return_tape=True) into one set of gradients. model_forward is its
 one-sample case.
@@ -27,19 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import (
-    EigenStack,
     FilterBank,
     MixMode,
     MixTape,
     draw_filter_bank,
     named_bank_tensors,
-    stack_systems,
     wavelet_mix,
     wavelet_mix_backward,
 )
 from .graphs import NormalizedLaplacian, TokenGraph, require_int, require_int_array
 from .serialize import dumps_canonical, write_text_atomic
-from .spectral import EigenSystem, SpectrumCache, stack_operators
+from .spectral import EigenStack, EigenSystem, SpectrumCache
 
 CHECKPOINT_VERSION = 2  # 2: the mix mode is one string, see _upgrade_v1_config
 
@@ -73,27 +70,26 @@ class WaveletLayer:
 @dataclass
 class LayerTape:
     """Intermediates needed to run a layer backward, its mix's mode,
-    system and tape included. layer_forward always makes one;
+    operand and tape included. layer_forward always makes one;
     batch_forward keeps it only when asked for a tape."""
 
     x: np.ndarray
     r: np.ndarray
     h: np.ndarray  # FFN hidden layer relu(r W1 + b1); h > 0 is the ReLU mask
     mode: MixMode
-    eig: EigenSystem | EigenStack | None  # None in chebyshev mode
+    operand: EigenSystem | EigenStack | NormalizedLaplacian  # what the mix mixed over
     mix: MixTape | None  # None in chebyshev mode
 
 
-def layer_forward(layer: WaveletLayer, eig: EigenSystem | EigenStack | None,
-                  lap: NormalizedLaplacian | None, x: np.ndarray,
-                  mode: MixMode):
-    """Returns (y, LayerTape). Over an EigenStack, or in chebyshev mode
-    over a block-diagonal A2 (lap as wavelet_mix takes it), x holds the
-    stacked rows of its graphs and the FFN runs on all of them at once.
-    The arithmetic runs in place in the arrays this call made (x is only
-    read), with the operands in the order of y = (r + h W2) + b2."""
+def layer_forward(layer: WaveletLayer, operand: EigenSystem | EigenStack | NormalizedLaplacian,
+                  x: np.ndarray, mode: MixMode):
+    """Returns (y, LayerTape). operand is what mode mixes over, as
+    wavelet_mix takes it; when it covers several graphs, x holds their
+    stacked rows and the FFN runs on all of them at once. The arithmetic
+    runs in place in the arrays this call made (x is only read), with
+    the operands in the order of y = (r + h W2) + b2."""
     x = np.asarray(x, dtype=np.float64)
-    r, mix = wavelet_mix(layer.bank, eig, x, mode, lap, return_tape=True)
+    r, mix = wavelet_mix(layer.bank, operand, x, mode, return_tape=True)
     r += x  # the mix output is always a fresh array
     h = r @ layer.ffn.w1
     h += layer.ffn.b1
@@ -101,11 +97,11 @@ def layer_forward(layer: WaveletLayer, eig: EigenSystem | EigenStack | None,
     y = h @ layer.ffn.w2
     y += r
     y += layer.ffn.b2
-    return y, LayerTape(x, r, h, mode, eig, mix)
+    return y, LayerTape(x, r, h, mode, operand, mix)
 
 
 def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray):
-    """Gradients from the tape alone, over the system the forward pass
+    """Gradients from the tape alone, over the operand the forward pass
     mixed over: (grad_x, WaveletLayer of the gradients of the layer's
     arrays)."""
     ffn = layer.ffn
@@ -114,7 +110,7 @@ def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray):
     grad_ffn = FeedForward(w1=tape.r.T @ d_pre, b1=d_pre.sum(axis=0),
                            w2=tape.h.T @ upstream, b2=upstream.sum(axis=0))
     d_r = upstream + d_pre @ ffn.w1.T
-    grad_x, grad_bank = wavelet_mix_backward(layer.bank, tape.eig, tape.x, tape.mode, d_r,
+    grad_x, grad_bank = wavelet_mix_backward(layer.bank, tape.operand, tape.x, tape.mode, d_r,
                                              tape.mix)
     return d_r + grad_x, WaveletLayer(grad_bank, grad_ffn)
 
@@ -180,12 +176,9 @@ def batch_forward(model: WaveletModel, graphs, token_ids, mode: MixMode,
     (logits, None) without; the logits are the same. The rows of every
     sample are stacked in order. Without a tape, each layer's
     intermediates are dropped before the next layer runs, so inference
-    holds only a layer's own arrays at a time. The Laplacians and
-    whatever spectra the mode needs come from the cache (a fresh one for
-    this call when none is given). Exact and truncated layers mix over
-    the EigenStack of the samples' systems; chebyshev needs no spectrum
-    and mixes every sample in one recurrence per layer over the
-    block-diagonal A2 of their Laplacians, built once per call."""
+    holds only a layer's own arrays at a time. Every layer mixes over
+    cache.operand(graphs, mode), built once per call (a fresh cache for
+    this call when none is given)."""
     if len(graphs) != len(token_ids) or not graphs:
         raise ValueError(f"need one token id array per graph, got {len(token_ids)} "
                          f"for {len(graphs)} graphs")
@@ -199,15 +192,11 @@ def batch_forward(model: WaveletModel, graphs, token_ids, mode: MixMode,
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= model.vocab:
         raise ValueError("token id out of vocabulary range")
     cache = cache if cache is not None else SpectrumCache()
-    laps, systems = zip(*(cache.get_or_compute(g, mode) for g in graphs))
-    if mode.kind == "chebyshev":
-        eig, lap = None, stack_operators(laps)
-    else:
-        eig, lap = stack_systems(systems), None
+    operand = cache.operand(graphs, mode)
     x = model.embed[ids]
     tapes = []
     for layer in model.layers:
-        x, tape = layer_forward(layer, eig, lap, x, mode)
+        x, tape = layer_forward(layer, operand, x, mode)
         if return_tape:
             tapes.append(tape)
         del tape  # without a tape, the layer's intermediates go before the next layer runs

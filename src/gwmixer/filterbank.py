@@ -19,15 +19,15 @@ holds K of them, views of the bank's rows), which filter_eval and
 filter_eval_grad take; the gradient of a bank is a bank of the same
 shapes.
 
-The mix runs over an EigenSystem or over an EigenStack, the systems of
-all the graphs of an optimizer step: their signals are stacked by rows
-and the bank is evaluated once, at their concatenated eigenvalues, so
-the only per-graph work is the two U products. In Chebyshev mode the
-stacked rows mix through one recurrence over the block-diagonal A2 of
-their graphs (spectral.stack_operators). The forward keeps the
-bank's tanh layer, its pre-softplus output and U^T x on a MixTape, from
-which the backward contracts the bank gradient as (K, M) x (K, M, H)
-products without forming a gradient per eigenvalue.
+The mix runs over one operand, as SpectrumCache.operand builds it: an
+EigenSystem, or the EigenStack of all the graphs of an optimizer step,
+whose signals are stacked by rows and whose bank is evaluated once, at
+their concatenated eigenvalues, so the only per-graph work is the two U
+products; in Chebyshev mode a NormalizedLaplacian, for several graphs
+that of their disjoint union. The forward keeps the bank's tanh layer,
+its pre-softplus output and U^T x on a MixTape, from which the backward
+contracts the bank gradient as (K, M) x (K, M, H) products without
+forming a gradient per eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -38,6 +38,7 @@ from .graphs import NormalizedLaplacian, require_int
 from .serialize import fmt_float
 from .spectral import (
     LAMBDA_MAX,
+    EigenStack,
     EigenSystem,
     MixMode,
     as_signal,
@@ -180,68 +181,25 @@ def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
     return out if np.ndim(lam) else out[:, 0]
 
 
-@dataclass(frozen=True)
-class EigenStack:
-    """The eigensystems of several graphs, mixed as one signal whose rows
-    are the graphs' nodes in order. lam holds their eigenvalues
-    concatenated; rows and cols give each system its slice of the signal's
-    rows and of lam. It transforms as an EigenSystem does, system by
-    system. Built by stack_systems."""
-
-    systems: tuple
-    lam: np.ndarray
-    rows: tuple
-    cols: tuple
-
-    @property
-    def n(self) -> int:
-        return self.rows[-1].stop
-
-    def analysis(self, x: np.ndarray) -> np.ndarray:
-        """U_i^T x_i of every system, stacked: (M, d)."""
-        out = np.empty((len(self.lam), x.shape[1]))
-        for eig, r, c in zip(self.systems, self.rows, self.cols):
-            np.matmul(eig.u.T, x[r], out=out[c])
-        return out
-
-    def synthesis(self, h: np.ndarray) -> np.ndarray:
-        """U_i h_i of every system, stacked: (N, d)."""
-        out = np.empty((self.n, h.shape[1]))
-        for eig, r, c in zip(self.systems, self.rows, self.cols):
-            np.matmul(eig.u, h[c], out=out[r])
-        return out
-
-
-def stack_systems(systems) -> EigenSystem | EigenStack:
-    """The systems of a step's graphs, in sample order, as what wavelet_mix
-    mixes over: the lone system itself, or an EigenStack of several."""
-    systems = tuple(systems)
-    if len(systems) == 1:
-        return systems[0]
-    rows, cols = [], []
-    r0 = c0 = 0
-    for eig in systems:
-        rows.append(slice(r0, r0 + eig.n))
-        cols.append(slice(c0, c0 + eig.m))
-        r0, c0 = r0 + eig.n, c0 + eig.m
-    return EigenStack(systems, np.concatenate([e.lam for e in systems]), tuple(rows), tuple(cols))
-
-
-def _check_systems(eig: EigenSystem | EigenStack | None, mode: MixMode) -> None:
-    """A mode mixes over every pair it is given: each system must hold
-    exactly mode.pairs(n) pairs (a full one for exact, m pairs for
-    truncated:m)."""
-    if eig is None:
-        raise ValueError(f"{mode} mode needs an eigensystem")
-    for s in eig.systems if isinstance(eig, EigenStack) else (eig,):
-        need = mode.pairs(s.n)
-        if s.m != need:
-            raise ValueError(f"{mode} mode mixes over {need} eigenpairs, got an eigensystem "
-                             f"of m={s.m} pairs for n={s.n} nodes")
-
-
-def _check_mix_args(bank: FilterBank, x: np.ndarray, n: int) -> np.ndarray:
-    x = as_signal(x, n)
+def _check_mix_args(bank: FilterBank, operand, x: np.ndarray, mode: MixMode) -> np.ndarray:
+    """x as a signal over operand, which must be what SpectrumCache.operand
+    gives mode: a NormalizedLaplacian for chebyshev, else an EigenSystem
+    or EigenStack whose every system holds exactly mode.pairs(n) pairs.
+    Anything else is a ValueError naming the mode and what it mixes over."""
+    if mode.kind == "chebyshev":
+        if not isinstance(operand, NormalizedLaplacian):
+            raise ValueError(f"{mode} mode mixes over a NormalizedLaplacian, "
+                             f"got {type(operand).__name__}")
+    elif not isinstance(operand, (EigenSystem, EigenStack)):
+        raise ValueError(f"{mode} mode mixes over an EigenSystem or EigenStack, "
+                         f"got {type(operand).__name__}")
+    else:
+        for s in operand.systems if isinstance(operand, EigenStack) else (operand,):
+            need = mode.pairs(s.n)
+            if s.m != need:
+                raise ValueError(f"{mode} mode mixes over {need} eigenpairs, got an "
+                                 f"eigensystem of m={s.m} pairs for n={s.n} nodes")
+    x = as_signal(x, operand.n)
     if x.shape[1] != bank.d:
         raise ValueError(f"bank mixes d={bank.d} channels, signal has {x.shape[1]}")
     return x
@@ -266,66 +224,54 @@ def _mix_tape(bank: FilterBank, eig: EigenSystem | EigenStack, x: np.ndarray) ->
     return MixTape(lam, t, y, g, eig.analysis(x))
 
 
-def wavelet_mix(bank: FilterBank, eig: EigenSystem | EigenStack | None, x: np.ndarray,
-                mode: MixMode, lap: NormalizedLaplacian | None = None,
-                return_tape: bool = False):
-    """Mix node features through the filter bank.
+def wavelet_mix(bank: FilterBank, operand: EigenSystem | EigenStack | NormalizedLaplacian,
+                x: np.ndarray, mode: MixMode, return_tape: bool = False):
+    """Mix node features through the filter bank over operand, what mode
+    mixes over (SpectrumCache.operand builds it, _check_mix_args checks it
+    before any product); x holds its graphs' rows, stacked for several.
 
-    exact mixes over a full eigensystem and truncated:m over one of
-    exactly m pairs, from eigendecompose(lap, m); any other system is a
-    ValueError. eig may be an EigenStack of such systems, x then holding
-    their graphs' rows stacked. chebyshev needs no eigensystem, only lap:
-    the graph's NormalizedLaplacian, or for several graphs whose rows x
-    stacks, the sparse block-diagonal A2 that stack_operators makes of
-    theirs. The bank is evaluated once at the P+1 Chebyshev nodes, one
-    matmul fits all K coefficient vectors c_k, alpha is folded in as
-    w_p = sum_k c_kp alpha_k, and one chebyshev_series recurrence over
-    A2 = 2(L - I) sums T_p(L - I) x * w_p in O(P |E| d) time and O(n d)
-    memory.
+    In chebyshev mode the bank is evaluated once at the P+1 Chebyshev
+    nodes, one matmul fits all K coefficient vectors c_k, alpha is folded
+    in as w_p = sum_k c_kp alpha_k, and one chebyshev_series recurrence
+    over the Laplacian's A2 = 2(L - I) sums T_p(L - I) x * w_p in
+    O(P |E| d) time and O(n d) memory.
 
     With return_tape, returns (Y, MixTape) for wavelet_mix_backward, the
     tape None in chebyshev mode, which has no backward.
     """
+    x = _check_mix_args(bank, operand, x, mode)
     if mode.kind == "chebyshev":
-        if lap is None:
-            raise ValueError("chebyshev mode needs the Laplacian")
-        # no sparse.issparse: importing scipy here, ahead of graphs, slowed `import gwmixer`
-        op = lap.chebyshev_operator if isinstance(lap, NormalizedLaplacian) else lap
-        x = _check_mix_args(bank, x, op.shape[0])
         nodes, fit = chebyshev_nodes(mode.param)
         coeffs = bank_responses(bank, nodes) @ fit.T  # (K, P+1)
-        y = chebyshev_series(op, coeffs.T @ bank.alpha, x)
+        y = chebyshev_series(operand.chebyshev_operator, coeffs.T @ bank.alpha, x)
         return (y, None) if return_tape else y
-    _check_systems(eig, mode)
-    x = _check_mix_args(bank, x, eig.n)
-    tape = _mix_tape(bank, eig, x)
-    y = eig.synthesis((tape.g.T @ bank.alpha) * tape.xhat)  # g^T alpha: sum_k g_k(lam_i) alpha_k[j]
+    tape = _mix_tape(bank, operand, x)
+    y = operand.synthesis((tape.g.T @ bank.alpha) * tape.xhat)  # g^T alpha: sum_k g_k(lam_i) alpha_k[j]
     return (y, tape) if return_tape else y
 
 
-def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem | EigenStack, x: np.ndarray,
+def wavelet_mix_backward(bank: FilterBank, operand: EigenSystem | EigenStack, x: np.ndarray,
                          mode: MixMode, upstream: np.ndarray, tape: MixTape | None = None):
     """Reverse-mode gradients of wavelet_mix for exact/truncated modes:
     (grad_x, FilterBank of the gradients of the bank's arrays).
 
     U and Lam are constants of the graph; gradients flow to x, alpha and
     the filter parameters only. tape is the MixTape that
-    wavelet_mix(..., return_tape=True) gave for the same bank, eig and x;
-    without one, the bank is evaluated and U^T x formed here. The bank
-    gradient is contracted over all M eigenvalues at once:
+    wavelet_mix(..., return_tape=True) gave for the same bank, operand
+    and x; without one, the bank is evaluated and U^T x formed here. The
+    bank gradient is contracted over all M eigenvalues at once:
     dy = dLoss/dy (K, M) meets t and 1 - t^2 in (K, 1 or 2, M) x
     (K, M, H) products. The chebyshev path has no backward.
     """
+    x = _check_mix_args(bank, operand, x, mode)
     if mode.kind == "chebyshev":
         raise ValueError("chebyshev mode is inference-only; no backward pass")
-    _check_systems(eig, mode)
-    x = _check_mix_args(bank, x, eig.n)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != signal shape {x.shape}")
     if tape is None:
-        tape = _mix_tape(bank, eig, x)
-    ghat = eig.analysis(upstream)  # (M, d)
+        tape = _mix_tape(bank, operand, x)
+    ghat = operand.analysis(upstream)  # (M, d)
     prod = tape.xhat * ghat  # (M, d)
     # dLoss/dg_k(lam_i) = sum_j xhat[i,j] alpha[k,j] ghat[i,j], then through the softplus
     dy = (bank.alpha @ prod.T) * _expit(tape.y)  # (K, M)
@@ -335,7 +281,7 @@ def wavelet_mix_backward(bank: FilterBank, eig: EigenSystem | EigenStack, x: np.
     dz = np.stack((dy, dy * tape.lam), axis=1) @ sech2  # (K, 2, H)
     grad_bank = FilterBank(bank.w2 * dz[:, 1], bank.w2 * dz[:, 0], (dy[:, None, :] @ tape.t)[:, 0],
                            dy.sum(axis=1), tape.g @ prod)
-    return eig.synthesis((tape.g.T @ bank.alpha) * ghat), grad_bank
+    return operand.synthesis((tape.g.T @ bank.alpha) * ghat), grad_bank
 
 
 def named_bank_tensors(bank: FilterBank, prefix: str = "") -> dict:

@@ -17,14 +17,15 @@ dense eigh.
 The Chebyshev path needs no spectrum at all. It runs one kernel,
 chebyshev_series, a three-term recurrence T_{p+1} = A2 T_p - T_{p-1} of
 sparse products with A2 = 2(L - I), the Laplacian's
-chebyshev_operator. Several graphs mix in one pass over the block
-diagonal of their operators (stack_operators), which is the operator of
-their disjoint union.
+chebyshev_operator. SpectrumCache.operand alone chooses what a mode
+mixes over: an EigenSystem, an EigenStack of several, or a Laplacian,
+for several graphs that of their disjoint union (block-diagonal A2).
 """
 
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
@@ -78,6 +79,45 @@ class EigenSystem:
     def synthesis(self, h: np.ndarray) -> np.ndarray:
         """U h: (n, d)."""
         return self.u @ h
+
+
+@dataclass(frozen=True)
+class EigenStack:
+    """The eigensystems of several graphs, mixed as one signal whose rows
+    are the graphs' nodes in order. lam holds their eigenvalues
+    concatenated; rows and cols give each system its slice of the signal's
+    rows and of lam. It transforms as an EigenSystem does, system by
+    system. Built by SpectrumCache.operand."""
+
+    systems: tuple
+    lam: np.ndarray
+    rows: tuple
+    cols: tuple
+
+    @classmethod
+    def of(cls, systems) -> "EigenStack":
+        rows = list(accumulate((s.n for s in systems), initial=0))
+        cols = list(accumulate((s.m for s in systems), initial=0))
+        return cls(tuple(systems), np.concatenate([s.lam for s in systems]),
+                   tuple(map(slice, rows[:-1], rows[1:])), tuple(map(slice, cols[:-1], cols[1:])))
+
+    @property
+    def n(self) -> int:
+        return self.rows[-1].stop
+
+    def analysis(self, x: np.ndarray) -> np.ndarray:
+        """U_i^T x_i of every system, stacked: (M, d)."""
+        out = np.empty((len(self.lam), x.shape[1]))
+        for eig, r, c in zip(self.systems, self.rows, self.cols):
+            np.matmul(eig.u.T, x[r], out=out[c])
+        return out
+
+    def synthesis(self, h: np.ndarray) -> np.ndarray:
+        """U_i h_i of every system, stacked: (N, d)."""
+        out = np.empty((self.n, h.shape[1]))
+        for eig, r, c in zip(self.systems, self.rows, self.cols):
+            np.matmul(eig.u, h[c], out=out[r])
+        return out
 
 
 def _check_square_symmetric(mat) -> None:
@@ -397,9 +437,9 @@ def chebyshev_series(op: sparse.csr_array, w: np.ndarray, x: np.ndarray) -> np.n
     """sum_p T_p(L - I) x * w[p], the Chebyshev kernel: L - I maps the
     [0, 2] spectrum onto [-1, 1].
 
-    op is A2 = 2(L - I) as a sparse array: a Laplacian's
-    chebyshev_operator, or stack_operators' block diagonal of several, x
-    then holding their graphs' rows stacked. w is (P+1, 1) for one scalar
+    op is A2 = 2(L - I) as a sparse array, a Laplacian's
+    chebyshev_operator (block diagonal for a disjoint union, x then
+    holding its graphs' rows stacked). w is (P+1, 1) for one scalar
     series or (P+1, d) for one series per channel. T_1 x = A2 x / 2
     (exact: halving undoes the exact doubling) and
     T_{p+1} x = A2 T_p x - T_{p-1} x: per order one CSR product of
@@ -420,14 +460,6 @@ def chebyshev_series(op: sparse.csr_array, w: np.ndarray, x: np.ndarray) -> np.n
         out += np.multiply(w[p], t_next, out=term)
         t_prev, t_cur = t_cur, t_next
     return out
-
-
-def stack_operators(laps) -> sparse.csr_array:
-    """The Chebyshev operator of a step's graphs, in sample order, for one
-    chebyshev_series pass over their stacked rows: the lone Laplacian's
-    chebyshev_operator itself, or the block-diagonal CSR of several."""
-    ops = [lap.chebyshev_operator for lap in laps]
-    return ops[0] if len(ops) == 1 else sparse.block_diag(ops, format="csr")
 
 
 def chebyshev_apply(l: NormalizedLaplacian, coeffs, x: np.ndarray) -> np.ndarray:
@@ -540,6 +572,27 @@ class SpectrumCache:
             entry = self._fill(g, m)
         lap, spectra = entry
         return lap, None if m is None else spectra[m]
+
+    def operand(self, graphs, mode: MixMode):
+        """What mode mixes over for graphs, whose rows a signal stacks in
+        order, from one get_or_compute per graph: a lone graph's cached
+        EigenSystem (exact, truncated) or NormalizedLaplacian (chebyshev)
+        itself; for several, the EigenStack of their systems or the
+        Laplacian of their disjoint union, block-diagonal with frozen
+        arrays."""
+        graphs = tuple(graphs)
+        if not graphs:
+            raise ValueError("an operand needs at least one graph")
+        laps, systems = zip(*(self.get_or_compute(g, mode) for g in graphs))
+        if mode.kind != "chebyshev":
+            return systems[0] if len(systems) == 1 else EigenStack.of(systems)
+        if len(laps) == 1:
+            return laps[0]
+        mat = sparse.block_diag([lap.matrix for lap in laps], format="csr")
+        deg = np.concatenate([lap.degrees for lap in laps])
+        for arr in (mat.data, mat.indices, mat.indptr, deg):
+            arr.flags.writeable = False
+        return NormalizedLaplacian(mat, deg)
 
     def _fill(self, g: TokenGraph, m: int | None):
         """Add g's Laplacian and, unless m is None, its m-pair system if missing."""

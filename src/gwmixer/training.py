@@ -45,10 +45,22 @@ VAL_BATCHES = 16
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+def _require_rate(what: str, value) -> None:
+    """A learning rate is a finite number >= 0 (0 freezes the model), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not np.isfinite(value) or value < 0:
+        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     base_lr: float = 5e-4
     warmup_steps: int = 4000
+
+    def __post_init__(self):
+        _require_rate("base_lr", self.base_lr)
+        require_int("warmup_steps", self.warmup_steps, 1)
 
 
 def lr_at(cfg: ScheduleConfig, step: int) -> float:
@@ -134,10 +146,12 @@ def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray
     on scored rows and zero elsewhere. Max-subtraction keeps the softmax
     stable for large logits. sizes, the row counts of samples stacked in
     order (one sample of all rows by default), makes the loss the mean of
-    the samples' own losses, and the gradient that mean's.
+    the samples' own losses, and the gradient that mean's; sizes are integers >= 1.
     """
     logits, targets, mask = _check_scored(logits, targets, mask)
-    sizes = np.asarray([len(targets)] if sizes is None else sizes, dtype=np.int64)
+    sizes = [len(targets)] if sizes is None else sizes
+    # [] reads as float64: it gets the shape message below
+    sizes = require_int_array("sample sizes", sizes) if np.size(sizes) else np.zeros(0, np.int64)
     if sizes.ndim != 1 or len(sizes) == 0 or sizes.min() < 1 or sizes.sum() != len(targets):
         raise ValueError(f"shape mismatch: sample sizes {sizes.tolist()} for {len(targets)} rows")
     bounds = np.concatenate(([0], np.cumsum(sizes)))
@@ -195,11 +209,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in INT_MINIMUMS.items():
             require_int(name, getattr(self, name), low)
-        if isinstance(self.lr, bool) or not isinstance(self.lr, Real):
-            raise ValueError(f"lr must be a number, got {self.lr!r}")
-        # lr = 0 is allowed: it freezes the model
-        if not np.isfinite(self.lr) or self.lr < 0:
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
+        _require_rate("lr", self.lr)
         spec = self.task_spec()  # task, n, vocab, mask_rate and conllu
         try:
             mix = parse_mix_mode(self.mode)
@@ -448,9 +458,9 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
         analytic = {name: np.reshape(wts @ g[name], p.shape) for name, p in params.items()}
     elif selector in ("mix", "layer"):
         n, d, k = 6, 4, 2
-        lap, eig = SpectrumCache().get_or_compute(build_chain_graph(n))
-        x = rng.standard_normal((n, d))
         mode = MixMode.exact()
+        eig = SpectrumCache().operand([build_chain_graph(n)], mode)
+        x = rng.standard_normal((n, d))
         bank = build_filter_bank(k, d, seed=seed)
         if selector == "mix":
             params = named_bank_tensors(bank)
@@ -466,10 +476,10 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
             params = _named_layer_tensors(layer)
 
             def loss_fn():
-                y, _ = layer_forward(layer, eig, lap, x, mode)
+                y, _ = layer_forward(layer, eig, x, mode)
                 return 0.5 * float((y * y).sum())
 
-            y, tape = layer_forward(layer, eig, lap, x, mode)
+            y, tape = layer_forward(layer, eig, x, mode)
             analytic = _named_layer_tensors(layer_backward(layer, tape, y)[1])
     elif selector == "model":
         # acceptance configuration: n=6, d=8, K=2, 2 layers, vocab 11

@@ -57,7 +57,7 @@ class TestFeedForward:
 class TestLayer:
     def test_forward_formula(self):
         lap, eig, layer, x = small_layer()
-        y, tape = layer_forward(layer, eig, lap, x, MixMode.exact())
+        y, tape = layer_forward(layer, eig, x, MixMode.exact())
         m = wavelet_mix(layer.bank, eig, x, MixMode.exact())
         r = x + m
         expected = r + np.maximum(r @ layer.ffn.w1 + layer.ffn.b1, 0.0) @ layer.ffn.w2 + layer.ffn.b2
@@ -71,7 +71,7 @@ class TestLayer:
         layer.ffn.b1[:] = 0.0
         layer.ffn.w2[:] = 0.0
         layer.ffn.b2[:] = 0.0
-        y, _ = layer_forward(layer, eig, lap, x, MixMode.exact())
+        y, _ = layer_forward(layer, eig, x, MixMode.exact())
         assert np.allclose(y, x + wavelet_mix(layer.bank, eig, x, MixMode.exact()),
                            atol=1e-14)
 
@@ -80,10 +80,10 @@ class TestLayer:
         upstream = np.random.default_rng(5).standard_normal(x.shape)
 
         def loss(xv):
-            y, _ = layer_forward(layer, eig, lap, xv, MixMode.exact())
+            y, _ = layer_forward(layer, eig, xv, MixMode.exact())
             return float(np.sum(y * upstream))
 
-        _, tape = layer_forward(layer, eig, lap, x, MixMode.exact())
+        _, tape = layer_forward(layer, eig, x, MixMode.exact())
         grad_x, _ = layer_backward(layer, tape, upstream)
         eps = 1e-6
         fd = np.zeros_like(x)
@@ -98,7 +98,7 @@ class TestLayer:
     def test_backward_ffn_grads_match_fd(self):
         lap, eig, layer, x = small_layer()
         upstream = np.random.default_rng(6).standard_normal(x.shape)
-        _, tape = layer_forward(layer, eig, lap, x, MixMode.exact())
+        _, tape = layer_forward(layer, eig, x, MixMode.exact())
         _, grads = layer_backward(layer, tape, upstream)
         eps = 1e-6
         for name in ("w1", "b1", "w2", "b2"):
@@ -108,10 +108,10 @@ class TestLayer:
             for i in range(0, flat.size, max(1, flat.size // 5)):
                 orig = flat[i]
                 flat[i] = orig + eps
-                y, _ = layer_forward(layer, eig, lap, x, MixMode.exact())
+                y, _ = layer_forward(layer, eig, x, MixMode.exact())
                 up = float(np.sum(y * upstream))
                 flat[i] = orig - eps
-                y, _ = layer_forward(layer, eig, lap, x, MixMode.exact())
+                y, _ = layer_forward(layer, eig, x, MixMode.exact())
                 dn = float(np.sum(y * upstream))
                 flat[i] = orig
                 assert g[i] == pytest.approx((up - dn) / (2 * eps), abs=3e-6)
@@ -221,10 +221,10 @@ class TestModelForward:
         cache = SpectrumCache()
         _, tape = model_forward(model, g, [0, 1, 2, 3, 4, 5], mode, cache=cache,
                                 return_tape=True)
-        _, eig = cache.get_or_compute(g, mode)
+        operand = cache.operand([g], mode)
         assert len(tape.layer_tapes) == 3
         for layer_tape in tape.layer_tapes:
-            assert layer_tape.eig is eig and layer_tape.mode == mode
+            assert layer_tape.operand is operand and layer_tape.mode == mode
 
 
 class TestModelBackward:

@@ -299,6 +299,7 @@ class TestBenchCommand:
         ("8,16", "truncated,truncated:16", "modes lists truncated:16 more than once"),
         ("64,8", "exact,truncated:16",
          "truncated:16 needs m <= n, got m=16 for a graph of n=8 nodes"),
+        ("8,16", " , ", "modes must list at least one entry"),
     ])
     def test_malformed_plan_rejected_before_timing(self, capsys, monkeypatch, sizes, modes,
                                                    message):

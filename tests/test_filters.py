@@ -231,7 +231,7 @@ class TestWaveletMix:
     def test_chebyshev_matches_exact(self):
         lap, eig, bank, x = chain_setup(16, 6, 3)
         exact = wavelet_mix(bank, eig, x, MixMode.exact())
-        cheb = wavelet_mix(bank, None, x, MixMode.chebyshev(30), lap=lap)
+        cheb = wavelet_mix(bank, lap, x, MixMode.chebyshev(30))
         assert np.max(np.abs(cheb - exact)) < 1e-8
 
     def test_chebyshev_requires_laplacian(self):
@@ -343,8 +343,8 @@ class TestMixBackward:
         assert grad_x[idx] == pytest.approx((up - dn) / (2 * eps), abs=1e-6)
 
     def test_chebyshev_backward_rejected(self):
-        with pytest.raises(ValueError, match="[Cc]hebyshev"):
-            wavelet_mix_backward(self.bank, self.eig, self.x,
+        with pytest.raises(ValueError, match="^chebyshev mode is inference-only"):
+            wavelet_mix_backward(self.bank, self.lap, self.x,
                                  MixMode.chebyshev(8), self.upstream)
 
 

@@ -26,7 +26,6 @@ from gwmixer import (
     wavelet_mix_backward,
 )
 from gwmixer.blocks import FeedForward, WaveletLayer, batch_forward, layer_backward, layer_forward
-from gwmixer.filterbank import stack_systems
 
 MODES = [MixMode.exact(), MixMode.truncated(3), MixMode.chebyshev(8)]
 
@@ -75,7 +74,7 @@ def test_the_layer_computes_the_out_of_place_formulas_bit_for_bit():
     rng = np.random.default_rng(5)
     d = 4
     graph = trees(1, seed=6)[0]
-    lap, eig = SpectrumCache().get_or_compute(graph)
+    eig = SpectrumCache().operand([graph], MixMode.exact())
     layer = WaveletLayer(build_filter_bank(2, d, seed=1), FeedForward(
         rng.standard_normal((d, 3 * d)), rng.standard_normal(3 * d),
         rng.standard_normal((3 * d, d)), rng.standard_normal(d)))
@@ -84,7 +83,7 @@ def test_the_layer_computes_the_out_of_place_formulas_bit_for_bit():
     ffn = layer.ffn
     mode = MixMode.exact()
 
-    y, tape = layer_forward(layer, eig, lap, x, mode)
+    y, tape = layer_forward(layer, eig, x, mode)
     r = x + wavelet_mix(layer.bank, eig, x, mode)
     pre = r @ ffn.w1 + ffn.b1
     assert np.array_equal(y, r + np.maximum(pre, 0.0) @ ffn.w2 + ffn.b2)
@@ -117,10 +116,10 @@ def test_the_mix_output_is_never_the_input_or_a_cached_array(mode, graph_count):
     graphs = trees(graph_count, seed=7)
     bank = build_filter_bank(2, 3, seed=2)
     cache = SpectrumCache()
+    operand = cache.operand(graphs, mode)
     laps, systems = zip(*(cache.get_or_compute(g, mode) for g in graphs))
-    eig = None if mode.kind == "chebyshev" else stack_systems(systems)
     x = np.random.default_rng(8).standard_normal((sum(g.n for g in graphs), 3))
-    out = wavelet_mix(bank, eig, x, mode, laps[0])
+    out = wavelet_mix(bank, operand, x, mode)
     cached = [x, bank.w1, bank.b1, bank.w2, bank.b2, bank.alpha]
     for lap in laps:
         cached += [lap.matrix.data, lap.degrees]
@@ -130,7 +129,7 @@ def test_the_mix_output_is_never_the_input_or_a_cached_array(mode, graph_count):
     assert _owned(out, cached)
     first = out.copy()
     out += 1.0
-    assert np.array_equal(wavelet_mix(bank, eig, x, mode, laps[0]), first)
+    assert np.array_equal(wavelet_mix(bank, operand, x, mode), first)
 
 
 # A warm forward over a 1024-node chain at d=32, K=4, 2 layers, ffn_mult 4

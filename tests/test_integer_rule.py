@@ -115,6 +115,16 @@ DEFECTS = {
                                  "n must be an integer >= 1, got None"),
     "lr_at-step-2.5": (lambda: lr_at(ScheduleConfig(), 2.5), None,
                        "step must be an integer >= 1, got 2.5"),
+    "ScheduleConfig-warmup_steps-2.5": (lambda: ScheduleConfig(5e-4, 2.5), None,
+                                        "warmup_steps must be an integer >= 1, got 2.5"),
+    "ScheduleConfig-warmup_steps-0": (lambda: ScheduleConfig(5e-4, 0), None,
+                                      "warmup_steps must be an integer >= 1, got 0"),
+    "cross_entropy_loss-sizes-2.7": (lambda: cross_entropy_loss(
+        np.zeros((4, 3)), [0, 1, 2, 0], np.ones(4, dtype=bool), [2.7, 2.2]), (np, "exp"),
+        "sample sizes must be an integer array, got dtype float64"),
+    "cross_entropy_loss-sizes-True": (lambda: cross_entropy_loss(
+        np.zeros((4, 3)), [0, 1, 2, 0], np.ones(4, dtype=bool), [True] * 4), (np, "exp"),
+        "sample sizes must be an integer array, got dtype bool"),
 }
 
 

@@ -1,0 +1,152 @@
+"""One operand per mix. SpectrumCache.operand is the one place that
+decides what a mode mixes over: the cached EigenSystem or
+NormalizedLaplacian of a lone graph, and for several graphs the
+EigenStack of their systems or the Laplacian of their disjoint union.
+wavelet_mix, wavelet_mix_backward and layer_forward take that one value
+and reject any other kind before any product."""
+
+import ast
+import os
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+import gwmixer.filterbank as filterbank_mod
+from gwmixer import (
+    MixMode,
+    SpectrumCache,
+    TokenGraph,
+    build_chain_graph,
+    build_feed_forward,
+    build_filter_bank,
+    layer_forward,
+    wavelet_mix,
+    wavelet_mix_backward,
+)
+from gwmixer.blocks import WaveletLayer
+from gwmixer.graphs import NormalizedLaplacian
+from gwmixer.spectral import EigenStack
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "gwmixer")
+MODES = [MixMode.exact(), MixMode.truncated(3), MixMode.chebyshev(8)]
+# what each mode mixes over, as its error names it, as the type of a
+# several-graph operand, and as the item of get_or_compute's
+# (Laplacian, system) that a lone graph's operand is
+SYSTEMS = ("an EigenSystem or EigenStack", EigenStack, 1)
+MIXES_OVER = {"exact": SYSTEMS, "truncated:3": SYSTEMS,
+              "chebyshev:8": ("a NormalizedLaplacian", NormalizedLaplacian, 0)}
+
+
+def union_graphs():
+    """Six seed-1 trees, a graph with isolated nodes (6, 7, 8) and a
+    300-node chain."""
+    rng = np.random.default_rng(1)
+    trees = [TokenGraph(int(n), [(int(rng.integers(i)), i) for i in range(1, int(n))])
+             for n in rng.integers(2, 40, size=6)]
+    return trees + [TokenGraph(9, [(0, 1), (1, 2), (4, 5), (5, 3), (3, 4)]),
+                    build_chain_graph(300)]
+
+
+# each call as (bank, operand, x, mode)
+CALLS = {
+    "wavelet_mix": wavelet_mix,
+    "wavelet_mix_backward": lambda bank, op, x, mode: wavelet_mix_backward(bank, op, x, mode, x),
+    "layer_forward": lambda bank, op, x, mode: layer_forward(
+        WaveletLayer(bank, build_feed_forward(bank.d, 2, np.random.default_rng(0))), op, x, mode),
+}
+# every operand of the wrong kind for a mode: None anywhere, a Laplacian in
+# exact or truncated mode, an eigensystem in chebyshev mode
+WRONG = [("None", mode) for mode in MODES] + [
+    ("NormalizedLaplacian", MODES[0]), ("NormalizedLaplacian", MODES[1]),
+    ("EigenSystem", MODES[2])]
+
+
+@pytest.mark.parametrize("call", CALLS)
+@pytest.mark.parametrize("kind, mode", WRONG, ids=lambda v: str(v))
+def test_a_wrong_operand_raises_before_any_product(monkeypatch, call, kind, mode):
+    g = build_chain_graph(6)
+    lap, eig = SpectrumCache().get_or_compute(g)
+    operand = {"None": None, "NormalizedLaplacian": lap, "EigenSystem": eig}[kind]
+    bank = build_filter_bank(2, 3, seed=0)
+    x = np.ones((6, 3))
+    started = []
+    for name in ("_bank_eval", "chebyshev_series"):  # the first product of each path
+        monkeypatch.setattr(filterbank_mod, name, lambda *a: started.append(a))
+    what, got = MIXES_OVER[str(mode)][0], type(operand).__name__
+    with pytest.raises(ValueError, match=f"^{mode} mode mixes over {what}, got {got}$"):
+        CALLS[call](bank, operand, x, mode)
+    assert started == []
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+def test_a_lone_graph_gets_the_cached_object_itself(mode):
+    g = build_chain_graph(7)
+    cache = SpectrumCache()
+    operand = cache.operand([g], mode)
+    assert operand is cache.get_or_compute(g, mode)[MIXES_OVER[str(mode)][2]]
+    assert cache.operand((g,), mode) is operand
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+def test_several_graphs_look_up_each_graph_once(monkeypatch, mode):
+    graphs = union_graphs()[:4]
+    cache = SpectrumCache()
+    looked_up = []
+    original = SpectrumCache.get_or_compute
+    monkeypatch.setattr(SpectrumCache, "get_or_compute",
+                        lambda self, g, m: looked_up.append(g) or original(self, g, m))
+    operand = cache.operand(iter(graphs), mode)
+    assert looked_up == graphs
+    assert isinstance(operand, MIXES_OVER[str(mode)][1])
+    assert operand.n == sum(g.n for g in graphs)
+
+
+def test_no_graphs_is_a_value_error():
+    with pytest.raises(ValueError, match="^an operand needs at least one graph$"):
+        SpectrumCache().operand([], MixMode.exact())
+
+
+def test_the_union_operator_is_the_block_diagonal_of_the_graph_operators():
+    graphs = union_graphs()
+    cache = SpectrumCache()
+    mode = MixMode.chebyshev(16)
+    union = cache.operand(graphs, mode)
+    laps = [cache.get_or_compute(g, mode)[0] for g in graphs]
+    assert np.array_equal(union.degrees, np.concatenate([lap.degrees for lap in laps]))
+    mat = sparse.block_diag([lap.matrix for lap in laps], format="csr")
+    ref = sparse.block_diag([lap.chebyshev_operator for lap in laps], format="csr")
+    op = union.chebyshev_operator
+    assert op.format == "csr" and union.chebyshev_operator is op
+    for have, want in ((union.matrix, mat), (op, ref)):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(have, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for arr in (union.matrix.data, union.matrix.indices, union.matrix.indptr, union.degrees):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("order", [0, 1, 16])
+def test_mixing_over_the_union_is_mixing_each_graph_bit_for_bit(order):
+    graphs = union_graphs()
+    cache = SpectrumCache()
+    mode = MixMode.chebyshev(order)
+    bank = build_filter_bank(3, 4, seed=order)
+    bank.alpha[...] = np.random.default_rng(order).uniform(-1.0, 1.0, bank.alpha.shape)
+    x = np.random.default_rng(9).standard_normal((sum(g.n for g in graphs), 4))
+    y = wavelet_mix(bank, cache.operand(graphs, mode), x, mode)
+    rows = np.cumsum([0] + [g.n for g in graphs])
+    for g, a, b in zip(graphs, rows[:-1], rows[1:]):
+        assert np.array_equal(y[a:b], wavelet_mix(bank, cache.operand([g], mode), x[a:b], mode))
+
+
+@pytest.mark.parametrize("module", ["filterbank.py", "blocks.py"])
+def test_mixing_modules_import_nothing_from_scipy(module):
+    # scipy comes in through graphs, first; importing it ahead of graphs slowed start-up
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert names and not [n for n in names if n.split(".")[0] == "scipy"]

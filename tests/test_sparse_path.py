@@ -598,7 +598,7 @@ class TestFusedChebyshev:
             for k, f in enumerate(bank.filters):
                 filt, _ = chebyshev_fit(lambda lam, f=f: filter_eval(f, lam), order)
                 ref += chebyshev_apply(lap, filt, x) * bank.alpha[k]
-            out = wavelet_mix(bank, None, x, MixMode.chebyshev(order), lap=lap)
+            out = wavelet_mix(bank, lap, x, MixMode.chebyshev(order))
             assert np.max(np.abs(out - ref)) < 1e-12
 
 

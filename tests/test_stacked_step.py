@@ -23,7 +23,7 @@ from gwmixer import (
     wavelet_mix_backward,
 )
 from gwmixer.blocks import batch_forward
-from gwmixer.filterbank import EigenStack, stack_systems
+from gwmixer.spectral import EigenStack
 from gwmixer.training import _fd_check
 
 REL = 1e-12
@@ -216,8 +216,9 @@ def test_mixing_a_stack_is_mixing_each_graph(mode):
     graphs = mixed_graphs(3)
     cache = SpectrumCache()
     systems = [cache.get_or_compute(g, mode)[1] for g in graphs]
-    stack = stack_systems(systems)
-    assert isinstance(stack, EigenStack) and stack_systems(systems[:1]) is systems[0]
+    stack = cache.operand(graphs, mode)
+    assert isinstance(stack, EigenStack)
+    assert all(a is b for a, b in zip(stack.systems, systems, strict=True))
     rng = np.random.default_rng(6)
     bank = build_filter_bank(3, 4, seed=6)
     x = rng.standard_normal((stack.n, 4))

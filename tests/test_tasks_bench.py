@@ -299,6 +299,11 @@ class TestBench:
         for exact, cheb in zip(by_mode["exact"], by_mode["chebyshev:8"]):
             assert cheb.checksum == pytest.approx(exact.checksum, rel=1e-2)
 
+    def test_modes_may_come_from_a_generator(self):
+        records, _ = bench_scaling(sizes=(8,), d=4, k=1, modes=(m for m in ("exact",)),
+                                   repeats=1)
+        assert [r.mode for r in records] == ["exact"]
+
     def test_single_size_yields_no_slope(self):
         records, slopes = bench_scaling(sizes=(8,), d=4, k=1,
                                         modes=("exact",), repeats=1)

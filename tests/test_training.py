@@ -64,6 +64,23 @@ class TestSchedule:
         with pytest.raises(ValueError):
             lr_at(ScheduleConfig(), 0)
 
+    @pytest.mark.parametrize("base_lr", [float("nan"), float("inf"), -1e-3, "1e-3", True, None])
+    def test_base_lr_follows_the_train_config_lr_rule(self, base_lr):
+        with pytest.raises(ValueError, match="^base_lr must be "):
+            ScheduleConfig(base_lr=base_lr)
+        with pytest.raises(ValueError, match="^lr must be "):
+            TrainConfig(lr=base_lr)
+
+    @pytest.mark.parametrize("warmup_steps", [0, -4, 2.5, True, "100", None])
+    def test_warmup_steps_must_be_an_integer_of_at_least_one(self, warmup_steps):
+        message = f"warmup_steps must be an integer >= 1, got {warmup_steps!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScheduleConfig(5e-4, warmup_steps)
+
+    def test_zero_rate_and_numpy_integers_are_accepted(self):
+        assert lr_at(ScheduleConfig(0.0, 10), 5) == 0.0
+        assert lr_at(ScheduleConfig(1, np.int64(10)), 5) == 0.5
+
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
