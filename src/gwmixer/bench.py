@@ -25,7 +25,7 @@ ORACLE_TOL = 1e-10
 
 
 def make_attention_params(d: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int("seed", seed, 0))
     b = 1.0 / np.sqrt(d)
     return tuple(rng.uniform(-b, b, (d, d)) for _ in range(3))
 
@@ -128,10 +128,11 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
     wavelet modes share one bank and input per size, so their checksums
     agree up to mode error. Each size's operands come from a SpectrumCache
     of its own, outside all timed regions. Before any timing, repeats and
-    each size must be an integer >= 1, sizes and modes must list at least
-    one entry and none twice, and every mode must fit every size (ValueError).
+    each size must be an integer >= 1 (seed >= 0), sizes and modes must list at
+    least one entry and none twice, and every mode must fit every size (ValueError).
     """
     repeats = require_int("repeats", repeats, 1)
+    seed = require_int("seed", seed, 0)
     sizes = tuple(require_int(f"sizes[{i}]", n, 1) for i, n in enumerate(sizes))
     modes = tuple(modes)  # read twice: a generator would leave nothing to time
     parsed = [m if isinstance(m, MixMode) else None if m == "attention" else parse_mix_mode(m)

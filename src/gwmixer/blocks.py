@@ -7,7 +7,8 @@ forward with a second residual (no normalization):
 
 The model embeds token ids, stacks layers over one shared graph spectrum,
 and projects to vocabulary logits. A forward pass asked for a tape
-records one; backward passes replay it with hand-written gradients.
+records one (each mix's operand is on its MixTape alone); backward passes
+take (parameters, tape, upstream) and replay it with hand-written gradients.
 Without a tape, inference drops each layer's intermediates before the
 next layer runs, and every layer does its arithmetic in the arrays it
 already owns.
@@ -69,16 +70,13 @@ class WaveletLayer:
 
 @dataclass
 class LayerTape:
-    """Intermediates needed to run a layer backward, its mix's mode,
-    operand and tape included. layer_forward always makes one;
+    """Intermediates needed to run a layer backward; the mix's own tape
+    records what it mixed over. layer_forward always makes one;
     batch_forward keeps it only when asked for a tape."""
 
-    x: np.ndarray
     r: np.ndarray
     h: np.ndarray  # FFN hidden layer relu(r W1 + b1); h > 0 is the ReLU mask
-    mode: MixMode
-    operand: EigenSystem | EigenStack | NormalizedLaplacian  # what the mix mixed over
-    mix: MixTape | None  # None in chebyshev mode
+    mix: MixTape | None  # None in chebyshev mode, which has no backward
 
 
 def layer_forward(layer: WaveletLayer, operand: EigenSystem | EigenStack | NormalizedLaplacian,
@@ -97,12 +95,12 @@ def layer_forward(layer: WaveletLayer, operand: EigenSystem | EigenStack | Norma
     y = h @ layer.ffn.w2
     y += r
     y += layer.ffn.b2
-    return y, LayerTape(x, r, h, mode, operand, mix)
+    return y, LayerTape(r, h, mix)
 
 
 def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray):
-    """Gradients from the tape alone, over the operand the forward pass
-    mixed over: (grad_x, WaveletLayer of the gradients of the layer's
+    """Gradients from the tape alone, the mix's over the operand its tape
+    records: (grad_x, WaveletLayer of the gradients of the layer's
     arrays)."""
     ffn = layer.ffn
     d_pre = upstream @ ffn.w2.T
@@ -110,8 +108,7 @@ def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray):
     grad_ffn = FeedForward(w1=tape.r.T @ d_pre, b1=d_pre.sum(axis=0),
                            w2=tape.h.T @ upstream, b2=upstream.sum(axis=0))
     d_r = upstream + d_pre @ ffn.w1.T
-    grad_x, grad_bank = wavelet_mix_backward(layer.bank, tape.operand, tape.x, tape.mode, d_r,
-                                             tape.mix)
+    grad_x, grad_bank = wavelet_mix_backward(layer.bank, tape.mix, d_r)
     return d_r + grad_x, WaveletLayer(grad_bank, grad_ffn)
 
 
@@ -132,14 +129,14 @@ class WaveletModel:
 
 def build_model(d: int, k: int, layers: int, ffn_mult: int, vocab: int,
                 seed: int = 0) -> WaveletModel:
-    """Seeded construction from integer sizes (vocab >= 2, the others >= 1),
-    checked before anything is drawn. Draw order: embed, readout, then per
-    layer the filter bank (filters in index order, alpha constant 1/K) and
-    the FFN."""
+    """Seeded construction from integer sizes (vocab >= 2, the others >= 1)
+    and seed (>= 0), checked before anything is drawn. Draw order: embed,
+    readout, then per layer the filter bank (filters in index order, alpha
+    constant 1/K) and the FFN."""
     for name, value, low in (("d", d, 1), ("k", k, 1), ("layers", layers, 1),
                              ("ffn_mult", ffn_mult, 1), ("vocab", vocab, 2)):
         require_int(name, value, low)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int("seed", seed, 0))
     bd = 1.0 / np.sqrt(d)
     embed = rng.uniform(-bd, bd, (vocab, d))
     readout = rng.uniform(-bd, bd, (d, vocab))

@@ -24,10 +24,10 @@ EigenSystem, or the EigenStack of all the graphs of an optimizer step,
 whose signals are stacked by rows and whose bank is evaluated once, at
 their concatenated eigenvalues, so the only per-graph work is the two U
 products; in Chebyshev mode a NormalizedLaplacian, for several graphs
-that of their disjoint union. The forward keeps the bank's tanh layer,
-its pre-softplus output and U^T x on a MixTape, from which the backward
-contracts the bank gradient as (K, M) x (K, M, H) products without
-forming a gradient per eigenvalue.
+that of their disjoint union. An exact or truncated forward keeps the
+operand, the bank's tanh layer, its pre-softplus output and U^T x on a
+MixTape, all that the backward reads: it contracts the bank gradient as
+(K, M) x (K, M, H) products without forming a gradient per eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -113,10 +113,10 @@ def draw_filter_bank(rng: np.random.Generator, k: int, d: int) -> FilterBank:
 
 
 def build_filter_bank(k: int, d: int, seed: int = 0) -> FilterBank:
-    """Seeded bank of k filters over d channels, both integers >= 1:
-    filters drawn in index order, alpha filled with 1/K."""
-    return draw_filter_bank(np.random.default_rng(seed), require_int("k", k, 1),
-                            require_int("d", d, 1))
+    """Seeded bank of k filters over d channels, both integers >= 1 (seed
+    an integer >= 0): filters drawn in index order, alpha filled with 1/K."""
+    k, d = require_int("k", k, 1), require_int("d", d, 1)
+    return draw_filter_bank(np.random.default_rng(require_int("seed", seed, 0)), k, d)
 
 
 def _bank_eval(bank: FilterBank, lam: np.ndarray):
@@ -207,21 +207,17 @@ def _check_mix_args(bank: FilterBank, operand, x: np.ndarray, mode: MixMode) -> 
 
 @dataclass
 class MixTape:
-    """What the backward of one exact or truncated mix needs from its
-    forward: the clamped eigenvalues lam (M,), the bank's tanh layer t
-    (K, M, H), its output y (K, M) before the softplus, the responses
+    """What the backward of one exact or truncated mix reads: the operand
+    it mixed over, the clamped eigenvalues lam (M,), the bank's tanh layer
+    t (K, M, H), its output y (K, M) before the softplus, the responses
     g = softplus(y) (K, M) and xhat = U^T x (M, d)."""
 
+    operand: EigenSystem | EigenStack
     lam: np.ndarray
     t: np.ndarray
     y: np.ndarray
     g: np.ndarray
     xhat: np.ndarray
-
-
-def _mix_tape(bank: FilterBank, eig: EigenSystem | EigenStack, x: np.ndarray) -> MixTape:
-    lam, t, y, g = _bank_eval(bank, _finite_lambda(eig.lam))
-    return MixTape(lam, t, y, g, eig.analysis(x))
 
 
 def wavelet_mix(bank: FilterBank, operand: EigenSystem | EigenStack | NormalizedLaplacian,
@@ -245,32 +241,30 @@ def wavelet_mix(bank: FilterBank, operand: EigenSystem | EigenStack | Normalized
         coeffs = bank_responses(bank, nodes) @ fit.T  # (K, P+1)
         y = chebyshev_series(operand.chebyshev_operator, coeffs.T @ bank.alpha, x)
         return (y, None) if return_tape else y
-    tape = _mix_tape(bank, operand, x)
+    tape = MixTape(operand, *_bank_eval(bank, _finite_lambda(operand.lam)), operand.analysis(x))
     y = operand.synthesis((tape.g.T @ bank.alpha) * tape.xhat)  # g^T alpha: sum_k g_k(lam_i) alpha_k[j]
     return (y, tape) if return_tape else y
 
 
-def wavelet_mix_backward(bank: FilterBank, operand: EigenSystem | EigenStack, x: np.ndarray,
-                         mode: MixMode, upstream: np.ndarray, tape: MixTape | None = None):
-    """Reverse-mode gradients of wavelet_mix for exact/truncated modes:
-    (grad_x, FilterBank of the gradients of the bank's arrays).
+def wavelet_mix_backward(bank: FilterBank, tape: MixTape, upstream: np.ndarray):
+    """Reverse-mode gradients of an exact or truncated mix from the MixTape of
+    its forward alone: (grad_x, FilterBank of the gradients of the bank's arrays).
 
     U and Lam are constants of the graph; gradients flow to x, alpha and
-    the filter parameters only. tape is the MixTape that
-    wavelet_mix(..., return_tape=True) gave for the same bank, operand
-    and x; without one, the bank is evaluated and U^T x formed here. The
-    bank gradient is contracted over all M eigenvalues at once:
-    dy = dLoss/dy (K, M) meets t and 1 - t^2 in (K, 1 or 2, M) x
-    (K, M, H) products. The chebyshev path has no backward.
+    the filter parameters only. The bank gradient is contracted over all
+    M eigenvalues at once: dy = dLoss/dy (K, M) meets t and 1 - t^2 in
+    (K, 1 or 2, M) x (K, M, H) products. Anything but a MixTape (a
+    chebyshev mix keeps none), a bank of another shape than the tape's or
+    an upstream not over the tape's rows is a ValueError before any product.
     """
-    x = _check_mix_args(bank, operand, x, mode)
-    if mode.kind == "chebyshev":
-        raise ValueError("chebyshev mode is inference-only; no backward pass")
+    if not isinstance(tape, MixTape):
+        raise ValueError("chebyshev mode is inference-only; no backward pass without the "
+                         f"MixTape of an exact or truncated mix, got {type(tape).__name__}")
+    operand, (k, d) = tape.operand, (len(tape.g), tape.xhat.shape[1])
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != x.shape:
-        raise ValueError(f"upstream shape {upstream.shape} != signal shape {x.shape}")
-    if tape is None:
-        tape = _mix_tape(bank, operand, x)
+    if bank.alpha.shape != (k, d) or upstream.shape != (operand.n, d):
+        raise ValueError(f"tape mixed K={k} filters over {(operand.n, d)} signals; got alpha "
+                         f"{bank.alpha.shape} and upstream {upstream.shape}")
     ghat = operand.analysis(upstream)  # (M, d)
     prod = tape.xhat * ghat  # (M, d)
     # dLoss/dg_k(lam_i) = sum_j xhat[i,j] alpha[k,j] ghat[i,j], then through the softplus

@@ -6,6 +6,7 @@ positions). Graphs come from a chain over positions or from CoNLL-U
 dependency parses. Generation is deterministic per (spec, seed).
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
@@ -131,12 +132,14 @@ def _multiscale_tokens(rng: np.random.Generator, n: int, values: int) -> np.ndar
 
 
 def gen_task_batch(spec: TaskSpec, seed) -> TaskSample:
-    """One deterministic sample. seed may be an int or a SeedSequence.
+    """One deterministic sample. seed is a SeedSequence or an integer >= 0.
 
     Draw order is fixed: graph choice (conllu only), then tokens, then
     mask positions. Token ids are uniform over [0, vocab-1) so the MASK
     id never occurs as a regular token.
     """
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if spec.conllu is None:
         graph = build_chain_graph(spec.n)
@@ -165,13 +168,14 @@ _STREAM_IDS = {"train": 0, "val": 1, "eval": 2}
 
 
 def task_stream(spec: TaskSpec, seed: int, stream: str = "train"):
-    """Infinite deterministic sample stream. Distinct stream names draw
-    disjoint seed sequences from the same base seed."""
+    """Infinite deterministic sample stream, seed (>= 0) and stream checked when
+    called. Distinct stream names draw disjoint seed sequences from one base seed."""
+    seed = require_int("seed", seed, 0)
+    if stream not in _STREAM_IDS:
+        raise ValueError(f"stream must be one of {', '.join(_STREAM_IDS)}, got {stream!r}")
     sid = _STREAM_IDS[stream]
-    i = 0
-    while True:
-        yield gen_task_batch(spec, np.random.SeedSequence(entropy=seed, spawn_key=(sid, i)))
-        i += 1
+    return (gen_task_batch(spec, np.random.SeedSequence(entropy=seed, spawn_key=(sid, i)))
+            for i in itertools.count())
 
 
 def fixed_samples(spec: TaskSpec, seed: int, count: int, stream: str = "val") -> list:

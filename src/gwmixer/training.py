@@ -124,11 +124,14 @@ def adam_step(state: TrainState, lr: float) -> TrainState:
 
 
 def _check_scored(logits: np.ndarray, targets, mask):
-    """logits (N, V), targets (N,) integer ids below V and mask (N,) as
-    arrays, checked as cross_entropy_loss and token_accuracy take them."""
+    """logits (N, V), targets (N,) integer ids below V and mask (N,) bool
+    (not cast: 0.2 would score its row) as arrays, checked as
+    cross_entropy_loss and token_accuracy take them."""
     targets = require_int_array("targets", targets)
     logits = np.asarray(logits, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise ValueError(f"mask must be a bool array, got dtype {mask.dtype}")
     if logits.ndim != 2 or targets.shape != (logits.shape[0],) or mask.shape != targets.shape:
         raise ValueError(
             f"shape mismatch: logits {logits.shape}, targets {targets.shape}, mask {mask.shape}"
@@ -437,14 +440,14 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
     wavelet_mix), "layer" (0.5 ||y||^2 of one layer), "model" (cross
     entropy of the full model, the acceptance configuration). `corrupt`
     is a test hook applied to the analytic gradient dict before
-    comparison. step must be finite and > 0, tol finite and >= 0; either
-    is checked before anything is evaluated.
+    comparison. step must be finite and > 0, tol finite and >= 0 and seed
+    an integer >= 0; each is checked before anything is evaluated.
     """
     if isinstance(step, bool) or not isinstance(step, Real) or not np.isfinite(step) or step <= 0:
         raise ValueError(f"step must be a finite number > 0, got {step!r}")
     if isinstance(tol, bool) or not isinstance(tol, Real) or not np.isfinite(tol) or tol < 0:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int("seed", seed, 0))
     if selector == "filter":
         f = build_filter_bank(1, 1, seed=seed)
         lam = rng.uniform(0.0, 2.0, 12)
@@ -469,8 +472,8 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
                 y = wavelet_mix(bank, eig, x, mode)
                 return 0.5 * float((y * y).sum())
 
-            y = wavelet_mix(bank, eig, x, mode)
-            analytic = named_bank_tensors(wavelet_mix_backward(bank, eig, x, mode, y)[1])
+            y, tape = wavelet_mix(bank, eig, x, mode, return_tape=True)
+            analytic = named_bank_tensors(wavelet_mix_backward(bank, tape, y)[1])
         else:
             layer = WaveletLayer(bank, build_feed_forward(d, 4, rng))
             params = _named_layer_tensors(layer)

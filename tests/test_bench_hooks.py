@@ -130,3 +130,23 @@ def test_batch_forward_calls_layer_forward_through_the_module_global(monkeypatch
                                        gwmixer.MixMode.exact(), return_tape=return_tape)
     assert len(calls) == len(model.layers)
     assert (tape is not None) == return_tape
+
+
+def test_model_backward_calls_the_mix_backward_through_the_module_global(monkeypatch):
+    # perfbench times filterbank.mix_bwd_ms by rebinding wavelet_mix_backward
+    # in every module that binds it, blocks included
+    tapes = []
+    mix_backward = blocks_mod.wavelet_mix_backward
+
+    def spy(bank, tape, upstream):
+        tapes.append(tape)
+        return mix_backward(bank, tape, upstream)
+
+    monkeypatch.setattr(blocks_mod, "wavelet_mix_backward", spy)
+    model = build_model(4, 2, 3, 2, 7)
+    graph = gwmixer.build_chain_graph(5)
+    logits, tape = blocks_mod.batch_forward(model, [graph, graph], [range(5)] * 2,
+                                            gwmixer.MixMode.exact(), return_tape=True)
+    blocks_mod.model_backward(model, tape, logits)
+    assert len(tapes) == len(model.layers)
+    assert all(a is b.mix for a, b in zip(tapes, reversed(tape.layer_tapes), strict=True))

@@ -1,6 +1,7 @@
 """Layers, the full model, parameter naming, and checkpoint serialization."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -216,6 +217,7 @@ class TestModelForward:
     @pytest.mark.parametrize("mode", [MixMode.exact(), MixMode.truncated(3),
                                       MixMode.chebyshev(8)])
     def test_every_layer_tape_holds_the_system_it_mixed_over(self, mode):
+        # the mix tape is the one record of the operand; chebyshev keeps none
         model = build_model(4, 2, 3, 2, 7, seed=0)
         g = build_chain_graph(6)
         cache = SpectrumCache()
@@ -224,7 +226,11 @@ class TestModelForward:
         operand = cache.operand([g], mode)
         assert len(tape.layer_tapes) == 3
         for layer_tape in tape.layer_tapes:
-            assert layer_tape.operand is operand and layer_tape.mode == mode
+            assert [f.name for f in fields(layer_tape)] == ["r", "h", "mix"]
+            if mode.kind == "chebyshev":
+                assert layer_tape.mix is None
+            else:
+                assert layer_tape.mix.operand is operand
 
 
 class TestModelBackward:

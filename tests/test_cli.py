@@ -69,6 +69,7 @@ class TestGradcheckCommand:
         ("--tol", "-1", "tol must be a finite number >= 0, got -1.0"),
         ("--tol", "nan", "tol must be a finite number >= 0, got nan"),
         ("--tol", "inf", "tol must be a finite number >= 0, got inf"),
+        ("--seed", "-1", "seed must be an integer >= 0, got -1"),
     ])
     def test_bad_step_or_tol_exits_one_naming_it(self, capsys, flag, value, message):
         assert cli_main(["gradcheck", "--selector", "filter", f"{flag}={value}"]) == 1

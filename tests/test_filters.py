@@ -225,8 +225,6 @@ class TestWaveletMix:
         eig = eigendecompose(lap, m=m)
         with pytest.raises(ValueError, match=f"^{mode} mode .* m={eig.m} .* n=64 "):
             wavelet_mix(bank, eig, x, mode)
-        with pytest.raises(ValueError, match=f"^{mode} mode .* m={eig.m} .* n=64 "):
-            wavelet_mix_backward(bank, eig, x, mode, x)
 
     def test_chebyshev_matches_exact(self):
         lap, eig, bank, x = chain_setup(16, 6, 3)
@@ -285,9 +283,13 @@ class TestMixBackward:
         return float(np.sum(wavelet_mix(bank, self.eig, x, MixMode.exact())
                             * self.upstream))
 
+    def backward(self, eig=None, mode=MixMode.exact()):
+        eig = self.eig if eig is None else eig
+        _, tape = wavelet_mix(self.bank, eig, self.x, mode, return_tape=True)
+        return wavelet_mix_backward(self.bank, tape, self.upstream)
+
     def test_grad_x_matches_fd(self):
-        grad_x, _ = wavelet_mix_backward(self.bank, self.eig, self.x,
-                                     MixMode.exact(), self.upstream)
+        grad_x, _ = self.backward()
         eps = 1e-6
         fd = np.zeros_like(self.x)
         for idx in np.ndindex(self.x.shape):
@@ -299,8 +301,7 @@ class TestMixBackward:
         assert np.allclose(grad_x, fd, atol=1e-6)
 
     def test_grad_alpha_matches_fd(self):
-        _, grads = wavelet_mix_backward(self.bank, self.eig, self.x,
-                                     MixMode.exact(), self.upstream)
+        _, grads = self.backward()
         eps = 1e-6
         for idx in np.ndindex(self.bank.alpha.shape):
             orig = self.bank.alpha[idx]
@@ -312,8 +313,7 @@ class TestMixBackward:
             assert grads.alpha[idx] == pytest.approx((up - dn) / (2 * eps), abs=2e-5)
 
     def test_filter_grads_match_fd(self):
-        _, grads = wavelet_mix_backward(self.bank, self.eig, self.x,
-                                     MixMode.exact(), self.upstream)
+        _, grads = self.backward()
         eps = 1e-6
         for k, f in enumerate(self.bank.filters):
             for name in ("w1", "b1", "w2", "b2"):
@@ -331,7 +331,7 @@ class TestMixBackward:
     def test_truncated_mode_backward_consistent(self):
         mode = MixMode.truncated(4)
         eig = eigendecompose(self.lap, m=4)
-        grad_x, _ = wavelet_mix_backward(self.bank, eig, self.x, mode, self.upstream)
+        grad_x, _ = self.backward(eig, mode)
         eps = 1e-6
         idx = (1, 2)
         xp = self.x.copy()
@@ -343,9 +343,11 @@ class TestMixBackward:
         assert grad_x[idx] == pytest.approx((up - dn) / (2 * eps), abs=1e-6)
 
     def test_chebyshev_backward_rejected(self):
+        _, tape = wavelet_mix(self.bank, self.lap, self.x, MixMode.chebyshev(8),
+                              return_tape=True)
+        assert tape is None
         with pytest.raises(ValueError, match="^chebyshev mode is inference-only"):
-            wavelet_mix_backward(self.bank, self.lap, self.x,
-                                 MixMode.chebyshev(8), self.upstream)
+            wavelet_mix_backward(self.bank, tape, self.upstream)
 
 
 class TestSpectrumCsv:

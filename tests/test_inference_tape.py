@@ -92,7 +92,8 @@ def test_the_layer_computes_the_out_of_place_formulas_bit_for_bit():
     grad_x, grads = layer_backward(layer, tape, upstream)
     d_pre = (upstream @ ffn.w2.T) * (pre > 0.0)
     d_r = upstream + d_pre @ ffn.w1.T
-    mix_x, mix_bank = wavelet_mix_backward(layer.bank, eig, x, mode, d_r)
+    _, mix_tape = wavelet_mix(layer.bank, eig, x, mode, return_tape=True)
+    mix_x, mix_bank = wavelet_mix_backward(layer.bank, mix_tape, d_r)
     assert np.array_equal(grad_x, d_r + mix_x)
     assert np.array_equal(grads.ffn.w1, r.T @ d_pre)
     assert np.array_equal(grads.ffn.b1, d_pre.sum(axis=0))

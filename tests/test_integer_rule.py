@@ -1,9 +1,10 @@
 """One integer rule: every size, count and index the package takes is
 checked by graphs.require_int, so a bad one raises ValueError
 "<what> must be an integer >= <low>, got <value!r>" before any work is
-done: nothing drawn, solved, evaluated or timed. Arrays of token ids and
-targets answer to graphs.require_int_array: an integer dtype or a
-ValueError, never a cast."""
+done: nothing drawn, solved, evaluated or timed. Every seed is such an
+integer (>= 0). Arrays of token ids and targets answer to
+graphs.require_int_array: an integer dtype or a ValueError, never a
+cast; a mask is a bool array, likewise never cast."""
 
 import re
 
@@ -28,10 +29,14 @@ from gwmixer import (
     cross_entropy_loss,
     eigendecompose,
     fixed_samples,
+    gen_task_batch,
+    grad_check,
     lr_at,
+    make_attention_params,
     model_forward,
     normalized_laplacian,
     spectrum_csv,
+    task_stream,
     token_accuracy,
 )
 from gwmixer.blocks import batch_forward
@@ -125,6 +130,41 @@ DEFECTS = {
     "cross_entropy_loss-sizes-True": (lambda: cross_entropy_loss(
         np.zeros((4, 3)), [0, 1, 2, 0], np.ones(4, dtype=bool), [True] * 4), (np, "exp"),
         "sample sizes must be an integer array, got dtype bool"),
+    # a float or int mask is not cast: 0.2 and 2 would score their rows
+    "cross_entropy_loss-mask-0.2": (lambda: cross_entropy_loss(
+        np.zeros((3, 4)), [0, 1, 2], [0.2, 0, 0]), (np, "exp"),
+        "mask must be a bool array, got dtype float64"),
+    "token_accuracy-mask-2": (lambda: token_accuracy(np.zeros((3, 4)), [0, 1, 2], [2, 0, 0]),
+                              (np, "argmax"), "mask must be a bool array, got dtype int64"),
+    "build_model-seed--1": (_build_model(seed=-1), (np.random, "default_rng"),
+                            "seed must be an integer >= 0, got -1"),
+    "build_model-seed-1.5": (_build_model(seed=1.5), (np.random, "default_rng"),
+                             "seed must be an integer >= 0, got 1.5"),
+    "build_filter_bank-seed-True": (lambda: build_filter_bank(2, 3, seed=True),
+                                    (filterbank_mod, "draw_filter_bank"),
+                                    "seed must be an integer >= 0, got True"),
+    "make_attention_params-seed--1": (lambda: make_attention_params(4, seed=-1),
+                                      (np.random, "default_rng"),
+                                      "seed must be an integer >= 0, got -1"),
+    "grad_check-seed-True": (lambda: grad_check(seed=True), (np.random, "default_rng"),
+                             "seed must be an integer >= 0, got True"),
+    "bench_scaling-seed-1.5": (lambda: bench_scaling(sizes=(8, 16), modes=("exact",), seed=1.5),
+                               (bench_mod, "_time_call"),
+                               "seed must be an integer >= 0, got 1.5"),
+    "task_stream-seed--1": (lambda: task_stream(SPEC, -1), (tasks_mod, "gen_task_batch"),
+                            "seed must be an integer >= 0, got -1"),
+    "task_stream-stream-'nope'": (lambda: task_stream(SPEC, 0, "nope"),
+                                  (tasks_mod, "gen_task_batch"),
+                                  "stream must be one of train, val, eval, got 'nope'"),
+    "fixed_samples-seed-2.5": (lambda: fixed_samples(SPEC, 2.5, 2), (tasks_mod, "gen_task_batch"),
+                               "seed must be an integer >= 0, got 2.5"),
+    "fixed_samples-stream-'nope'": (lambda: fixed_samples(SPEC, 0, 2, "nope"),
+                                    (tasks_mod, "gen_task_batch"),
+                                    "stream must be one of train, val, eval, got 'nope'"),
+    "gen_task_batch-seed--1": (lambda: gen_task_batch(SPEC, -1), (np.random, "default_rng"),
+                               "seed must be an integer >= 0, got -1"),
+    "gen_task_batch-seed-True": (lambda: gen_task_batch(SPEC, True), (np.random, "default_rng"),
+                                 "seed must be an integer >= 0, got True"),
 }
 
 
@@ -189,3 +229,11 @@ def test_numpy_integer_ids_and_targets_pass(dtype):
     assert np.array_equal(logits, want)
     assert cross_entropy_loss(logits, ids, np.ones(3, dtype=bool))[0] == \
         cross_entropy_loss(logits, [0, 1, 2], np.ones(3, dtype=bool))[0]
+
+
+def test_a_seed_sequence_still_seeds_one_sample():
+    # task_stream draws each sample from a SeedSequence; only int seeds are checked
+    seq = np.random.SeedSequence(entropy=3, spawn_key=(0, 0))
+    want = next(task_stream(SPEC, 3))
+    got = gen_task_batch(SPEC, seq)
+    assert np.array_equal(got.tokens, want.tokens) and np.array_equal(got.mask, want.mask)

@@ -2,11 +2,16 @@
 decides what a mode mixes over: the cached EigenSystem or
 NormalizedLaplacian of a lone graph, and for several graphs the
 EigenStack of their systems or the Laplacian of their disjoint union.
-wavelet_mix, wavelet_mix_backward and layer_forward take that one value
-and reject any other kind before any product."""
+wavelet_mix and layer_forward take that one value and reject any other
+kind before any product. wavelet_mix_backward is never given an operand:
+it reads the one its forward's MixTape records, and rejects anything
+but such a tape, a bank of the tape's shape and an upstream gradient
+over the tape's rows before any product."""
 
 import ast
+import inspect
 import os
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from gwmixer import (
 )
 from gwmixer.blocks import WaveletLayer
 from gwmixer.graphs import NormalizedLaplacian
-from gwmixer.spectral import EigenStack
+from gwmixer.spectral import EigenStack, EigenSystem
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "gwmixer")
 MODES = [MixMode.exact(), MixMode.truncated(3), MixMode.chebyshev(8)]
@@ -51,7 +56,6 @@ def union_graphs():
 # each call as (bank, operand, x, mode)
 CALLS = {
     "wavelet_mix": wavelet_mix,
-    "wavelet_mix_backward": lambda bank, op, x, mode: wavelet_mix_backward(bank, op, x, mode, x),
     "layer_forward": lambda bank, op, x, mode: layer_forward(
         WaveletLayer(bank, build_feed_forward(bank.d, 2, np.random.default_rng(0))), op, x, mode),
 }
@@ -138,6 +142,53 @@ def test_mixing_over_the_union_is_mixing_each_graph_bit_for_bit(order):
     rows = np.cumsum([0] + [g.n for g in graphs])
     for g, a, b in zip(graphs, rows[:-1], rows[1:]):
         assert np.array_equal(y[a:b], wavelet_mix(bank, cache.operand([g], mode), x[a:b], mode))
+
+
+def test_the_backward_reads_only_its_tape():
+    assert list(inspect.signature(wavelet_mix_backward).parameters) == ["bank", "tape", "upstream"]
+
+
+NOT_A_TAPE = "^chebyshev mode is inference-only; no backward pass without the MixTape of an " \
+    "exact or truncated mix, got "
+
+
+def _misfit(alpha, upstream):
+    return "^" + re.escape(f"tape mixed K=2 filters over (6, 3) signals; got alpha {alpha} "
+                           f"and upstream {upstream}") + "$"
+
+
+# each case as (bank, tape, upstream) from the bank (K=2, d=3) and tape of a
+# 6-node mix, and the message it raises
+BAD_BACKWARDS = {
+    "None": (lambda bank, tape: (bank, None, np.ones((6, 3))), NOT_A_TAPE + "NoneType$"),
+    "EigenSystem": (lambda bank, tape: (bank, tape.operand, np.ones((6, 3))),
+                    NOT_A_TAPE + "EigenSystem$"),
+    "upstream-rows": (lambda bank, tape: (bank, tape, np.ones((5, 3))),
+                      _misfit((2, 3), (5, 3))),
+    "upstream-channels": (lambda bank, tape: (bank, tape, np.ones((6, 4))),
+                          _misfit((2, 3), (6, 4))),
+    "bank-K": (lambda bank, tape: (build_filter_bank(3, 3), tape, np.ones((6, 3))),
+               _misfit((3, 3), (6, 3))),
+    "bank-d": (lambda bank, tape: (build_filter_bank(2, 4), tape, np.ones((6, 4))),
+               _misfit((2, 4), (6, 4))),
+}
+
+
+@pytest.mark.parametrize("mode", MODES[:2], ids=str)
+@pytest.mark.parametrize("case", BAD_BACKWARDS)
+def test_a_backward_given_anything_but_its_tape_raises_before_any_product(monkeypatch, mode,
+                                                                          case):
+    bank = build_filter_bank(2, 3, seed=0)
+    _, tape = wavelet_mix(bank, SpectrumCache().operand([build_chain_graph(6)], mode),
+                          np.ones((6, 3)), mode, return_tape=True)
+    started = []
+    for cls in (EigenSystem, EigenStack):  # the products of the backward
+        for name in ("analysis", "synthesis"):
+            monkeypatch.setattr(cls, name, lambda *a: started.append(a))
+    args, message = BAD_BACKWARDS[case]
+    with pytest.raises(ValueError, match=message):
+        wavelet_mix_backward(*args(bank, tape))
+    assert started == []
 
 
 @pytest.mark.parametrize("module", ["filterbank.py", "blocks.py"])

@@ -173,8 +173,9 @@ class TestDeterminismAndStreams:
         assert not np.array_equal(val.tokens, ev.tokens)
 
     def test_unknown_stream_rejected(self):
-        with pytest.raises(KeyError):
-            next(task_stream(self.SPEC, 0, "test"))
+        # when called, not at the first sample drawn
+        with pytest.raises(ValueError, match="^stream must be one of train, val, eval, got 'test'$"):
+            task_stream(self.SPEC, 0, "test")
 
     def test_fixed_samples_prefix_of_stream(self):
         fixed = fixed_samples(self.SPEC, 5, 3, "val")
