@@ -25,6 +25,7 @@ ORACLE_TOL = 1e-10
 
 
 def make_attention_params(d: int, seed: int = 0):
+    d = require_int("d", d, 1)
     rng = np.random.default_rng(require_int("seed", seed, 0))
     b = 1.0 / np.sqrt(d)
     return tuple(rng.uniform(-b, b, (d, d)) for _ in range(3))

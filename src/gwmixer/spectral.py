@@ -381,15 +381,20 @@ def igft(eig: EigenSystem, xhat: np.ndarray) -> np.ndarray:
     return eig.synthesis(as_signal(xhat, eig.m))
 
 
+def _filter_values(h, lam: np.ndarray) -> np.ndarray:
+    """h(lam) as float64, which must be finite and shaped like lam."""
+    hv = np.asarray(h(lam), dtype=np.float64)
+    if hv.shape != lam.shape:
+        raise ValueError(f"filter returned shape {hv.shape}, expected {lam.shape}")
+    if not np.all(np.isfinite(hv)):
+        raise ValueError("filter returned non-finite values")
+    return hv
+
+
 def apply_filter_exact(eig: EigenSystem, h, x: np.ndarray) -> np.ndarray:
     """h(L) x = U diag(h(lam)) U^T x for a scalar spectral response h."""
     x = as_signal(x, eig.n)
-    hv = np.asarray(h(eig.lam), dtype=np.float64)
-    if hv.shape != eig.lam.shape:
-        raise ValueError(f"filter returned shape {hv.shape}, expected {eig.lam.shape}")
-    if not np.all(np.isfinite(hv)):
-        raise ValueError("filter returned non-finite values")
-    return eig.u @ (hv[:, None] * (eig.u.T @ x))
+    return eig.u @ (_filter_values(h, eig.lam)[:, None] * (eig.u.T @ x))
 
 
 def chebyshev_nodes(order: int):
@@ -420,16 +425,14 @@ def chebyshev_fit(h, order: int):
 
     Uses the P+1 first-kind Chebyshev nodes mapped onto the interval.
     Returns (coeffs, max_err): the P+1 expansion coefficients and the
-    maximum absolute expansion error at 1000 uniform test points.
+    maximum absolute expansion error at 1000 uniform test points. h must
+    give finite values shaped like its input, at the nodes and the points.
     """
     lam_nodes, fit = chebyshev_nodes(order)
-    fvals = np.asarray(h(lam_nodes), dtype=np.float64)
-    if fvals.shape != lam_nodes.shape:
-        raise ValueError(f"filter returned shape {fvals.shape}, expected {lam_nodes.shape}")
-    coeffs = fit @ fvals
+    coeffs = fit @ _filter_values(h, lam_nodes)
     grid = np.linspace(0.0, LAMBDA_MAX, 1000)
     approx = np.polynomial.chebyshev.chebval(2.0 * grid / LAMBDA_MAX - 1.0, coeffs)
-    max_err = float(np.max(np.abs(approx - np.asarray(h(grid), dtype=np.float64))))
+    max_err = float(np.max(np.abs(approx - _filter_values(h, grid))))
     return coeffs, max_err
 
 

@@ -8,6 +8,7 @@ identical runs produce byte-identical checkpoints and metric traces.
 
 import os
 from dataclasses import dataclass, fields
+from itertools import islice
 from numbers import Real
 
 import numpy as np
@@ -21,7 +22,6 @@ from .blocks import (
     layer_backward,
     layer_forward,
     model_backward,
-    model_forward,
     model_params,
     save_checkpoint,
 )
@@ -286,22 +286,35 @@ def metrics_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _stacked_loss(model: WaveletModel, samples, mode: MixMode, cache: SpectrumCache,
+                  return_tape: bool = False):
+    """One batch_forward over the samples' stacked rows, scored by
+    cross_entropy_loss with their sizes: (mean of their losses, its
+    gradient on the logits, the tape or None, (logits, targets, mask))."""
+    logits, tape = batch_forward(model, [s.graph for s in samples],
+                                 [s.tokens for s in samples], mode, cache, return_tape)
+    targets = np.concatenate([s.targets for s in samples])
+    mask = np.concatenate([s.mask for s in samples])
+    loss, grad_logits = cross_entropy_loss(logits, targets, mask, [s.graph.n for s in samples])
+    return loss, grad_logits, tape, (logits, targets, mask)
+
+
 def evaluate(model: WaveletModel, samples, mode: MixMode,
              cache: SpectrumCache | None = None):
-    """Mean loss over a non-empty list of TaskSamples, and token accuracy
-    over all their scored positions together. Spectra come from cache, or
-    from one fresh cache shared by all the samples."""
-    if not samples:
-        raise ValueError("evaluate needs at least one sample")
+    """Mean loss over a non-empty iterable of TaskSamples, and token
+    accuracy over all their scored positions, from the training step's
+    stacked pass without a tape, one per VAL_BATCHES samples (so one per
+    validation). Spectra come from cache, or one fresh cache per call."""
     cache = cache if cache is not None else SpectrumCache()
-    losses = []
-    scored = []  # (logits, targets, mask) per sample
-    for s in samples:
-        logits, _ = model_forward(model, s.graph, s.tokens, mode, cache)
-        loss, _ = cross_entropy_loss(logits, s.targets, s.mask)
-        losses.append(loss)
-        scored.append((logits, s.targets, s.mask))
-    return float(np.mean(losses)), token_accuracy(*map(np.concatenate, zip(*scored)))
+    samples = iter(samples)
+    losses, right = [], []  # per sample; per scored position, whether argmax hit
+    while chunk := list(islice(samples, VAL_BATCHES)):
+        loss, _, _, (logits, targets, mask) = _stacked_loss(model, chunk, mode, cache)
+        losses += [loss] * len(chunk)  # the chunk's mean for each of its samples
+        right.append((logits.argmax(axis=1) == targets)[mask])
+    if not losses:
+        raise ValueError("evaluate needs at least one sample")
+    return float(np.mean(losses)), float(np.concatenate(right).mean())
 
 
 def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None,
@@ -343,11 +356,8 @@ def train_loop(model: WaveletModel, cfg: TrainConfig, out_dir: str | None = None
     stopped_early = False
     for step in range(1, cfg.steps + 1):
         samples = [next(stream) for _ in range(cfg.accum)]
-        logits, tape = batch_forward(model, [s.graph for s in samples],
-                                     [s.tokens for s in samples], mode, cache, return_tape=True)
-        mean_loss, grad_logits = cross_entropy_loss(
-            logits, np.concatenate([s.targets for s in samples]),
-            np.concatenate([s.mask for s in samples]), [s.graph.n for s in samples])
+        mean_loss, grad_logits, tape, _ = _stacked_loss(model, samples, mode, cache,
+                                                        return_tape=True)
         if not np.isfinite(mean_loss):
             raise ValueError(f"non-finite loss {mean_loss!r} at step {step}; aborting")
         for grad, step_grad in zip(state.grads.values(),
@@ -494,13 +504,10 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
         params = model_params(model)
 
         def loss_fn():
-            logits, _ = model_forward(model, sample.graph, sample.tokens, mode, cache)
-            loss, _ = cross_entropy_loss(logits, sample.targets, sample.mask)
-            return loss
+            return _stacked_loss(model, [sample], mode, cache)[0]
 
-        logits, tape = model_forward(model, sample.graph, sample.tokens, mode, cache,
-                                     return_tape=True)
-        _, grad_logits = cross_entropy_loss(logits, sample.targets, sample.mask)
+        _, grad_logits, tape, _ = _stacked_loss(model, [sample], mode, cache,
+                                                return_tape=True)
         analytic = model_backward(model, tape, grad_logits)
     else:
         raise ValueError(f"unknown selector {selector!r}")

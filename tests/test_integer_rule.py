@@ -146,6 +146,12 @@ DEFECTS = {
     "make_attention_params-seed--1": (lambda: make_attention_params(4, seed=-1),
                                       (np.random, "default_rng"),
                                       "seed must be an integer >= 0, got -1"),
+    "make_attention_params-d-2.5": (lambda: make_attention_params(2.5),
+                                    (np.random, "default_rng"),
+                                    "d must be an integer >= 1, got 2.5"),
+    "make_attention_params-d-True": (lambda: make_attention_params(True),
+                                     (np.random, "default_rng"),
+                                     "d must be an integer >= 1, got True"),
     "grad_check-seed-True": (lambda: grad_check(seed=True), (np.random, "default_rng"),
                              "seed must be an integer >= 0, got True"),
     "bench_scaling-seed-1.5": (lambda: bench_scaling(sizes=(8, 16), modes=("exact",), seed=1.5),

@@ -22,7 +22,7 @@ from gwmixer import (
     symmetrize,
 )
 import gwmixer.spectral as spectral_mod
-from gwmixer.spectral import EigenSystem, chebyshev_series
+from gwmixer.spectral import EigenSystem, chebyshev_nodes, chebyshev_series
 from scipy import sparse
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -319,6 +319,18 @@ class TestChebyshev:
         with pytest.raises(ValueError, match=rf"^chebyshev order must be an integer >= 0, "
                                              rf"got {re.escape(repr(order))}$"):
             chebyshev_fit(np.exp, order)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["nodes", "grid", "both"])
+    def test_non_finite_filter_values_rejected(self, bad, where):
+        nodes = chebyshev_nodes(4)[0]
+
+        def h(lam):  # called at the order's nodes, then on the 1000-point error grid
+            on = "nodes" if np.array_equal(lam, nodes) else "grid"
+            return np.full_like(lam, bad) if where in (on, "both") else np.exp(-lam)
+
+        with pytest.raises(ValueError, match="^filter returned non-finite values$"):
+            chebyshev_fit(h, 4)
 
     def test_apply_matches_exact_path(self):
         lap = chain_lap(16)

@@ -1,6 +1,7 @@
 """Optimizer, loss, schedule, config plumbing, and the training loop."""
 
 import dataclasses
+import math
 import os
 import re
 
@@ -10,6 +11,7 @@ import pytest
 from gwmixer import (
     MixMode,
     ScheduleConfig,
+    TokenGraph,
     TrainConfig,
     adam_step,
     build_model,
@@ -26,6 +28,7 @@ from gwmixer import (
     model_params,
     save_checkpoint,
     task_stream,
+    to_conllu,
     token_accuracy,
     train_loop,
 )
@@ -458,13 +461,28 @@ class TestTrainLoop:
             assert np.array_equal(params[name], p), name
 
 
+def write_trees(path, count=12, seed=0):
+    """count random dependency trees of 3 to 12 tokens, as CoNLL-U."""
+    rng = np.random.default_rng(seed)
+    path.write_text("".join(to_conllu(TokenGraph(n, [(int(rng.integers(i)), i)
+                                                     for i in range(1, n)]))
+                            for n in rng.integers(3, 13, size=count)))
+    return str(path)
+
+
 class TestEvaluate:
-    def test_matches_manual_loop(self):
-        cfg = smoke_config(steps=1, d=8, k=1, n=8)
+    @pytest.mark.parametrize("mode", ["exact", "truncated:3", "chebyshev:8"])
+    # a chain, or trees of mixed sizes over two full chunks and a short last one
+    @pytest.mark.parametrize("source, count", [("chain", 5), ("trees", 2 * VAL_BATCHES + 5)])
+    @pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+    def test_matches_manual_loop(self, tmp_path, mode, source, count, as_generator):
+        conllu = write_trees(tmp_path / "trees.conllu") if source == "trees" else None
+        cfg = smoke_config(steps=1, d=8, k=1, n=8, mode=mode, conllu=conllu)
         model = build_for(cfg)
-        samples = fixed_samples(cfg.task_spec(), 7, 5, "eval")
+        samples = fixed_samples(cfg.task_spec(), 7, count, "eval")
         cache = SpectrumCache()
-        loss, acc = evaluate(model, samples, cfg.mix_mode(), cache)
+        loss, acc = evaluate(model, (s for s in samples) if as_generator else samples,
+                             cfg.mix_mode(), cache)
 
         losses = []
         hit = tot = 0
@@ -500,6 +518,43 @@ class TestEvaluate:
         cfg = smoke_config(steps=1, d=8, k=1, n=8)
         with pytest.raises(ValueError, match="at least one sample"):
             evaluate(build_for(cfg), [], cfg.mix_mode())
+        with pytest.raises(ValueError, match="at least one sample"):
+            evaluate(build_for(cfg), iter([]), cfg.mix_mode())
+
+    @staticmethod
+    def spy_batch_forward(monkeypatch):
+        """Record (graphs, return_tape) of every batch_forward training makes."""
+        calls = []
+        original = training_mod.batch_forward
+
+        def spy(model, graphs, token_ids, mode, cache=None, return_tape=False):
+            calls.append((len(graphs), return_tape))
+            return original(model, graphs, token_ids, mode, cache, return_tape)
+
+        monkeypatch.setattr(training_mod, "batch_forward", spy)
+        return calls
+
+    @pytest.mark.parametrize("count", [1, VAL_BATCHES - 1, VAL_BATCHES, VAL_BATCHES + 1,
+                                       3 * VAL_BATCHES])
+    def test_one_batch_forward_per_val_batches_samples(self, monkeypatch, count):
+        cfg = smoke_config(steps=1, d=8, k=1, n=8)
+        samples = fixed_samples(cfg.task_spec(), 7, count, "eval")
+        calls = self.spy_batch_forward(monkeypatch)
+        evaluate(build_for(cfg), samples, cfg.mix_mode())
+        assert len(calls) == math.ceil(count / VAL_BATCHES)
+        assert [graphs for graphs, _ in calls] == [
+            min(VAL_BATCHES, count - start) for start in range(0, count, VAL_BATCHES)]
+        assert not any(tape for _, tape in calls)
+
+    def test_a_train_loop_validation_is_one_batch_forward(self, monkeypatch):
+        # a perfbench trace counts layer_forward spans under one evaluate span
+        monkeypatch.setattr(training_mod, "VAL_INTERVAL", 2)
+        cfg = smoke_config(steps=5, accum=3, d=8, k=1, n=8, patience=10)
+        calls = self.spy_batch_forward(monkeypatch)
+        result = train_loop(build_for(cfg), cfg)
+        assert [step for step, _ in result.val_history] == [2, 4, 5]
+        step, validation = (3, True), (VAL_BATCHES, False)
+        assert calls == [step, step, validation, step, step, validation, step, validation]
 
 
 class TestGradCheck:
