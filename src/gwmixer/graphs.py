@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -304,18 +305,49 @@ def parse_conllu(text: str) -> list[TokenGraph]:
     codes, so that an error is raised where reading line by line would
     raise it first.
     """
-    graphs = []
-    pos, line = 0, 1
-    while pos < len(text):
-        end = _chunk_end(text, pos)
-        line = _parse_chunk(text[pos:end], line, graphs)
-        pos = end
+    doc = _scan_conllu(text)
+    forms = [text[i:j] for i, j in doc.forms.tolist()]
+    graphs, t = [], 0
+    for n, a, b in zip(doc.sizes.tolist(), doc.arcs[:-1].tolist(), doc.arcs[1:].tolist()):
+        graphs.append(TokenGraph(n, doc.edges[a:b], tuple(forms[t:t + n])))
+        t += n
     return graphs
 
 
-CONLLU_CHUNK = 1 << 20  # characters per parse_conllu scan; bounds its transient arrays
+class _ConlluArrays(NamedTuple):
+    """A CoNLL-U text as arrays, sentence by sentence (all int64)."""
+
+    sizes: np.ndarray  # (S,) tokens per sentence
+    edges: np.ndarray  # (E, 2) (head-1, token-1) rows, read-only
+    arcs: np.ndarray  # (S+1,) sentence s's edges are edges[arcs[s]:arcs[s+1]]
+    forms: np.ndarray  # (T, 2) [start, end) of each token's FORM in the text
+
+
+def _scan_conllu(text: str) -> _ConlluArrays:
+    """The one CoNLL-U reader behind parse_conllu, which documents what it
+    accepts and the ConlluParseError it raises, returning the text as
+    arrays: no graph or word form is made."""
+    sizes, edges, arcs, forms = [_EMPTY], [_EMPTY.reshape(0, 2)], [], [_EMPTY.reshape(0, 2)]
+    pos, line, arc = 0, 1, 0
+    while pos < len(text):
+        end = _chunk_end(text, pos)
+        n, e, a, f, line = _parse_chunk(text[pos:end], line)
+        sizes.append(n)
+        edges.append(e)
+        arcs.append(a + arc)
+        forms.append(f + pos)
+        pos, arc = end, arc + len(e)
+    arcs.append(np.array([arc]))
+    edges = np.concatenate(edges)
+    edges.flags.writeable = False
+    return _ConlluArrays(np.concatenate(sizes), edges, np.concatenate(arcs),
+                         np.concatenate(forms))
+
+
+CONLLU_CHUNK = 1 << 20  # characters per CoNLL-U scan; bounds its transient arrays
 
 _DIGITS_MAX = 18  # longer fields, or fields not all ASCII digits, go through int()
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def _chunk_end(text: str, pos: int) -> int:
@@ -329,10 +361,11 @@ def _chunk_end(text: str, pos: int) -> int:
     return cut if crlf < 0 else crlf + 3
 
 
-def _parse_chunk(text: str, first_line: int, graphs: list) -> int:
-    """Parse one chunk of CoNLL-U text, whole sentences whose first line is
-    number first_line, appending their graphs. Returns the number of the
-    line after the chunk."""
+def _parse_chunk(text: str, first_line: int):
+    """Scan one chunk of CoNLL-U text, whole sentences whose first line is
+    number first_line. Returns its sentence sizes, its edges, the offset
+    of each sentence's first edge, its FORM spans (offsets in the chunk)
+    and the number of the line after the chunk."""
     if text.isascii():
         code = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
         brk = (code - 10 < 4) | (code - 28 < 3)  # the str.splitlines breaks below 128
@@ -411,14 +444,11 @@ def _parse_chunk(text: str, first_line: int, graphs: list) -> int:
             raise ConlluParseError(line, f"token id {k} out of order (expected {ordinal[t]})")
         raise ConlluParseError(line, f"bad head {text[head_at[0][t]:head_at[1][t]]!r}")
 
-    labels = [text[i:j] for i, j in zip((tab[:, 0] + 1).tolist(), tab[:, 1].tolist())]
     arcs = head > 0
     edges = np.stack((head[arcs] - 1, ordinal[arcs] - 1), axis=1)
-    arc_first = np.searchsorted(np.flatnonzero(arcs), first).tolist() + [len(edges)]
-    for s, (t, n) in enumerate(zip(first.tolist(), sizes.tolist())):
-        graphs.append(TokenGraph(n, edges[arc_first[s]:arc_first[s + 1]],
-                                 tuple(labels[t:t + n])))
-    return first_line + lines
+    arc_first = np.searchsorted(np.flatnonzero(arcs), first)
+    forms = np.stack((tab[:, 0] + 1, tab[:, 1]), axis=1)
+    return sizes, edges, arc_first, forms, first_line + lines
 
 
 def _field_ints(text: str, code: np.ndarray, lo: np.ndarray, hi: np.ndarray):

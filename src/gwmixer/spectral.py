@@ -591,7 +591,16 @@ class SpectrumCache:
             return systems[0] if len(systems) == 1 else EigenStack.of(systems)
         if len(laps) == 1:
             return laps[0]
-        mat = sparse.block_diag([lap.matrix for lap in laps], format="csr")
+        mats = [lap.matrix for lap in laps]
+        # each graph's CSR arrays shifted past the graphs before it; Python
+        # int offsets keep the int32 index dtype of normalized_laplacian
+        rows = np.cumsum([0] + [m.shape[0] for m in mats]).tolist()
+        nnz = np.cumsum([0] + [m.nnz for m in mats]).tolist()
+        indices = np.concatenate([m.indices + r for m, r in zip(mats, rows)])
+        indptr = np.concatenate([mats[0].indptr[:1]]
+                                + [m.indptr[1:] + k for m, k in zip(mats, nnz)])
+        mat = sparse.csr_array((np.concatenate([m.data for m in mats]), indices, indptr),
+                               shape=(rows[-1], rows[-1]))
         deg = np.concatenate([lap.degrees for lap in laps])
         for arr in (mat.data, mat.indices, mat.indptr, deg):
             arr.flags.writeable = False

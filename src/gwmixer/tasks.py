@@ -13,7 +13,7 @@ from numbers import Real
 
 import numpy as np
 
-from .graphs import TokenGraph, build_chain_graph, parse_conllu, require_int
+from .graphs import TokenGraph, _scan_conllu, build_chain_graph, require_int
 from .spectral import MixMode
 
 TASK_KINDS = ("copy", "reverse", "masked_recovery")
@@ -32,7 +32,7 @@ COUNTER_BASE = 3
 COUNTER_HOLDS = (1, 2)  # spatial periods 3 and 6
 # token value space too small to split into digits -> one sticky stream
 FALLBACK_REPEAT = 3 / 4
-SENTENCE_FILES = 4  # parsed CoNLL-U files kept by _conllu_sentences
+SENTENCE_FILES = 4  # scanned CoNLL-U files kept by _conllu_sentences
 
 
 @dataclass(frozen=True)
@@ -73,25 +73,47 @@ class TaskSample:
     mask: np.ndarray  # (n,) bool, True where the position is scored
 
 
+class _Sentences:
+    """The sentences of a CoNLL-U file as the scan's arrays: sizes, and
+    sentence i's edges at edges[starts[i]:stops[i]]. Sentence i's graph,
+    without labels, is built the first time it is drawn and kept, so a
+    graph drawn again is the same object, its spectral key already hashed."""
+
+    def __init__(self, sizes, edges, starts, stops):
+        self.sizes, self.edges, self.starts, self.stops = sizes, edges, starts, stops
+        self._graphs = {}
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, i: int) -> TokenGraph:
+        g = self._graphs.get(i)
+        if g is None:  # setdefault: threads that race here still share one graph
+            g = self._graphs.setdefault(i, TokenGraph(int(self.sizes[i]),
+                                                      self.edges[self.starts[i]:self.stops[i]]))
+        return g
+
+
 @lru_cache(maxsize=SENTENCE_FILES)
-def _conllu_sentences(path: str) -> tuple:
-    """The graphs of path's sentences of at least 2 tokens, parsed once
-    for each of the last SENTENCE_FILES paths read."""
+def _conllu_sentences(path: str) -> _Sentences:
+    """The sentences of at least 2 tokens of path, in file order, scanned
+    (and so checked) once for each of the last SENTENCE_FILES paths read."""
     with open(path, encoding="utf-8") as fh:
-        sents = tuple(g for g in parse_conllu(fh.read()) if g.n >= 2)
-    if not sents:
+        doc = _scan_conllu(fh.read())
+    keep = doc.sizes >= 2
+    if not keep.any():
         raise ValueError(f"{path}: no sentences with at least 2 tokens")
-    return sents
+    return _Sentences(doc.sizes[keep], doc.edges, doc.arcs[:-1][keep], doc.arcs[1:][keep])
 
 
 def check_mode(spec: TaskSpec, mode: MixMode) -> None:
     """Raise ValueError unless mode fits every graph spec draws: the chain
     of spec.n nodes, or the shortest kept sentence of its CoNLL-U file
-    (from the cached parse), named with the file in the error."""
+    (from the cached scan), named with the file in the error."""
     if spec.conllu is None:
         mode.pairs(spec.n)
         return
-    shortest = min(g.n for g in _conllu_sentences(spec.conllu))
+    shortest = int(_conllu_sentences(spec.conllu).sizes.min())
     try:
         mode.pairs(shortest)
     except ValueError as exc:

@@ -130,6 +130,30 @@ def test_the_union_operator_is_the_block_diagonal_of_the_graph_operators():
         assert not arr.flags.writeable
 
 
+UNIONS = {
+    "trees, isolated nodes and a chain": union_graphs,
+    "one-node graphs": lambda: [TokenGraph(1), TokenGraph(1), TokenGraph(1)],
+    "empty rows first and last": lambda: [TokenGraph(1), build_chain_graph(3),
+                                          TokenGraph(5, [(2, 1), (1, 3)]), TokenGraph(1)],
+}
+
+
+@pytest.mark.parametrize("graphs", UNIONS.values(), ids=UNIONS.keys())
+def test_the_union_laplacian_is_built_without_a_coo_round_trip(monkeypatch, graphs):
+    graphs = graphs()
+    cache = SpectrumCache()
+    mode = MixMode.chebyshev(4)
+    want = sparse.block_diag([cache.get_or_compute(g, mode)[0].matrix for g in graphs],
+                             format="csr")
+    monkeypatch.setattr(sparse, "block_diag", lambda *a, **k: pytest.fail("block_diag called"))
+    have = cache.operand(graphs, mode).matrix
+    assert have.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(have, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable
+
+
 @pytest.mark.parametrize("order", [0, 1, 16])
 def test_mixing_over_the_union_is_mixing_each_graph_bit_for_bit(order):
     graphs = union_graphs()

@@ -215,8 +215,8 @@ class TestConlluSource:
 
     def test_file_parsed_once_and_files_kept_bounded(self, tmp_path, monkeypatch):
         parsed = []
-        original = tasks_mod.parse_conllu
-        monkeypatch.setattr(tasks_mod, "parse_conllu",
+        original = tasks_mod._scan_conllu
+        monkeypatch.setattr(tasks_mod, "_scan_conllu",
                             lambda text: parsed.append(text) or original(text))
         tasks_mod._conllu_sentences.cache_clear()
         paths = []
