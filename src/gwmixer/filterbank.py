@@ -26,8 +26,10 @@ their concatenated eigenvalues, so the only per-graph work is the two U
 products; in Chebyshev mode a NormalizedLaplacian, for several graphs
 that of their disjoint union. An exact or truncated forward keeps the
 operand, the bank's tanh layer, its pre-softplus output and U^T x on a
-MixTape, all that the backward reads: it contracts the bank gradient as
-(K, M) x (K, M, H) products without forming a gradient per eigenvalue.
+MixTape, all that the backward reads. One contraction, _bank_grad, forms
+every filter gradient as (K, M) x (K, M, H) products, with no gradient per
+eigenvalue: wavelet_mix_backward's, grad_check("filter")'s and, a lambda
+per row, filter_eval_grad's.
 """
 
 from dataclasses import dataclass
@@ -137,8 +139,26 @@ def _expit(y: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-y))
 
 
+def _bank_grad(bank: FilterBank, lam: np.ndarray, t: np.ndarray, y: np.ndarray, dg):
+    """Gradients (w1, b1, w2, b2) from _bank_eval's clamped lam, t and y and
+    dg = dLoss/dg, shaped as y: dy = dg softplus'(y) meets t and 1 - t^2 in
+    (K, 1 or 2, M) x (K, M, H) products, summed over the M eigenvalues."""
+    dy = dg * _expit(y)  # (K, M)
+    # sums over i of dy (1 - t^2) and of dy lam (1 - t^2): the b1 and w1 gradients over w2
+    sech2 = np.square(t)
+    np.subtract(1.0, sech2, out=sech2)  # tanh' = 1 - t^2, in place
+    dz = np.stack((dy, dy * lam), axis=1) @ sech2  # (K, 2, H)
+    return bank.w2 * dz[:, 1], bank.w2 * dz[:, 0], (dy[:, None, :] @ t)[:, 0], dy.sum(axis=1)
+
+
 def _finite_lambda(lam) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    """lam as a 1-D float64 array: a real scalar or a 1-D array of integer
+    or float dtype, all finite. Anything else is a ValueError naming it."""
+    arr = np.asarray(lam)
+    if arr.dtype.kind not in "iuf" or arr.ndim > 1:
+        raise ValueError(f"lambda must be a real scalar or 1-D array, got {arr.dtype} "
+                         f"of shape {arr.shape}")
+    arr = np.atleast_1d(arr.astype(np.float64, copy=False))
     if not np.all(np.isfinite(arr)):
         raise ValueError("lambda must be finite")
     return arr
@@ -161,17 +181,14 @@ def filter_eval_grad(f: FilterBank, lam):
     """Value and parameter gradients of a one-filter bank's g at each lambda.
 
     Returns (values, grads) where grads has keys w1/b1/w2/b2. For array
-    input the gradient arrays carry a leading lambda axis.
+    input the gradient arrays carry a leading lambda axis: each lambda is
+    a row of its own for _bank_grad, whose contraction then sums one term.
     """
     lam_c, t, y, out = _bank_eval(_one_filter(f), _finite_lambda(lam))
-    s = _expit(y)  # d softplus / dy
-    gb1 = s[..., None] * (f.w2[:, None, :] * (1.0 - t**2))
-    jac = {"w1": gb1 * lam_c[:, None], "b1": gb1, "w2": s[..., None] * t, "b2": s}
+    grads = dict(zip(FILTER_TENSORS, _bank_grad(f, lam_c[:, None], t[0][:, None], y.T, 1.0)))
     if np.ndim(lam):
-        return out[0], {name: g[0] for name, g in jac.items()}
-    grads = {name: g[0, 0] for name, g in jac.items()}
-    grads["b2"] = np.array(grads["b2"])
-    return out[0, 0], grads
+        return out[0], grads
+    return out[0, 0], {name: g[0, ...] for name, g in grads.items()}
 
 
 def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
@@ -250,32 +267,27 @@ def wavelet_mix_backward(bank: FilterBank, tape: MixTape, upstream: np.ndarray):
     """Reverse-mode gradients of an exact or truncated mix from the MixTape of
     its forward alone: (grad_x, FilterBank of the gradients of the bank's arrays).
 
-    U and Lam are constants of the graph; gradients flow to x, alpha and
-    the filter parameters only. The bank gradient is contracted over all
-    M eigenvalues at once: dy = dLoss/dy (K, M) meets t and 1 - t^2 in
-    (K, 1 or 2, M) x (K, M, H) products. Anything but a MixTape (a
-    chebyshev mix keeps none), a bank of another shape than the tape's or
-    an upstream not over the tape's rows is a ValueError before any product.
+    U and Lam are constants of the graph; gradients flow to x, alpha and,
+    through _bank_grad, the filter parameters only. Anything but a MixTape
+    (a chebyshev mix keeps none), a bank of another shape than the tape's
+    or an upstream not over the tape's rows is a ValueError before any
+    product.
     """
     if not isinstance(tape, MixTape):
         raise ValueError("chebyshev mode is inference-only; no backward pass without the "
                          f"MixTape of an exact or truncated mix, got {type(tape).__name__}")
-    operand, (k, d) = tape.operand, (len(tape.g), tape.xhat.shape[1])
+    operand, (k, _, h), d = tape.operand, tape.t.shape, tape.xhat.shape[1]
     upstream = np.asarray(upstream, dtype=np.float64)
     if bank.alpha.shape != (k, d) or upstream.shape != (operand.n, d):
         raise ValueError(f"tape mixed K={k} filters over {(operand.n, d)} signals; got alpha "
                          f"{bank.alpha.shape} and upstream {upstream.shape}")
+    if bank.w1.shape != (k, h):
+        raise ValueError(f"tape mixed K={k} filters of width H={h}; got w1 {bank.w1.shape}")
     ghat = operand.analysis(upstream)  # (M, d)
     prod = tape.xhat * ghat  # (M, d)
-    # dLoss/dg_k(lam_i) = sum_j xhat[i,j] alpha[k,j] ghat[i,j], then through the softplus
-    dy = (bank.alpha @ prod.T) * _expit(tape.y)  # (K, M)
-    # sums over i of dy (1 - t^2) and of dy lam (1 - t^2): the b1 and w1 gradients over w2
-    sech2 = np.square(tape.t)
-    np.subtract(1.0, sech2, out=sech2)  # tanh' = 1 - t^2, in place
-    dz = np.stack((dy, dy * tape.lam), axis=1) @ sech2  # (K, 2, H)
-    grad_bank = FilterBank(bank.w2 * dz[:, 1], bank.w2 * dz[:, 0], (dy[:, None, :] @ tape.t)[:, 0],
-                           dy.sum(axis=1), tape.g @ prod)
-    return operand.synthesis((tape.g.T @ bank.alpha) * ghat), grad_bank
+    # dLoss/dg_k(lam_i) = sum_j xhat[i,j] alpha[k,j] ghat[i,j]
+    grads = _bank_grad(bank, tape.lam, tape.t, tape.y, bank.alpha @ prod.T)
+    return operand.synthesis((tape.g.T @ bank.alpha) * ghat), FilterBank(*grads, tape.g @ prod)
 
 
 def named_bank_tensors(bank: FilterBank, prefix: str = "") -> dict:

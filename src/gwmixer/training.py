@@ -28,9 +28,10 @@ from .blocks import (
 from .filterbank import (
     FILTER_TENSORS,
     MixMode,
+    _bank_eval,
+    _bank_grad,
     build_filter_bank,
     filter_eval,
-    filter_eval_grad,
     named_bank_tensors,
     wavelet_mix,
     wavelet_mix_backward,
@@ -446,7 +447,8 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
                tol: float = 1e-4, corrupt=None) -> GradCheckReport:
     """Compare hand-written gradients against central differences.
 
-    Selectors: "filter" (weighted filter values), "mix" (0.5 ||Y||^2 of
+    Selectors: "filter" (weighted filter values, through the bank
+    contraction wavelet_mix_backward trains with), "mix" (0.5 ||Y||^2 of
     wavelet_mix), "layer" (0.5 ||y||^2 of one layer), "model" (cross
     entropy of the full model, the acceptance configuration). `corrupt`
     is a test hook applied to the analytic gradient dict before
@@ -467,8 +469,8 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
         def loss_fn():
             return float(wts @ filter_eval(f, lam))
 
-        _, g = filter_eval_grad(f, lam)
-        analytic = {name: np.reshape(wts @ g[name], p.shape) for name, p in params.items()}
+        lam_c, t, y, _ = _bank_eval(f, lam)
+        analytic = dict(zip(FILTER_TENSORS, _bank_grad(f, lam_c, t, y, wts[None, :])))
     elif selector in ("mix", "layer"):
         n, d, k = 6, 4, 2
         mode = MixMode.exact()

@@ -19,6 +19,7 @@ from scipy import sparse
 
 import gwmixer.filterbank as filterbank_mod
 from gwmixer import (
+    FilterBank,
     MixMode,
     SpectrumCache,
     TokenGraph,
@@ -181,6 +182,16 @@ def _misfit(alpha, upstream):
                            f"and upstream {upstream}") + "$"
 
 
+def _bank_of_width(h):
+    """A K=2, d=3 bank whose filters are h wide."""
+    w = np.ones((2, h))
+    return FilterBank(w, w.copy(), w.copy(), np.ones(2), np.ones((2, 3)))
+
+
+def _width_misfit(h):
+    return "^" + re.escape(f"tape mixed K=2 filters of width H=16; got w1 (2, {h})") + "$"
+
+
 # each case as (bank, tape, upstream) from the bank (K=2, d=3) and tape of a
 # 6-node mix, and the message it raises
 BAD_BACKWARDS = {
@@ -195,6 +206,8 @@ BAD_BACKWARDS = {
                _misfit((3, 3), (6, 3))),
     "bank-d": (lambda bank, tape: (build_filter_bank(2, 4), tape, np.ones((6, 4))),
                _misfit((2, 4), (6, 4))),
+    "bank-H1": (lambda bank, tape: (_bank_of_width(1), tape, np.ones((6, 3))), _width_misfit(1)),
+    "bank-H8": (lambda bank, tape: (_bank_of_width(8), tape, np.ones((6, 3))), _width_misfit(8)),
 }
 
 

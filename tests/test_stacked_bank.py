@@ -3,6 +3,7 @@ per-filter / per-tensor formulas they replace."""
 
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ class TestAgainstPerFilterReference:
             assert_rel_close(filter_eval(f, x), rv[0], "scalar filter_eval")
             for name in rj:
                 assert_rel_close(g[name], rj[name][0], f"scalar {name}")
+
+    def test_single_filter_gradient_memory_is_linear_in_lambda(self):
+        # each lambda is a row of its own; an identity contraction over a bank
+        # repeated M times would hold (M, M, H) floats, 128 MB at M = 1000
+        f = build_filter_bank(1, 1, seed=0)
+        lam = np.linspace(-0.5, 2.5, 1000)
+        filter_eval_grad(f, lam)
+        tracemalloc.start()
+        try:
+            filter_eval_grad(f, lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * lam.size * f.w1.shape[1] * 8
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("mode", [MixMode.exact(), MixMode.truncated(3)])
