@@ -5,7 +5,7 @@ for wrong output.
 Timing excludes eigendecomposition and setup: each mode's operand comes
 from SpectrumCache.operand before timing, as in model_forward, so
 truncated:m mixes over its own m-pair system and chebyshev over the
-Laplacian alone. Memory is measured by tracemalloc in an untimed pass.
+graph's operator alone. Memory is measured by tracemalloc in an untimed pass.
 """
 
 import time

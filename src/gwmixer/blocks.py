@@ -5,8 +5,8 @@ forward with a second residual (no normalization):
 
     m = mix(x);  r = x + m;  y = r + relu(r W1 + b1) W2 + b2
 
-The model embeds token ids, stacks layers over one shared graph spectrum,
-and projects to vocabulary logits. A forward pass asked for a tape
+The model embeds token ids, stacks layers over one shared operand (a
+spectrum or a ChebyshevOperator), and projects to vocabulary logits. A forward pass asked for a tape
 records one (each mix's operand is on its MixTape alone); backward passes
 take (parameters, tape, upstream) and replay it with hand-written gradients.
 Without a tape, inference drops each layer's intermediates before the
@@ -35,9 +35,9 @@ from .filterbank import (
     wavelet_mix,
     wavelet_mix_backward,
 )
-from .graphs import NormalizedLaplacian, TokenGraph, require_int, require_int_array
+from .graphs import TokenGraph, require_int, require_int_array
 from .serialize import dumps_canonical, write_text_atomic
-from .spectral import EigenStack, EigenSystem, SpectrumCache
+from .spectral import ChebyshevOperator, EigenStack, EigenSystem, SpectrumCache
 
 CHECKPOINT_VERSION = 2  # 2: the mix mode is one string, see _upgrade_v1_config
 
@@ -79,7 +79,7 @@ class LayerTape:
     mix: MixTape | None  # None in chebyshev mode, which has no backward
 
 
-def layer_forward(layer: WaveletLayer, operand: EigenSystem | EigenStack | NormalizedLaplacian,
+def layer_forward(layer: WaveletLayer, operand: EigenSystem | EigenStack | ChebyshevOperator,
                   x: np.ndarray, mode: MixMode):
     """Returns (y, LayerTape). operand is what mode mixes over, as
     wavelet_mix takes it; when it covers several graphs, x holds their

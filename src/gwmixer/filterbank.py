@@ -8,9 +8,9 @@ features as
 
 evaluated exactly on the full eigenbasis, on the m smoothest modes
 (truncated), or, inference only, without any eigenbasis through one
-Chebyshev recurrence of sparse products with A2 = 2(L - I), the bank's
-coefficients and alpha folded together. Backward treats U and Lam as
-constants.
+Chebyshev recurrence of sparse products with a ChebyshevOperator's
+A2 = 2(L - I), the bank's coefficients and alpha folded together.
+Backward treats U and Lam as constants.
 
 FilterBank is the one filter type. It stores K filters stacked, as
 (K, H) arrays, and evaluates all of them in one pass (one broadcast tanh,
@@ -23,7 +23,7 @@ The mix runs over one operand, as SpectrumCache.operand builds it: an
 EigenSystem, or the EigenStack of all the graphs of an optimizer step,
 whose signals are stacked by rows and whose bank is evaluated once, at
 their concatenated eigenvalues, so the only per-graph work is the two U
-products; in Chebyshev mode a NormalizedLaplacian, for several graphs
+products; in Chebyshev mode a ChebyshevOperator, for several graphs
 that of their disjoint union. An exact or truncated forward keeps the
 operand, the bank's tanh layer, its pre-softplus output and U^T x on a
 MixTape, all that the backward reads. One contraction, _bank_grad, forms
@@ -36,16 +36,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import NormalizedLaplacian, require_int
+from .graphs import require_int
 from .serialize import fmt_float
 from .spectral import (
     LAMBDA_MAX,
+    ChebyshevOperator,
     EigenStack,
     EigenSystem,
     MixMode,
     as_signal,
     chebyshev_nodes,
     chebyshev_series,
+    require_mode,
 )
 
 HIDDEN = 16  # filter MLP width; checkpoints are reloaded at this width
@@ -200,22 +202,18 @@ def bank_responses(bank: FilterBank, lam: np.ndarray) -> np.ndarray:
 
 def _check_mix_args(bank: FilterBank, operand, x: np.ndarray, mode: MixMode) -> np.ndarray:
     """x as a signal over operand, which must be what SpectrumCache.operand
-    gives mode: a NormalizedLaplacian for chebyshev, else an EigenSystem
-    or EigenStack whose every system holds exactly mode.pairs(n) pairs.
-    Anything else is a ValueError naming the mode and what it mixes over."""
-    if mode.kind == "chebyshev":
-        if not isinstance(operand, NormalizedLaplacian):
-            raise ValueError(f"{mode} mode mixes over a NormalizedLaplacian, "
-                             f"got {type(operand).__name__}")
-    elif not isinstance(operand, (EigenSystem, EigenStack)):
-        raise ValueError(f"{mode} mode mixes over an EigenSystem or EigenStack, "
-                         f"got {type(operand).__name__}")
-    else:
-        for s in operand.systems if isinstance(operand, EigenStack) else (operand,):
-            need = mode.pairs(s.n)
-            if s.m != need:
-                raise ValueError(f"{mode} mode mixes over {need} eigenpairs, got an "
-                                 f"eigensystem of m={s.m} pairs for n={s.n} nodes")
+    gives mode, a MixMode: a ChebyshevOperator for chebyshev, else an
+    EigenSystem or EigenStack whose every system holds mode.pairs(n)
+    pairs. Anything else is a ValueError naming what mode mixes over."""
+    cheb = require_mode(mode).kind == "chebyshev"
+    if not isinstance(operand, ChebyshevOperator if cheb else (EigenSystem, EigenStack)):
+        what = "a ChebyshevOperator" if cheb else "an EigenSystem or EigenStack"
+        raise ValueError(f"{mode} mode mixes over {what}, got {type(operand).__name__}")
+    for s in () if cheb else getattr(operand, "systems", (operand,)):  # a stack's, or the one
+        need = mode.pairs(s.n)
+        if s.m != need:
+            raise ValueError(f"{mode} mode mixes over {need} eigenpairs, got an "
+                             f"eigensystem of m={s.m} pairs for n={s.n} nodes")
     x = as_signal(x, operand.n)
     if x.shape[1] != bank.d:
         raise ValueError(f"bank mixes d={bank.d} channels, signal has {x.shape[1]}")
@@ -237,7 +235,7 @@ class MixTape:
     xhat: np.ndarray
 
 
-def wavelet_mix(bank: FilterBank, operand: EigenSystem | EigenStack | NormalizedLaplacian,
+def wavelet_mix(bank: FilterBank, operand: EigenSystem | EigenStack | ChebyshevOperator,
                 x: np.ndarray, mode: MixMode, return_tape: bool = False):
     """Mix node features through the filter bank over operand, what mode
     mixes over (SpectrumCache.operand builds it, _check_mix_args checks it
@@ -246,7 +244,7 @@ def wavelet_mix(bank: FilterBank, operand: EigenSystem | EigenStack | Normalized
     In chebyshev mode the bank is evaluated once at the P+1 Chebyshev
     nodes, one matmul fits all K coefficient vectors c_k, alpha is folded
     in as w_p = sum_k c_kp alpha_k, and one chebyshev_series recurrence
-    over the Laplacian's A2 = 2(L - I) sums T_p(L - I) x * w_p in
+    over the operator's A2 = 2(L - I) sums T_p(L - I) x * w_p in
     O(P |E| d) time and O(n d) memory.
 
     With return_tape, returns (Y, MixTape) for wavelet_mix_backward, the
@@ -256,7 +254,7 @@ def wavelet_mix(bank: FilterBank, operand: EigenSystem | EigenStack | Normalized
     if mode.kind == "chebyshev":
         nodes, fit = chebyshev_nodes(mode.param)
         coeffs = bank_responses(bank, nodes) @ fit.T  # (K, P+1)
-        y = chebyshev_series(operand.chebyshev_operator, coeffs.T @ bank.alpha, x)
+        y = chebyshev_series(operand.matrix, coeffs.T @ bank.alpha, x)
         return (y, None) if return_tape else y
     tape = MixTape(operand, *_bank_eval(bank, _finite_lambda(operand.lam)), operand.analysis(x))
     y = operand.synthesis((tape.g.T @ bank.alpha) * tape.xhat)  # g^T alpha: sum_k g_k(lam_i) alpha_k[j]

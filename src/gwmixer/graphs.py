@@ -6,7 +6,8 @@ Spectral code sees only its undirected structure (edge direction and
 duplicates dropped), through the normalized Laplacian
 L = I - D^{-1/2} A D^{-1/2}, held as one sparse CSR matrix, and the
 content hash that keys the spectrum cache. Both are built from the same
-array of undirected edge codes, so no symmetrized copy of a graph is made.
+array of undirected edge codes, so no symmetrized copy of a graph is made;
+one CSR fill builds L and the Chebyshev operator A2 = 2(L - I) alike.
 """
 
 import hashlib
@@ -230,9 +231,6 @@ class NormalizedLaplacian:
     column indices, with the convention that isolated nodes get an empty
     row/column (diagonal 0, not 1). Its arrays and degrees are frozen.
     Products cost O(|E| d); only eigendecompose forms a dense copy.
-
-    chebyshev_operator is its one Chebyshev form, A2 = 2(L - I), built
-    on first use only, so exact and truncated mixes never pay for it.
     """
 
     matrix: sparse.csr_array
@@ -242,49 +240,38 @@ class NormalizedLaplacian:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def chebyshev_operator(self) -> sparse.csr_array:
-        """A2 = 2(L - I), the operator of the Chebyshev recurrence, as a CSR
-        array with frozen arrays, built once. Doubling is exact and the
-        unit diagonal cancels exactly, so A2 stores the doubled
-        off-diagonal entries of L, plus -2 on the diagonal of each
-        isolated node (whose row of L is empty); the sparse subtraction
-        stores no zeros."""
-        a2 = 2.0 * self.matrix - 2.0 * sparse.eye_array(self.n, format="csr")
-        # own copies: the subtraction's result may view arrays sized for both operands
-        a2 = sparse.csr_array((a2.data.copy(), a2.indices.copy(), a2.indptr.copy()),
-                              shape=a2.shape)
-        for arr in (a2.data, a2.indices, a2.indptr):
-            arr.flags.writeable = False
-        return a2
-
 
 def normalized_laplacian(g: TokenGraph) -> NormalizedLaplacian:
-    """Build L = I - D^{-1/2} A D^{-1/2} of g's undirected structure, A
-    the 0/1 adjacency of its undirected edges: a directed graph gives the
-    Laplacian of symmetrize(g).
+    """L = I - D^{-1/2} A D^{-1/2} of g's undirected structure (A its 0/1
+    adjacency) by _csr_fill, the Laplacian of symmetrize(g) for a directed g."""
+    return NormalizedLaplacian(*_csr_fill(g.n, *np.divmod(_undirected(g), g.n), chebyshev=False))
 
-    The CSR arrays are filled directly from the undirected edge codes,
-    each off-diagonal entry once per direction, with each non-isolated
-    row's diagonal entry merged in by column order.
-    """
-    n = g.n
-    a, b = np.divmod(_undirected(g), n)
+
+def _csr_fill(n: int, a: np.ndarray, b: np.ndarray, chebyshev: bool):
+    """(CSR array, degrees) of L = I - D^{-1/2} A D^{-1/2}, or with
+    chebyshev of A2 = 2(L - I), for the n nodes whose undirected edges are
+    the distinct pairs (a[i], b[i]), a < b: frozen arrays, int32 indices,
+    sorted columns. Off-diagonal entries are filled once per direction
+    (doubled exactly for A2) and the diagonal merged in by column order:
+    L has 1 on each node with an edge, A2 -2 on each isolated node and no
+    stored zeros (1 - 1 cancels on the others)."""
     src, dst = np.concatenate((a, b)), np.concatenate((b, a))
     count = np.bincount(src, minlength=n)
     deg = count.astype(np.float64)
-    diag = np.flatnonzero(count)
     dinv = np.zeros(n)
-    dinv[diag] = 1.0 / np.sqrt(deg[diag])
+    np.divide(1.0, np.sqrt(deg), out=dinv, where=count > 0)
+    on_diag = (count > 0) != chebyshev  # L: nodes with an edge; A2: isolated nodes
+    diag = np.flatnonzero(on_diag)
     # row-major order; the codes are distinct, so any sort gives one order
     order = np.argsort(np.concatenate((src * n + dst, diag * (n + 1))))
     indices = np.concatenate((dst, diag)).astype(np.int32)[order]
-    data = np.concatenate((-(dinv[src] * dinv[dst]), np.ones(len(diag))))[order]
+    scale, unit = (-2.0, -2.0) if chebyshev else (-1.0, 1.0)
+    data = np.concatenate((scale * (dinv[src] * dinv[dst]), np.full(len(diag), unit)))[order]
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(count + (count > 0), out=indptr[1:])
+    np.cumsum(count + on_diag, out=indptr[1:])
     for arr in (data, indices, indptr, deg):
         arr.flags.writeable = False
-    return NormalizedLaplacian(sparse.csr_array((data, indices, indptr), shape=(n, n)), deg)
+    return sparse.csr_array((data, indices, indptr), shape=(n, n)), deg
 
 
 def parse_conllu(text: str) -> list[TokenGraph]:

@@ -16,10 +16,10 @@ dense eigh.
 
 The Chebyshev path needs no spectrum at all. It runs one kernel,
 chebyshev_series, a three-term recurrence T_{p+1} = A2 T_p - T_{p-1} of
-sparse products with A2 = 2(L - I), the Laplacian's
-chebyshev_operator. SpectrumCache.operand alone chooses what a mode
-mixes over: an EigenSystem, an EigenStack of several, or a Laplacian,
-for several graphs that of their disjoint union (block-diagonal A2).
+sparse products with A2 = 2(L - I), a ChebyshevOperator filled from the
+graphs' edges as the Laplacian is. SpectrumCache.operand alone chooses
+what a mode mixes over: an EigenSystem, an EigenStack of several, or the
+ChebyshevOperator of one graph or of a disjoint union.
 """
 
 import threading
@@ -31,6 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from .graphs import NormalizedLaplacian, TokenGraph, normalized_laplacian, require_int
+from .graphs import _csr_fill, _undirected
 
 SYMMETRY_TOL = 1e-12
 CLAMP_FLOOR = -1e-9  # round-off negatives above this are snapped to 0
@@ -118,6 +119,30 @@ class EigenStack:
         for eig, r, c in zip(self.systems, self.rows, self.cols):
             np.matmul(eig.u, h[c], out=out[r])
         return out
+
+
+@dataclass(frozen=True)
+class ChebyshevOperator:
+    """A2 = 2(L - I), the operator of the Chebyshev recurrence, of one
+    graph or, block diagonal, of the disjoint union of several, whose rows
+    a signal stacks in order: a CSR array with frozen arrays, int32
+    indices and no stored zeros. SpectrumCache.operand builds it with of,
+    one _csr_fill over the graphs' undirected edge codes, each graph's
+    shifted past those before it: no content hash and no Laplacian."""
+
+    matrix: sparse.csr_array
+
+    @classmethod
+    def of(cls, graphs) -> "ChebyshevOperator":
+        codes = [_undirected(g) for g in graphs]
+        sizes, counts = [g.n for g in graphs], [len(c) for c in codes]
+        a, b = np.divmod(np.concatenate(codes), np.repeat(sizes, counts))
+        shift = np.repeat(list(accumulate(sizes[:-1], initial=0)), counts)
+        return cls(_csr_fill(sum(sizes), a + shift, b + shift, chebyshev=True)[0])
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
 
 
 def _check_square_symmetric(mat) -> None:
@@ -440,11 +465,10 @@ def chebyshev_series(op: sparse.csr_array, w: np.ndarray, x: np.ndarray) -> np.n
     """sum_p T_p(L - I) x * w[p], the Chebyshev kernel: L - I maps the
     [0, 2] spectrum onto [-1, 1].
 
-    op is A2 = 2(L - I) as a sparse array, a Laplacian's
-    chebyshev_operator (block diagonal for a disjoint union, x then
-    holding its graphs' rows stacked). w is (P+1, 1) for one scalar
-    series or (P+1, d) for one series per channel. T_1 x = A2 x / 2
-    (exact: halving undoes the exact doubling) and
+    op is A2 = 2(L - I), a ChebyshevOperator's matrix (block diagonal for
+    a disjoint union, x then holding its graphs' rows stacked). w is
+    (P+1, 1) for one scalar series or (P+1, d) for one series per channel.
+    T_1 x = A2 x / 2 (exact: halving undoes the exact doubling) and
     T_{p+1} x = A2 T_p x - T_{p-1} x: per order one CSR product of
     O(|E| d), one subtraction and one multiply-add into the sum, holding
     only T_{p-1} x, T_p x, the sum and one term buffer.
@@ -467,9 +491,12 @@ def chebyshev_series(op: sparse.csr_array, w: np.ndarray, x: np.ndarray) -> np.n
 
 def chebyshev_apply(l: NormalizedLaplacian, coeffs, x: np.ndarray) -> np.ndarray:
     """f(L) x for the expansion coeffs of f (from chebyshev_fit), via the
-    chebyshev_series kernel on l's chebyshev_operator. Never touches
-    eigenvectors. coeffs must be a non-empty, 1-D, finite array of
-    numbers, checked before any product; anything else is a ValueError."""
+    chebyshev_series kernel on A2 = 2(L - I) formed from l. Never touches
+    eigenvectors. l must be a NormalizedLaplacian and coeffs a non-empty,
+    1-D, finite array of numbers, checked before any product; anything
+    else is a ValueError."""
+    if not isinstance(l, NormalizedLaplacian):
+        raise ValueError(f"chebyshev_apply needs a NormalizedLaplacian, got {type(l).__name__}")
     try:
         w = np.asarray(coeffs, dtype=np.float64)
     except (TypeError, ValueError):
@@ -477,8 +504,8 @@ def chebyshev_apply(l: NormalizedLaplacian, coeffs, x: np.ndarray) -> np.ndarray
     if w is None or w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
         raise ValueError("chebyshev coefficients must be a non-empty 1-D array of finite "
                          f"numbers, got {coeffs!r}")
-    x = as_signal(x, l.n)
-    return chebyshev_series(l.chebyshev_operator, w[:, None], x)
+    a2 = 2.0 * l.matrix - 2.0 * sparse.eye_array(l.n, format="csr")
+    return chebyshev_series(a2, w[:, None], as_signal(x, l.n))
 
 
 @dataclass(frozen=True)
@@ -532,6 +559,13 @@ class MixMode:
         return self.param
 
 
+def require_mode(mode) -> MixMode:
+    """mode itself if it is a MixMode, else a ValueError naming its type."""
+    if not isinstance(mode, MixMode):
+        raise ValueError(f"mix mode must be a MixMode, got {type(mode).__name__}")
+    return mode
+
+
 def parse_mix_mode(text: str) -> MixMode:
     """Inverse of str(MixMode): "exact", "truncated:M", "chebyshev:P"; a
     bare "truncated" or "chebyshev" takes 16. The text is a kind, or a
@@ -551,72 +585,52 @@ class SpectrumCache:
     of g's undirected structure (computed once per TokenGraph object), so
     a directed graph and its symmetrized form share one entry.
 
-    An entry holds the CSR Laplacian plus one system per pair count
-    mode.pairs(n) asked for, so exact and truncated:n share one. Entries and
-    spectra are only ever added: hits are lock-free dict reads, while
-    computing and inserting is serialized behind a lock. In-memory only.
+    An entry holds the CSR Laplacian plus one item per pair count
+    mode.pairs(n) asked for: a system per count (exact and truncated:n
+    share one) and the ChebyshevOperator under None. Items are only ever
+    added: hits are lock-free dict reads, while computing and inserting is
+    serialized behind a lock. In-memory only.
     """
 
     def __init__(self):
-        self._entries: dict = {}  # key -> (Laplacian, {pair count: EigenSystem})
+        self._entries: dict = {}  # key -> (Laplacian, {pair count or None: item})
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get_or_compute(self, g: TokenGraph, mode: MixMode = MixMode.exact()):
-        """Returns (NormalizedLaplacian, EigenSystem or None) for g's
-        undirected structure: the mode.pairs(g.n) smallest pairs (all of
-        them for exact; a ValueError before any solve if truncated:m has
-        m > n), None for chebyshev."""
-        m = mode.pairs(g.n)
+        """Returns (NormalizedLaplacian, EigenSystem or ChebyshevOperator)
+        for g's undirected structure: the mode.pairs(g.n) smallest pairs
+        (all of them for exact; a ValueError before any solve if
+        truncated:m has m > n), the operator for chebyshev."""
+        m = require_mode(mode).pairs(g.n)
         entry = self._entries.get(g.spectral_key)
-        if entry is None or m is not None and m not in entry[1]:
-            entry = self._fill(g, m)
-        lap, spectra = entry
-        return lap, None if m is None else spectra[m]
+        if entry is None or m not in entry[1]:
+            with self._lock:  # add what is missing, once
+                entry = self._entries.get(g.spectral_key)
+                if entry is None:
+                    entry = self._entries[g.spectral_key] = (normalized_laplacian(g), {})
+                lap, items = entry
+                if m not in items:
+                    items[m] = ChebyshevOperator.of((g,)) if m is None else eigendecompose(lap, m=m)
+        return entry[0], entry[1][m]
 
     def operand(self, graphs, mode: MixMode):
         """What mode mixes over for graphs, whose rows a signal stacks in
-        order, from one get_or_compute per graph: a lone graph's cached
-        EigenSystem (exact, truncated) or NormalizedLaplacian (chebyshev)
-        itself; for several, the EigenStack of their systems or the
-        Laplacian of their disjoint union, block-diagonal with frozen
-        arrays."""
+        order: a lone graph's cached EigenSystem or ChebyshevOperator; for
+        several, the EigenStack of their cached systems or, looking nothing
+        up, their ChebyshevOperator built afresh."""
         graphs = tuple(graphs)
         if not graphs:
             raise ValueError("an operand needs at least one graph")
-        laps, systems = zip(*(self.get_or_compute(g, mode) for g in graphs))
-        if mode.kind != "chebyshev":
-            return systems[0] if len(systems) == 1 else EigenStack.of(systems)
-        if len(laps) == 1:
-            return laps[0]
-        mats = [lap.matrix for lap in laps]
-        # each graph's CSR arrays shifted past the graphs before it; Python
-        # int offsets keep the int32 index dtype of normalized_laplacian
-        rows = np.cumsum([0] + [m.shape[0] for m in mats]).tolist()
-        nnz = np.cumsum([0] + [m.nnz for m in mats]).tolist()
-        indices = np.concatenate([m.indices + r for m, r in zip(mats, rows)])
-        indptr = np.concatenate([mats[0].indptr[:1]]
-                                + [m.indptr[1:] + k for m, k in zip(mats, nnz)])
-        mat = sparse.csr_array((np.concatenate([m.data for m in mats]), indices, indptr),
-                               shape=(rows[-1], rows[-1]))
-        deg = np.concatenate([lap.degrees for lap in laps])
-        for arr in (mat.data, mat.indices, mat.indptr, deg):
-            arr.flags.writeable = False
-        return NormalizedLaplacian(mat, deg)
-
-    def _fill(self, g: TokenGraph, m: int | None):
-        """Add g's Laplacian and, unless m is None, its m-pair system if missing."""
-        with self._lock:
-            entry = self._entries.get(g.spectral_key)
-            if entry is None:
-                entry = (normalized_laplacian(g), {})
-                self._entries[g.spectral_key] = entry
-            lap, spectra = entry
-            if m is not None and m not in spectra:
-                spectra[m] = eigendecompose(lap, m=m)
-        return entry
+        for g in graphs:
+            if not isinstance(g, TokenGraph):
+                raise ValueError(f"an operand is built from TokenGraphs, got {type(g).__name__}")
+        if require_mode(mode).kind == "chebyshev" and len(graphs) > 1:
+            return ChebyshevOperator.of(graphs)
+        items = [self.get_or_compute(g, mode)[1] for g in graphs]
+        return items[0] if len(items) == 1 else EigenStack.of(items)
 
     def clear(self) -> None:
         with self._lock:

@@ -1,9 +1,10 @@
 """One operand per mix. SpectrumCache.operand is the one place that
 decides what a mode mixes over: the cached EigenSystem or
-NormalizedLaplacian of a lone graph, and for several graphs the
-EigenStack of their systems or the Laplacian of their disjoint union.
-wavelet_mix and layer_forward take that one value and reject any other
-kind before any product. wavelet_mix_backward is never given an operand:
+ChebyshevOperator of a lone graph, and for several graphs the EigenStack
+of their systems or the ChebyshevOperator of their disjoint union,
+filled in one pass from their edges. wavelet_mix and layer_forward take
+that one value and reject any other kind, and a mode that is not a
+MixMode, before any product. wavelet_mix_backward is never given an operand:
 it reads the one its forward's MixTape records, and rejects anything
 but such a tape, a bank of the tape's shape and an upstream gradient
 over the tape's rows before any product."""
@@ -18,30 +19,35 @@ import pytest
 from scipy import sparse
 
 import gwmixer.filterbank as filterbank_mod
+import gwmixer.graphs as graphs_mod
+import gwmixer.spectral as spectral_mod
 from gwmixer import (
     FilterBank,
     MixMode,
     SpectrumCache,
+    TaskSample,
     TokenGraph,
     build_chain_graph,
     build_feed_forward,
     build_filter_bank,
+    build_model,
+    evaluate,
     layer_forward,
+    model_forward,
+    normalized_laplacian,
     wavelet_mix,
     wavelet_mix_backward,
 )
-from gwmixer.blocks import WaveletLayer
-from gwmixer.graphs import NormalizedLaplacian
-from gwmixer.spectral import EigenStack, EigenSystem
+from gwmixer.blocks import WaveletLayer, batch_forward
+from gwmixer.spectral import ChebyshevOperator, EigenStack, EigenSystem
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "gwmixer")
 MODES = [MixMode.exact(), MixMode.truncated(3), MixMode.chebyshev(8)]
-# what each mode mixes over, as its error names it, as the type of a
-# several-graph operand, and as the item of get_or_compute's
-# (Laplacian, system) that a lone graph's operand is
-SYSTEMS = ("an EigenSystem or EigenStack", EigenStack, 1)
+# what each mode mixes over, as its error names it and as the type of a
+# several-graph operand
+SYSTEMS = ("an EigenSystem or EigenStack", EigenStack)
 MIXES_OVER = {"exact": SYSTEMS, "truncated:3": SYSTEMS,
-              "chebyshev:8": ("a NormalizedLaplacian", NormalizedLaplacian, 0)}
+              "chebyshev:8": ("a ChebyshevOperator", ChebyshevOperator)}
 
 
 def union_graphs():
@@ -60,10 +66,11 @@ CALLS = {
     "layer_forward": lambda bank, op, x, mode: layer_forward(
         WaveletLayer(bank, build_feed_forward(bank.d, 2, np.random.default_rng(0))), op, x, mode),
 }
-# every operand of the wrong kind for a mode: None anywhere, a Laplacian in
-# exact or truncated mode, an eigensystem in chebyshev mode
-WRONG = [("None", mode) for mode in MODES] + [
-    ("NormalizedLaplacian", MODES[0]), ("NormalizedLaplacian", MODES[1]),
+# every operand of the wrong kind for a mode: None or a Laplacian anywhere,
+# a Chebyshev operator in exact or truncated mode, an eigensystem in
+# chebyshev mode
+WRONG = [(kind, mode) for kind in ("None", "NormalizedLaplacian") for mode in MODES] + [
+    ("ChebyshevOperator", MODES[0]), ("ChebyshevOperator", MODES[1]),
     ("EigenSystem", MODES[2])]
 
 
@@ -71,8 +78,10 @@ WRONG = [("None", mode) for mode in MODES] + [
 @pytest.mark.parametrize("kind, mode", WRONG, ids=lambda v: str(v))
 def test_a_wrong_operand_raises_before_any_product(monkeypatch, call, kind, mode):
     g = build_chain_graph(6)
-    lap, eig = SpectrumCache().get_or_compute(g)
-    operand = {"None": None, "NormalizedLaplacian": lap, "EigenSystem": eig}[kind]
+    cache = SpectrumCache()
+    lap, eig = cache.get_or_compute(g)
+    operand = {"None": None, "NormalizedLaplacian": lap, "EigenSystem": eig,
+               "ChebyshevOperator": cache.get_or_compute(g, MODES[2])[1]}[kind]
     bank = build_filter_bank(2, 3, seed=0)
     x = np.ones((6, 3))
     started = []
@@ -89,12 +98,13 @@ def test_a_lone_graph_gets_the_cached_object_itself(mode):
     g = build_chain_graph(7)
     cache = SpectrumCache()
     operand = cache.operand([g], mode)
-    assert operand is cache.get_or_compute(g, mode)[MIXES_OVER[str(mode)][2]]
+    assert operand is cache.get_or_compute(g, mode)[1]
     assert cache.operand((g,), mode) is operand
 
 
 @pytest.mark.parametrize("mode", MODES, ids=str)
 def test_several_graphs_look_up_each_graph_once(monkeypatch, mode):
+    # a stacked Chebyshev operand is filled from the edges: no lookup at all
     graphs = union_graphs()[:4]
     cache = SpectrumCache()
     looked_up = []
@@ -102,7 +112,7 @@ def test_several_graphs_look_up_each_graph_once(monkeypatch, mode):
     monkeypatch.setattr(SpectrumCache, "get_or_compute",
                         lambda self, g, m: looked_up.append(g) or original(self, g, m))
     operand = cache.operand(iter(graphs), mode)
-    assert looked_up == graphs
+    assert looked_up == ([] if mode.kind == "chebyshev" else graphs)
     assert isinstance(operand, MIXES_OVER[str(mode)][1])
     assert operand.n == sum(g.n for g in graphs)
 
@@ -112,23 +122,16 @@ def test_no_graphs_is_a_value_error():
         SpectrumCache().operand([], MixMode.exact())
 
 
-def test_the_union_operator_is_the_block_diagonal_of_the_graph_operators():
-    graphs = union_graphs()
-    cache = SpectrumCache()
-    mode = MixMode.chebyshev(16)
-    union = cache.operand(graphs, mode)
-    laps = [cache.get_or_compute(g, mode)[0] for g in graphs]
-    assert np.array_equal(union.degrees, np.concatenate([lap.degrees for lap in laps]))
-    mat = sparse.block_diag([lap.matrix for lap in laps], format="csr")
-    ref = sparse.block_diag([lap.chebyshev_operator for lap in laps], format="csr")
-    op = union.chebyshev_operator
-    assert op.format == "csr" and union.chebyshev_operator is op
-    for have, want in ((union.matrix, mat), (op, ref)):
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(have, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for arr in (union.matrix.data, union.matrix.indices, union.matrix.indptr, union.degrees):
-        assert not arr.flags.writeable
+def random_forest(seed):
+    """Seeded trees, edges in random direction and order, with one-node
+    trees among them."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for n in rng.integers(1, 30, size=int(rng.integers(2, 12))).tolist():
+        edges = [(int(rng.integers(i)), i) for i in range(1, n)]
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+        graphs.append(TokenGraph(n, [edges[i] for i in rng.permutation(len(edges))]))
+    return graphs
 
 
 UNIONS = {
@@ -136,23 +139,93 @@ UNIONS = {
     "one-node graphs": lambda: [TokenGraph(1), TokenGraph(1), TokenGraph(1)],
     "empty rows first and last": lambda: [TokenGraph(1), build_chain_graph(3),
                                           TokenGraph(5, [(2, 1), (1, 3)]), TokenGraph(1)],
+    **{f"random forest {seed}": lambda seed=seed: random_forest(seed) for seed in range(4)},
 }
 
 
+def a2_reference(g):
+    """2(L - I) by sparse arithmetic on g's Laplacian, as chebyshev_apply forms it."""
+    return 2.0 * normalized_laplacian(g).matrix - 2.0 * sparse.eye_array(g.n, format="csr")
+
+
 @pytest.mark.parametrize("graphs", UNIONS.values(), ids=UNIONS.keys())
-def test_the_union_laplacian_is_built_without_a_coo_round_trip(monkeypatch, graphs):
+def test_the_operator_is_the_block_diagonal_of_each_graphs_2_l_minus_i(monkeypatch, graphs):
     graphs = graphs()
-    cache = SpectrumCache()
-    mode = MixMode.chebyshev(4)
-    want = sparse.block_diag([cache.get_or_compute(g, mode)[0].matrix for g in graphs],
-                             format="csr")
+    want = sparse.block_diag([a2_reference(g) for g in graphs], format="csr")
     monkeypatch.setattr(sparse, "block_diag", lambda *a, **k: pytest.fail("block_diag called"))
-    have = cache.operand(graphs, mode).matrix
-    assert have.shape == want.shape
+    op = SpectrumCache().operand(graphs, MixMode.chebyshev(4))
+    assert isinstance(op, ChebyshevOperator) and op.n == sum(g.n for g in graphs)
+    have = op.matrix
+    assert have.format == "csr" and have.shape == want.shape
+    assert have.indices.dtype == np.int32 and np.all(have.data != 0.0)
     for name in ("data", "indices", "indptr"):
         a, b = getattr(have, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert not a.flags.writeable
+
+
+def test_a_stacked_chebyshev_operand_hashes_and_caches_nothing(monkeypatch):
+    graphs = union_graphs()
+    cache = SpectrumCache()
+    cache.get_or_compute(graphs[0], MixMode.chebyshev(4))  # a warm graph is not read either
+    calls = []
+    for mod, name in ((graphs_mod, "content_hash"), (graphs_mod, "normalized_laplacian"),
+                      (spectral_mod, "normalized_laplacian")):
+        monkeypatch.setattr(mod, name, lambda *a, name=name: calls.append(name))
+    monkeypatch.setattr(SpectrumCache, "get_or_compute", lambda *a: calls.append(a))
+    for g in graphs:
+        g.__dict__.pop("spectral_key", None)  # so a key lookup would hash again
+    op = cache.operand(graphs, MixMode.chebyshev(16))
+    assert calls == [] and len(cache) == 1
+    assert op.n == sum(g.n for g in graphs)
+
+
+def _entry_points():
+    """Each entry point that takes a mix mode, as a call of (graph, mode),
+    its graph a 5-node chain."""
+    model = build_model(4, 2, 1, 2, 7, seed=0)
+    bank = build_filter_bank(2, 3, seed=0)
+    eig = SpectrumCache().operand([build_chain_graph(5)], MixMode.exact())
+    ids = np.zeros(5, dtype=int)
+    return {
+        "model_forward": lambda g, mode: model_forward(model, g, ids, mode),
+        "batch_forward": lambda g, mode: batch_forward(model, [g, g], [ids, ids], mode),
+        "evaluate": lambda g, mode: evaluate(
+            model, [TaskSample(g, ids, ids, np.ones(5, dtype=bool))], mode),
+        "operand": lambda g, mode: SpectrumCache().operand([g], mode),
+        "get_or_compute": lambda g, mode: SpectrumCache().get_or_compute(g, mode),
+        "wavelet_mix": lambda g, mode: wavelet_mix(bank, eig, np.ones((5, 3)), mode),
+    }
+
+
+@pytest.mark.parametrize("mode", ["chebyshev:4", "exact", None], ids=repr)
+@pytest.mark.parametrize("call", _entry_points())
+def test_a_mode_that_is_not_a_mix_mode_is_a_value_error(monkeypatch, call, mode):
+    call = _entry_points()[call]
+    started = []
+    for mod, name in ((spectral_mod, "eigendecompose"), (filterbank_mod, "_bank_eval"),
+                      (filterbank_mod, "chebyshev_series")):
+        monkeypatch.setattr(mod, name, lambda *a, **k: started.append(a))
+    with pytest.raises(ValueError, match=f"^mix mode must be a MixMode, got {type(mode).__name__}$"):
+        call(build_chain_graph(5), mode)
+    assert started == []
+
+
+NOT_GRAPHS = {"a Laplacian": lambda g: normalized_laplacian(g),
+              "an operator": lambda g: ChebyshevOperator.of([g]),
+              "edges": lambda g: g.edges}
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("what", NOT_GRAPHS)
+def test_an_operand_of_anything_but_token_graphs_is_a_value_error(what, count, mode):
+    g = build_chain_graph(5)
+    bad = NOT_GRAPHS[what](g)
+    graphs = [g] * (count - 1) + [bad]
+    with pytest.raises(ValueError, match="^an operand is built from TokenGraphs, got "
+                                         f"{type(bad).__name__}$"):
+        SpectrumCache().operand(graphs, mode)
 
 
 @pytest.mark.parametrize("order", [0, 1, 16])

@@ -42,7 +42,7 @@ from gwmixer import (
     wavelet_mix,
 )
 from gwmixer.graphs import CHAIN_MEMO_SIZE
-from gwmixer.spectral import LANCZOS_MIN_N
+from gwmixer.spectral import LANCZOS_MIN_N, ChebyshevOperator
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -598,15 +598,16 @@ class TestFusedChebyshev:
             for k, f in enumerate(bank.filters):
                 filt, _ = chebyshev_fit(lambda lam, f=f: filter_eval(f, lam), order)
                 ref += chebyshev_apply(lap, filt, x) * bank.alpha[k]
-            out = wavelet_mix(bank, lap, x, MixMode.chebyshev(order))
+            out = wavelet_mix(bank, ChebyshevOperator.of([g]), x, MixMode.chebyshev(order))
             assert np.max(np.abs(out - ref)) < 1e-12
 
 
 class TestModeAwareCache:
-    def test_chebyshev_needs_no_spectrum(self):
+    def test_chebyshev_needs_no_spectrum(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "eigendecompose", lambda *a, **k: pytest.fail("solved"))
         cache = SpectrumCache()
-        lap, eig = cache.get_or_compute(build_chain_graph(9), MixMode.chebyshev(4))
-        assert eig is None and lap.n == 9
+        lap, op = cache.get_or_compute(build_chain_graph(9), MixMode.chebyshev(4))
+        assert isinstance(op, ChebyshevOperator) and lap.n == op.n == 9
 
     def test_one_entry_per_graph_with_a_system_per_mode(self, monkeypatch):
         calls = []
