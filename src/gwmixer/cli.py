@@ -13,6 +13,7 @@ from .blocks import build_model, load_checkpoint
 from .filterbank import build_filter_bank, spectrum_csv
 from .graphs import graph_to_json, parse_conllu
 from .serialize import write_text_atomic
+from .spectral import SpectrumCache
 from .training import TrainConfig, evaluate, grad_check, model_from_params, train_loop
 from .tasks import check_mode, fixed_samples
 
@@ -89,8 +90,12 @@ def _cmd_eval(args) -> int:
     spec, mode = cfg.task_spec(), cfg.mix_mode()
     check_mode(spec, mode)
     samples = fixed_samples(spec, args.seed, args.samples, "eval")
-    loss, acc = evaluate(model, samples, mode)
+    cache = SpectrumCache()
+    loss, acc = evaluate(model, samples, mode, cache)
     print(f"samples {args.samples}  loss {loss:.6f}  token_accuracy {acc:.4f}")
+    stats = cache.stats()
+    print(f"spectrum cache: hits {stats.hits}  misses {stats.misses}  "
+          f"evictions {stats.evictions}  bytes {stats.nbytes}", file=sys.stderr)
     return 0
 
 

@@ -302,7 +302,8 @@ def parse_conllu(text: str) -> list[TokenGraph]:
 
 
 class _ConlluArrays(NamedTuple):
-    """A CoNLL-U text as arrays, sentence by sentence (all int64)."""
+    """A CoNLL-U text as arrays, sentence by sentence (all int64; training
+    keeps edges as int32, see tasks._Sentences)."""
 
     sizes: np.ndarray  # (S,) tokens per sentence
     edges: np.ndarray  # (E, 2) (head-1, token-1) rows, read-only

@@ -19,13 +19,16 @@ chebyshev_series, a three-term recurrence T_{p+1} = A2 T_p - T_{p-1} of
 sparse products with A2 = 2(L - I), a ChebyshevOperator filled from the
 graphs' edges as the Laplacian is. SpectrumCache.operand alone chooses
 what a mode mixes over: an EigenSystem, an EigenStack of several, or the
-ChebyshevOperator of one graph or of a disjoint union.
+ChebyshevOperator of one graph or of a disjoint union. Its cache keeps,
+per graph and pair count, only the item mixing reads (no Laplacian),
+within SPECTRUM_CACHE_BYTES.
 """
 
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -44,6 +47,7 @@ LAMBDA_MAX = 2.0  # normalized Laplacian spectra lie in [0, 2]; filters live on 
 RESIDUAL_TOL = 1e-12  # scales the accepted eigendecomposition residual
 RESIDUAL_BLOCK = 256  # eigenvector columns per residual product, bounding its temporaries
 CHEBYSHEV_MEMO_SIZE = 64  # distinct orders whose nodes and fit matrix chebyshev_nodes keeps
+SPECTRUM_CACHE_BYTES = 256 << 20  # default bound on the bytes of a SpectrumCache's items
 
 
 class NumericalError(RuntimeError):
@@ -580,41 +584,87 @@ def parse_mix_mode(text: str) -> MixMode:
     return MixMode(kind, int(arg))
 
 
-class SpectrumCache:
-    """Per-graph spectral data keyed by g.spectral_key, the content hash
-    of g's undirected structure (computed once per TokenGraph object), so
-    a directed graph and its symmetrized form share one entry.
+class CacheStats(NamedTuple):
+    """A SpectrumCache's counters: lookups answered from the cache, items
+    built, items evicted, and the bytes its items hold now."""
 
-    An entry holds the CSR Laplacian plus one item per pair count
-    mode.pairs(n) asked for: a system per count (exact and truncated:n
-    share one) and the ChebyshevOperator under None. Items are only ever
-    added: hits are lock-free dict reads, while computing and inserting is
-    serialized behind a lock. In-memory only.
+    hits: int
+    misses: int
+    evictions: int
+    nbytes: int
+
+
+def _nbytes(item) -> int:
+    """Bytes of the arrays a cached item holds: an EigenSystem's u and lam,
+    a ChebyshevOperator's CSR arrays."""
+    if isinstance(item, EigenSystem):
+        return item.u.nbytes + item.lam.nbytes
+    m = item.matrix
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+class SpectrumCache:
+    """What mixing reads for one graph: one item per (g.spectral_key,
+    mode.pairs(g.n)), the content hash of g's undirected structure
+    (computed once per TokenGraph object) and a pair count, so a directed
+    graph and its symmetrized form share items, and so do exact and
+    truncated:n. The item is an EigenSystem, or for chebyshev (pair count
+    None) the graph's ChebyshevOperator; no Laplacian is kept.
+
+    Items are kept in insertion order and evicted oldest first once their
+    bytes (_nbytes) exceed SPECTRUM_CACHE_BYTES, read when the cache is
+    made; the newest is kept even when it alone exceeds the bound. A hit
+    is a lock-free dict read (least-recently-used order would take the
+    lock on every hit). Building, inserting and evicting are serialized
+    behind a lock, so an item is built once while it is held, and misses,
+    evictions and bytes are exact; hits are counted without the lock, so
+    lookups that race may undercount them. stats() reads the counters.
+    In-memory only.
     """
 
     def __init__(self):
-        self._entries: dict = {}  # key -> (Laplacian, {pair count or None: item})
+        self._max_bytes = SPECTRUM_CACHE_BYTES
+        self._items: dict = {}  # (spectral key, pair count or None) -> item, oldest first
         self._lock = threading.Lock()
+        self._hits = self._misses = self._evictions = self._bytes = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._items)
+
+    def stats(self) -> CacheStats:
+        """Hits, misses and evictions so far, and the bytes held now."""
+        return CacheStats(self._hits, self._misses, self._evictions, self._bytes)
 
     def get_or_compute(self, g: TokenGraph, mode: MixMode = MixMode.exact()):
-        """Returns (NormalizedLaplacian, EigenSystem or ChebyshevOperator)
-        for g's undirected structure: the mode.pairs(g.n) smallest pairs
-        (all of them for exact; a ValueError before any solve if
-        truncated:m has m > n), the operator for chebyshev."""
+        """The item mode mixes over for g's undirected structure: the
+        EigenSystem of the mode.pairs(g.n) smallest pairs (all of them for
+        exact; a ValueError before any solve if truncated:m has m > n), or
+        the ChebyshevOperator for chebyshev. g must be a TokenGraph and
+        mode a MixMode, checked before g is hashed."""
+        if not isinstance(g, TokenGraph):
+            raise ValueError(f"a spectrum is looked up for a TokenGraph, got {type(g).__name__}")
         m = require_mode(mode).pairs(g.n)
-        entry = self._entries.get(g.spectral_key)
-        if entry is None or m not in entry[1]:
-            with self._lock:  # add what is missing, once
-                entry = self._entries.get(g.spectral_key)
-                if entry is None:
-                    entry = self._entries[g.spectral_key] = (normalized_laplacian(g), {})
-                lap, items = entry
-                if m not in items:
-                    items[m] = ChebyshevOperator.of((g,)) if m is None else eigendecompose(lap, m=m)
-        return entry[0], entry[1][m]
+        key = (g.spectral_key, m)
+        item = self._items.get(key)
+        if item is not None:
+            self._hits += 1  # unlocked: racing hits may undercount
+            return item
+        with self._lock:  # build what is missing, once
+            item = self._items.get(key)
+            if item is not None:
+                self._hits += 1
+                return item
+            if m is None:
+                item = ChebyshevOperator.of((g,))
+            else:  # the Laplacian is dropped once solved
+                item = eigendecompose(normalized_laplacian(g), m=m)
+            self._misses += 1
+            self._items[key] = item
+            self._bytes += _nbytes(item)
+            while self._bytes > self._max_bytes and len(self._items) > 1:
+                self._bytes -= _nbytes(self._items.pop(next(iter(self._items))))
+                self._evictions += 1
+        return item
 
     def operand(self, graphs, mode: MixMode):
         """What mode mixes over for graphs, whose rows a signal stacks in
@@ -629,9 +679,11 @@ class SpectrumCache:
                 raise ValueError(f"an operand is built from TokenGraphs, got {type(g).__name__}")
         if require_mode(mode).kind == "chebyshev" and len(graphs) > 1:
             return ChebyshevOperator.of(graphs)
-        items = [self.get_or_compute(g, mode)[1] for g in graphs]
+        items = [self.get_or_compute(g, mode) for g in graphs]
         return items[0] if len(items) == 1 else EigenStack.of(items)
 
     def clear(self) -> None:
+        """Drops every item; the counters keep counting."""
         with self._lock:
-            self._entries.clear()
+            self._items.clear()
+            self._bytes = 0

@@ -74,10 +74,13 @@ class TaskSample:
 
 
 class _Sentences:
-    """The sentences of a CoNLL-U file as the scan's arrays: sizes, and
-    sentence i's edges at edges[starts[i]:stops[i]]. Sentence i's graph,
-    without labels, is built the first time it is drawn and kept, so a
-    graph drawn again is the same object, its spectral key already hashed."""
+    """The sentences of a CoNLL-U file as the scan's arrays: sizes (int64),
+    and sentence i's edges at edges[starts[i]:stops[i]] (int64 offsets).
+    edges is a read-only (E, 2) int32 array of (head-1, token-1) rows: a
+    graph has at most graphs.MAX_NODES nodes, so its indices fit, and a
+    drawn TokenGraph copies its rows to int64. Sentence i's graph, without
+    labels, is built the first time it is drawn and kept, so a graph drawn
+    again is the same object, its spectral key already hashed."""
 
     def __init__(self, sizes, edges, starts, stops):
         self.sizes, self.edges, self.starts, self.stops = sizes, edges, starts, stops
@@ -103,7 +106,9 @@ def _conllu_sentences(path: str) -> _Sentences:
     keep = doc.sizes >= 2
     if not keep.any():
         raise ValueError(f"{path}: no sentences with at least 2 tokens")
-    return _Sentences(doc.sizes[keep], doc.edges, doc.arcs[:-1][keep], doc.arcs[1:][keep])
+    edges = doc.edges.astype(np.int32)  # half the bytes the run keeps
+    edges.flags.writeable = False
+    return _Sentences(doc.sizes[keep], edges, doc.arcs[:-1][keep], doc.arcs[1:][keep])
 
 
 def check_mode(spec: TaskSpec, mode: MixMode) -> None:

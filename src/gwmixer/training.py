@@ -152,6 +152,12 @@ def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray
     order (one sample of all rows by default), makes the loss the mean of
     the samples' own losses, and the gradient that mean's; sizes are integers >= 1.
     """
+    return _sample_losses(logits, targets, mask, sizes, grad=True)
+
+
+def _sample_losses(logits, targets, mask, sizes, grad: bool):
+    """cross_entropy_loss, whose gradient is formed only with grad (else
+    None): the loss bytes are the same either way."""
     logits, targets, mask = _check_scored(logits, targets, mask)
     sizes = [len(targets)] if sizes is None else sizes
     # [] reads as float64: it gets the shape message below
@@ -165,15 +171,17 @@ def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray
     z = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(z)
     denom = ez.sum(axis=1, keepdims=True)
-    logp = z - np.log(denom)
     rows = np.arange(len(targets))
-    picked = logp[rows, targets]
+    picked = z[rows, targets] - np.log(denom[:, 0])  # log softmax at the targets alone
     losses = [-float(picked[a:b][mask[a:b]].sum()) / int(count)
               for a, b, count in zip(bounds[:-1], bounds[1:], counts)]
-    grad = ez / denom
-    grad[rows, targets] -= 1.0
-    grad *= (mask / np.repeat(counts * len(sizes), sizes))[:, None]
-    return sum(losses) / len(losses), grad
+    loss = sum(losses) / len(losses)
+    if not grad:
+        return loss, None
+    ez /= denom
+    ez[rows, targets] -= 1.0
+    ez *= (mask / np.repeat(counts * len(sizes), sizes))[:, None]
+    return loss, ez
 
 
 def token_accuracy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
@@ -291,12 +299,16 @@ def _stacked_loss(model: WaveletModel, samples, mode: MixMode, cache: SpectrumCa
                   return_tape: bool = False):
     """One batch_forward over the samples' stacked rows, scored by
     cross_entropy_loss with their sizes: (mean of their losses, its
-    gradient on the logits, the tape or None, (logits, targets, mask))."""
+    gradient on the logits, the tape, (logits, targets, mask)). Without
+    return_tape the tape and the gradient are None, and no gradient is
+    formed."""
     logits, tape = batch_forward(model, [s.graph for s in samples],
                                  [s.tokens for s in samples], mode, cache, return_tape)
     targets = np.concatenate([s.targets for s in samples])
     mask = np.concatenate([s.mask for s in samples])
-    loss, grad_logits = cross_entropy_loss(logits, targets, mask, [s.graph.n for s in samples])
+    sizes = [s.graph.n for s in samples]
+    loss, grad_logits = (cross_entropy_loss(logits, targets, mask, sizes) if return_tape
+                         else _sample_losses(logits, targets, mask, sizes, grad=False))
     return loss, grad_logits, tape, (logits, targets, mask)
 
 

@@ -79,8 +79,8 @@ def test_operator_is_built_once_frozen_and_stores_no_zeros(monkeypatch, name):
     lap = normalized_laplacian(g)
     built = spy_on_the_builder(monkeypatch)
     cache = SpectrumCache()
-    op = cache.get_or_compute(g, MixMode.chebyshev(4))[1]
-    assert cache.get_or_compute(g, MixMode.chebyshev(16))[1] is op
+    op = cache.get_or_compute(g, MixMode.chebyshev(4))
+    assert cache.get_or_compute(g, MixMode.chebyshev(16)) is op
     assert built == [g.n]
     a2 = op.matrix
     assert np.array_equal(a2.toarray(), 2.0 * (lap.matrix.toarray() - np.eye(lap.n)))
@@ -141,7 +141,7 @@ def test_threads_sharing_a_cache_see_one_operator_and_equal_logits(monkeypatch):
                 t.join(timeout=60)
                 assert not t.is_alive()
             assert built == [9] and len(operators) == 8
-            assert all(op is cache.get_or_compute(g, mode)[1] for op in operators)
+            assert all(op is cache.get_or_compute(g, mode) for op in operators)
             assert len(logits) == 8 and all(np.array_equal(y, want) for y in logits)
     finally:
         sys.setswitchinterval(interval)

@@ -136,6 +136,19 @@ class TestTrainEvalCommands:
         assert "token_accuracy" in out
         assert "samples 4" in out
 
+    def test_eval_reports_the_spectrum_cache_on_stderr(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_CONFIG))
+        run = tmp_path / "run"
+        cli_main(["train", "--config", str(cfg), "--out", str(run)])
+        capsys.readouterr()
+        assert cli_main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                         "--samples", "4"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("samples 4  loss ") and out.count("\n") == 1
+        # four samples on one 6-chain: one exact system of 6 x 6 plus 6 eigenvalues
+        assert err == "spectrum cache: hits 3  misses 1  evictions 0  bytes 336\n"
+
     def test_eval_mode_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(TINY_CONFIG))

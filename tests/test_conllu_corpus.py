@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import gwmixer.graphs as graphs_mod
+import gwmixer.spectral as spectral_mod
 import gwmixer.tasks as tasks_mod
 from gwmixer import (
     ConlluParseError,
     MixMode,
+    SpectrumCache,
     TaskSpec,
     TokenGraph,
     TrainConfig,
@@ -22,6 +24,7 @@ from gwmixer import (
     content_hash,
     gen_task_batch,
     parse_conllu,
+    task_stream,
     to_conllu,
     train_loop,
 )
@@ -89,6 +92,38 @@ def test_a_draw_picks_the_sentence_its_seed_names_and_a_redraw_the_same_object(t
         assert g == unlabelled(want[i])
         assert drawn.setdefault(i, g) is g
     assert len(drawn) < 200  # some sentences were drawn again
+
+
+def test_the_corpus_keeps_its_edges_as_int32_and_a_drawn_graph_as_int64(tmp_path):
+    sents = tasks_mod._conllu_sentences(corpus_file(tmp_path, random_corpus(8)))
+    assert sents.edges.dtype == np.int32 and not sents.edges.flags.writeable
+    g = sents[0]
+    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+    assert np.array_equal(g.edges, sents.edges[sents.starts[0]:sents.stops[0]])
+
+
+def test_a_cache_bounded_below_one_step_writes_the_unbounded_run_bytes(tmp_path, monkeypatch):
+    # the train_trees config of perfbench, over a shorter run of smaller trees
+    cfg = TrainConfig(d=32, k=4, layers=2, ffn_mult=4, vocab=64, task="masked_recovery", n=32,
+                      mask_rate=0.25, lr=1e-3, warmup=500, accum=4, mode="exact", steps=30,
+                      seed=1, conllu=corpus_file(tmp_path, random_corpus(9, count=300)))
+    stream = task_stream(cfg.task_spec(), cfg.seed, "train")
+    first_step = sum(8 * (s.graph.n + 1) * s.graph.n for s in (next(stream) for _ in range(4)))
+    bound = 1024
+    assert bound < first_step
+    caches = {"unbounded": SpectrumCache()}
+    monkeypatch.setattr(spectral_mod, "SPECTRUM_CACHE_BYTES", bound)
+    caches["bounded"] = SpectrumCache()
+    written = {}
+    for name, cache in caches.items():
+        out = tmp_path / name
+        train_loop(build_model(32, 4, 2, 4, 64, seed=1), cfg, out_dir=str(out), cache=cache)
+        written[name] = [(out / f).read_bytes() for f in ("checkpoint.json", "metrics.csv")]
+    assert written["bounded"] == written["unbounded"]
+    assert caches["unbounded"].stats().evictions == 0
+    bounded = caches["bounded"].stats()
+    assert bounded.evictions > 0 and bounded.misses > caches["unbounded"].stats().misses
+    assert bounded.nbytes <= bound or len(caches["bounded"]) == 1
 
 
 def test_threads_drawing_one_sentence_share_one_graph(tmp_path):

@@ -79,9 +79,9 @@ WRONG = [(kind, mode) for kind in ("None", "NormalizedLaplacian") for mode in MO
 def test_a_wrong_operand_raises_before_any_product(monkeypatch, call, kind, mode):
     g = build_chain_graph(6)
     cache = SpectrumCache()
-    lap, eig = cache.get_or_compute(g)
-    operand = {"None": None, "NormalizedLaplacian": lap, "EigenSystem": eig,
-               "ChebyshevOperator": cache.get_or_compute(g, MODES[2])[1]}[kind]
+    operand = {"None": None, "NormalizedLaplacian": normalized_laplacian(g),
+               "EigenSystem": cache.get_or_compute(g),
+               "ChebyshevOperator": cache.get_or_compute(g, MODES[2])}[kind]
     bank = build_filter_bank(2, 3, seed=0)
     x = np.ones((6, 3))
     started = []
@@ -98,7 +98,7 @@ def test_a_lone_graph_gets_the_cached_object_itself(mode):
     g = build_chain_graph(7)
     cache = SpectrumCache()
     operand = cache.operand([g], mode)
-    assert operand is cache.get_or_compute(g, mode)[1]
+    assert operand is cache.get_or_compute(g, mode)
     assert cache.operand((g,), mode) is operand
 
 
@@ -226,6 +226,21 @@ def test_an_operand_of_anything_but_token_graphs_is_a_value_error(what, count, m
     with pytest.raises(ValueError, match="^an operand is built from TokenGraphs, got "
                                          f"{type(bad).__name__}$"):
         SpectrumCache().operand(graphs, mode)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+@pytest.mark.parametrize("what", NOT_GRAPHS)
+def test_a_lookup_of_anything_but_a_token_graph_is_a_value_error(monkeypatch, what, mode):
+    bad = NOT_GRAPHS[what](build_chain_graph(5))
+    calls = []
+    for mod, name in ((graphs_mod, "content_hash"), (spectral_mod, "eigendecompose"),
+                      (spectral_mod, "normalized_laplacian")):
+        monkeypatch.setattr(mod, name, lambda *a, name=name, **k: calls.append(name))
+    cache = SpectrumCache()
+    with pytest.raises(ValueError, match="^a spectrum is looked up for a TokenGraph, got "
+                                         f"{type(bad).__name__}$"):
+        cache.get_or_compute(bad, mode)
+    assert calls == [] and len(cache) == 0
 
 
 @pytest.mark.parametrize("order", [0, 1, 16])

@@ -108,7 +108,7 @@ def test_directed_graph_has_the_laplacian_and_key_of_its_symmetrization(g):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert np.max(np.abs(lap.matrix.toarray() - dense_laplacian(g)), initial=0.0) <= 1e-15
     cache = SpectrumCache()
-    assert cache.get_or_compute(g)[0] is cache.get_or_compute(sym)[0]
+    assert cache.get_or_compute(g) is cache.get_or_compute(sym)
     assert len(cache) == 1
 
 

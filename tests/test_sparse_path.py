@@ -606,25 +606,39 @@ class TestModeAwareCache:
     def test_chebyshev_needs_no_spectrum(self, monkeypatch):
         monkeypatch.setattr(spectral_mod, "eigendecompose", lambda *a, **k: pytest.fail("solved"))
         cache = SpectrumCache()
-        lap, op = cache.get_or_compute(build_chain_graph(9), MixMode.chebyshev(4))
-        assert isinstance(op, ChebyshevOperator) and lap.n == op.n == 9
+        op = cache.get_or_compute(build_chain_graph(9), MixMode.chebyshev(4))
+        assert isinstance(op, ChebyshevOperator) and op.n == 9
 
-    def test_one_entry_per_graph_with_a_system_per_mode(self, monkeypatch):
+    def test_chebyshev_builds_no_laplacian(self, monkeypatch):
+        calls = []
+        original = spectral_mod.normalized_laplacian
+        monkeypatch.setattr(spectral_mod, "normalized_laplacian",
+                            lambda g: calls.append(g) or original(g))
+        g = TokenGraph(9, [(i, (i - 1) // 2) for i in range(1, 9)])
+        SpectrumCache().get_or_compute(g, MixMode.chebyshev(16))
+        model = build_model(4, 2, 2, 2, 7, seed=0)
+        model_forward(model, g, np.zeros(9, dtype=int), MixMode.chebyshev(16), SpectrumCache())
+        assert calls == []
+        SpectrumCache().get_or_compute(g, MixMode.truncated(4))  # a solve does build one
+        assert calls == [g]
+
+    def test_one_item_per_graph_and_pair_count(self, monkeypatch):
         calls = []
         original = spectral_mod.eigendecompose
         monkeypatch.setattr(spectral_mod, "eigendecompose",
                             lambda *a, **k: calls.append(k["m"]) or original(*a, **k))
         cache = SpectrumCache()
         g = build_chain_graph(200)
-        lap_c, _ = cache.get_or_compute(g, MixMode.chebyshev(16))
-        lap_t, trunc = cache.get_or_compute(g, MixMode.truncated(16))
-        lap_e, full = cache.get_or_compute(g, MixMode.exact())
-        assert lap_c is lap_t is lap_e and len(cache) == 1
+        op = cache.get_or_compute(g, MixMode.chebyshev(16))
+        trunc = cache.get_or_compute(g, MixMode.truncated(16))
+        full = cache.get_or_compute(g, MixMode.exact())
+        assert isinstance(op, ChebyshevOperator) and len(cache) == 3
         assert trunc.m == 16 and full.m == 200
-        assert cache.get_or_compute(g, MixMode.truncated(16))[1] is trunc
-        assert cache.get_or_compute(g)[1] is full
-        assert cache.get_or_compute(g, MixMode.truncated(200))[1] is full  # one system per count
-        assert calls == [16, 200]
+        assert cache.get_or_compute(g, MixMode.chebyshev(4)) is op  # one operator per graph
+        assert cache.get_or_compute(g, MixMode.truncated(16)) is trunc
+        assert cache.get_or_compute(g) is full
+        assert cache.get_or_compute(g, MixMode.truncated(200)) is full  # one system per count
+        assert calls == [16, 200] and len(cache) == 3
 
     @pytest.mark.parametrize("n", [12, 300])
     def test_truncated_logits_independent_of_cache_history(self, n):
@@ -694,14 +708,16 @@ class TestInferenceCost:
                     monkeypatch.setattr(mod, name, spy)
         tree = TokenGraph(9, [(i, (i - 1) // 2) for i in range(1, 9)])  # heads point to parents
         cache = SpectrumCache()
-        lap, eig = cache.get_or_compute(tree, MixMode.exact())
+        eig = cache.get_or_compute(tree, MixMode.exact())
         cold = {"symmetrize": 0, "content_hash": 1, "normalized_laplacian": 1}
         assert counts == cold
         sym_lap = originals["normalized_laplacian"](originals["symmetrize"](tree))
-        assert np.array_equal(lap.matrix.toarray(), sym_lap.matrix.toarray())
-        assert cache.get_or_compute(tree, MixMode.exact())[1] is eig
-        cache.get_or_compute(tree, MixMode.truncated(3))
+        want = eigendecompose(sym_lap)
+        assert eig.u.tobytes() == want.u.tobytes() and eig.lam.tobytes() == want.lam.tobytes()
+        assert cache.get_or_compute(tree, MixMode.exact()) is eig
         assert counts == cold  # warm: none
+        cache.get_or_compute(tree, MixMode.truncated(3))
+        assert counts == {**cold, "normalized_laplacian": 2}  # a new item: solved afresh
 
     def test_chain_graphs_shared_and_memo_bounded(self):
         assert build_chain_graph(33) is build_chain_graph(33)

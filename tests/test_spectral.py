@@ -2,12 +2,14 @@
 
 import math
 import re
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from gwmixer import (
+    MixMode,
     NumericalError,
     SpectrumCache,
     TokenGraph,
@@ -15,6 +17,7 @@ from gwmixer import (
     build_chain_graph,
     chebyshev_apply,
     chebyshev_fit,
+    content_hash,
     eigendecompose,
     gft,
     igft,
@@ -22,7 +25,13 @@ from gwmixer import (
     symmetrize,
 )
 import gwmixer.spectral as spectral_mod
-from gwmixer.spectral import ChebyshevOperator, EigenSystem, chebyshev_nodes, chebyshev_series
+from gwmixer.spectral import (
+    SPECTRUM_CACHE_BYTES,
+    ChebyshevOperator,
+    EigenSystem,
+    chebyshev_nodes,
+    chebyshev_series,
+)
 from scipy import sparse
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -378,17 +387,17 @@ class TestSpectrumCache:
     def test_miss_then_hit_returns_same_objects(self):
         cache = SpectrumCache()
         g = build_chain_graph(5)
-        lap1, eig1 = cache.get_or_compute(g)
-        lap2, eig2 = cache.get_or_compute(g)
-        assert lap1 is lap2 and eig1 is eig2
+        eig1 = cache.get_or_compute(g)
+        eig2 = cache.get_or_compute(g)
+        assert eig1 is eig2
         assert len(cache) == 1
 
     def test_symmetrization_shares_entries(self):
         cache = SpectrumCache()
         directed = build_chain_graph(4)
-        lap1, _ = cache.get_or_compute(directed)
-        lap2, _ = cache.get_or_compute(symmetrize(directed))
-        assert lap1 is lap2
+        eig1 = cache.get_or_compute(directed)
+        eig2 = cache.get_or_compute(symmetrize(directed))
+        assert eig1 is eig2
         assert len(cache) == 1
 
     def test_distinct_graphs_distinct_entries(self):
@@ -402,6 +411,7 @@ class TestSpectrumCache:
         cache.get_or_compute(build_chain_graph(3))
         cache.clear()
         assert len(cache) == 0
+        assert cache.stats() == (0, 1, 0, 0)  # the counters keep counting
 
     def test_concurrent_access_single_entry(self):
         cache = SpectrumCache()
@@ -420,5 +430,102 @@ class TestSpectrumCache:
         for t in threads:
             t.join()
         assert len(cache) == 1
-        first = results[0]
-        assert all(r[0] is first[0] and r[1] is first[1] for r in results)
+        assert all(r is results[0] for r in results)
+
+    def test_counters_match_an_oracle_over_a_scripted_sequence(self, monkeypatch):
+        tree = TokenGraph(9, [(i, (i - 1) // 2) for i in range(1, 9)])
+        chain = build_chain_graph(5)
+        script = [(chain, MixMode.exact()), (chain, MixMode.truncated(5)),
+                  (build_chain_graph(8), MixMode.exact()), (tree, MixMode.chebyshev(4)),
+                  (symmetrize(chain), MixMode.exact()), (tree, MixMode.truncated(3)),
+                  (build_chain_graph(12), MixMode.exact()), (chain, MixMode.exact()),
+                  (tree, MixMode.chebyshev(16)), (chain, MixMode.exact()),
+                  (tree, MixMode.truncated(3)), (TokenGraph(6), MixMode.chebyshev(2))]
+        bound = 1500
+        monkeypatch.setattr(spectral_mod, "SPECTRUM_CACHE_BYTES", bound)
+        cache = SpectrumCache()
+        held, seen = {}, {}  # oracle: key -> bytes, oldest first; key -> item while held
+        hits = misses = evictions = 0
+        for g, mode in script:
+            m = mode.pairs(g.n)
+            key = (content_hash(g), m)
+            if m is None:  # A2 stores each undirected edge twice and each isolated node once
+                pairs = {tuple(sorted(e)) for e in g.edges.tolist()}
+                nnz = 2 * len(pairs) + g.n - len(np.unique(g.edges))
+                size = 12 * nnz + 4 * (g.n + 1)  # float64 data, int32 indices and indptr
+            else:
+                size = 8 * (g.n + 1) * m  # u and lam
+            item = cache.get_or_compute(g, mode)
+            if key in held:
+                hits += 1
+                assert item is seen[key]
+            else:
+                misses += 1
+                held[key], seen[key] = size, item
+                while sum(held.values()) > bound and len(held) > 1:
+                    del held[next(iter(held))]
+                    evictions += 1
+            assert cache.stats() == (hits, misses, evictions, sum(held.values()))
+            assert len(cache) == len(held)
+        assert (hits, misses, evictions) == (3, 9, 5)
+
+    def test_an_item_larger_than_the_bound_is_kept_alone(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "SPECTRUM_CACHE_BYTES", 1000)
+        cache = SpectrumCache()
+        cache.get_or_compute(build_chain_graph(5))  # 240 bytes
+        big = cache.get_or_compute(build_chain_graph(20))  # 3360 bytes
+        assert len(cache) == 1 and cache.stats() == (0, 2, 1, 3360)
+        assert cache.get_or_compute(build_chain_graph(20)) is big
+        assert cache.stats() == (1, 2, 1, 3360)
+        cache.get_or_compute(build_chain_graph(5))  # the newest, alone within the bound
+        assert len(cache) == 1 and cache.stats() == (1, 3, 2, 240)
+
+    @pytest.mark.parametrize("max_bytes", [SPECTRUM_CACHE_BYTES, 2000])
+    def test_racing_threads_build_each_held_item_once_and_count_exactly(self, monkeypatch,
+                                                                        max_bytes):
+        # Misses, evictions and bytes are counted under the lock, so they
+        # are exact; hits are counted without it and may undercount.
+        built = []  # (n, m) in insertion order: the build runs under the lock
+        original = spectral_mod.eigendecompose
+        monkeypatch.setattr(spectral_mod, "eigendecompose",
+                            lambda lap, m: built.append((lap.n, m)) or original(lap, m=m))
+        lookups = [(build_chain_graph(n), mode) for n in range(6, 14)
+                   for mode in (MixMode.exact(), MixMode.truncated(2))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often, so that lookups and inserts interleave
+        try:
+            for _ in range(5):  # a new cache each round, so the race recurs
+                monkeypatch.setattr(spectral_mod, "SPECTRUM_CACHE_BYTES", max_bytes)
+                cache, rounds = SpectrumCache(), 3
+                built.clear()
+                barrier = threading.Barrier(8)
+
+                def worker():
+                    barrier.wait()
+                    for _ in range(rounds):
+                        for g, mode in lookups:
+                            cache.get_or_compute(g, mode)
+
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                held = {}  # replay the builds: FIFO within the bound, newest kept
+                evictions = 0
+                for n, m in built:
+                    assert (n, m) not in held  # built once while held
+                    held[(n, m)] = 8 * (n + 1) * m
+                    while sum(held.values()) > max_bytes and len(held) > 1:
+                        del held[next(iter(held))]
+                        evictions += 1
+                hits, misses, evicted, nbytes = cache.stats()
+                assert (misses, evicted, nbytes) == (len(built), evictions, sum(held.values()))
+                assert len(cache) == len(held) and hits + misses <= 8 * rounds * len(lookups)
+                if max_bytes == SPECTRUM_CACHE_BYTES:
+                    assert sorted(built) == sorted({(g.n, mode.pairs(g.n)) for g, mode in lookups})
+                else:
+                    assert evicted > 0
+        finally:
+            sys.setswitchinterval(interval)

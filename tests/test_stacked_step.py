@@ -143,7 +143,7 @@ def test_mixed_batch_matches_per_filter_reference(mode):
     batch = draw_batch(graphs, 13)
     cache = SpectrumCache()
     logits, loss, grads = stacked_step(model, graphs, batch, mode, cache)
-    systems = [cache.get_or_compute(g, mode)[1] for g in graphs]
+    systems = [cache.get_or_compute(g, mode) for g in graphs]
     ref_logits, ref_loss, ref_grads = reference_step(model, systems, batch)
     assert_rel(logits, ref_logits, "logits")
     assert loss == pytest.approx(ref_loss, rel=REL)
@@ -215,7 +215,7 @@ def test_central_differences_on_a_three_graph_batch():
 def test_mixing_a_stack_is_mixing_each_graph(mode):
     graphs = mixed_graphs(3)
     cache = SpectrumCache()
-    systems = [cache.get_or_compute(g, mode)[1] for g in graphs]
+    systems = [cache.get_or_compute(g, mode) for g in graphs]
     stack = cache.operand(graphs, mode)
     assert isinstance(stack, EigenStack)
     assert all(a is b for a, b in zip(stack.systems, systems, strict=True))

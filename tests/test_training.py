@@ -32,6 +32,7 @@ from gwmixer import (
     token_accuracy,
     train_loop,
 )
+from gwmixer.blocks import batch_forward
 from gwmixer.spectral import SpectrumCache, parse_mix_mode
 import gwmixer.training as training_mod
 from gwmixer.training import FD_FLOOR, VAL_BATCHES, VAL_INTERVAL, StepRecord
@@ -461,12 +462,12 @@ class TestTrainLoop:
             assert np.array_equal(params[name], p), name
 
 
-def write_trees(path, count=12, seed=0):
-    """count random dependency trees of 3 to 12 tokens, as CoNLL-U."""
+def write_trees(path, count=12, seed=0, low=3):
+    """count random dependency trees of low to low + 9 tokens, as CoNLL-U."""
     rng = np.random.default_rng(seed)
     path.write_text("".join(to_conllu(TokenGraph(n, [(int(rng.integers(i)), i)
                                                      for i in range(1, n)]))
-                            for n in rng.integers(3, 13, size=count)))
+                            for n in rng.integers(low, low + 10, size=count)))
     return str(path)
 
 
@@ -495,6 +496,29 @@ class TestEvaluate:
             tot += int(s.mask.sum())
         assert loss == pytest.approx(float(np.mean(losses)), rel=1e-15)
         assert acc == hit / tot  # bit-identical to the integer count ratio
+
+    @pytest.mark.parametrize("mode", ["exact", "truncated:16", "chebyshev:16"])
+    def test_forms_no_gradient_and_scores_as_cross_entropy_loss(self, tmp_path, monkeypatch,
+                                                                mode):
+        conllu = write_trees(tmp_path / "trees.conllu", low=16)
+        cfg = smoke_config(steps=1, d=8, k=2, mode=mode, conllu=conllu,
+                           task="masked_recovery")
+        model = build_for(cfg)
+        samples = fixed_samples(cfg.task_spec(), 7, VAL_BATCHES + 3, "eval")
+        grads = []
+        original = training_mod._sample_losses
+        monkeypatch.setattr(training_mod, "_sample_losses",
+                            lambda *a, grad: grads.append(grad) or original(*a, grad=grad))
+        loss, _ = evaluate(model, samples, cfg.mix_mode())
+        assert grads == [False, False]  # one per chunk, neither forming a gradient
+        want = []
+        for chunk in (samples[:VAL_BATCHES], samples[VAL_BATCHES:]):
+            logits, _ = batch_forward(model, [s.graph for s in chunk],
+                                      [s.tokens for s in chunk], cfg.mix_mode())
+            want += [cross_entropy_loss(logits, np.concatenate([s.targets for s in chunk]),
+                                        np.concatenate([s.mask for s in chunk]),
+                                        [s.graph.n for s in chunk])[0]] * len(chunk)
+        assert loss == float(np.mean(want))  # the same bytes
 
     def test_without_a_cache_each_call_solves_each_graph_once(self, monkeypatch):
         import gwmixer.spectral as spectral_mod
