@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import FilterBank, build_filter_bank, filter_eval, wavelet_mix
-from .graphs import build_chain_graph, require_int
+from .graphs import build_chain_graph, require_int, require_real_array
 from .serialize import fmt_float
 from .spectral import EigenSystem, MixMode, SpectrumCache, chebyshev_fit, parse_mix_mode
 
@@ -33,8 +33,9 @@ def make_attention_params(d: int, seed: int = 0):
 
 def attention_baseline_forward(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
                                wv: np.ndarray) -> np.ndarray:
-    """Single-head softmax((XWq)(XWk)^T / sqrt(d)) (XWv), row-stabilized."""
-    x = np.asarray(x, dtype=np.float64)
+    """Single-head softmax((XWq)(XWk)^T / sqrt(d)) (XWv), row-stabilized;
+    x is a real array (require_real_array)."""
+    x = require_real_array("x", x)
     if x.ndim != 2:
         raise ValueError(f"expected (n, d) input, got shape {x.shape}")
     d = x.shape[1]
@@ -115,9 +116,9 @@ def _peak_bytes(fn):
 
 
 def fit_loglog_slope(ns, ts) -> float:
-    """Least-squares slope of log(t) against log(n)."""
-    return float(np.polyfit(np.log(np.asarray(ns, dtype=float)),
-                            np.log(np.asarray(ts, dtype=float)), 1)[0])
+    """Least-squares slope of log(t) against log(n), both real arrays."""
+    return float(np.polyfit(np.log(require_real_array("ns", ns)),
+                            np.log(require_real_array("ts", ts)), 1)[0])
 
 
 def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,

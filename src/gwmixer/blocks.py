@@ -35,7 +35,7 @@ from .filterbank import (
     wavelet_mix,
     wavelet_mix_backward,
 )
-from .graphs import TokenGraph, require_int, require_int_array
+from .graphs import TokenGraph, require_int, require_int_array, require_real_array
 from .serialize import dumps_canonical, write_text_atomic
 from .spectral import ChebyshevOperator, EigenStack, EigenSystem, SpectrumCache
 
@@ -84,9 +84,9 @@ def layer_forward(layer: WaveletLayer, operand: EigenSystem | EigenStack | Cheby
     """Returns (y, LayerTape). operand is what mode mixes over, as
     wavelet_mix takes it; when it covers several graphs, x holds their
     stacked rows and the FFN runs on all of them at once. The arithmetic
-    runs in place in the arrays this call made (x is only read), with
-    the operands in the order of y = (r + h W2) + b2."""
-    x = np.asarray(x, dtype=np.float64)
+    runs in place in the arrays this call made (x, a real array, is only
+    read), with the operands in the order of y = (r + h W2) + b2."""
+    x = require_real_array("x", x)
     r, mix = wavelet_mix(layer.bank, operand, x, mode, return_tape=True)
     r += x  # the mix output is always a fresh array
     h = r @ layer.ffn.w1
@@ -228,13 +228,9 @@ def model_backward(model: WaveletModel, tape: ModelTape,
 def checkpoint_text(config: dict, params: dict) -> str:
     """Checkpoint JSON: {"version": 2, "config": {...}, "params": {...}}
     with sorted keys and floats at 17 significant digits, so equal state
-    yields equal bytes."""
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "config": config,
-        "params": {name: np.asarray(arr, dtype=np.float64) for name, arr in params.items()},
-    }
-    return dumps_canonical(doc)
+    yields equal bytes. Each param must be a real array (require_real_array)."""
+    params = {name: require_real_array(f"param {name!r}", arr) for name, arr in params.items()}
+    return dumps_canonical({"version": CHECKPOINT_VERSION, "config": config, "params": params})
 
 
 def save_checkpoint(path, config: dict, params: dict) -> None:
@@ -253,18 +249,6 @@ def _upgrade_v1_config(config: dict) -> dict:
     return config
 
 
-def _param_array(name: str, val) -> np.ndarray:
-    try:
-        arr = np.asarray(val)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":  # strings, null and objects are not numbers
-        raise ValueError(f"checkpoint param {name!r} is not a numeric array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"checkpoint param {name!r} has non-finite values")
-    return arr.astype(np.float64)
-
-
 def load_checkpoint(path):
     """Returns (config, params) with params as finite float64 arrays. A
     version 1 checkpoint's config is upgraded to version 2; anything that
@@ -281,6 +265,7 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint has no {key!r} section")
         if not isinstance(doc[key], dict):
             raise ValueError(f"checkpoint {key!r} must be a JSON object, got {type(doc[key]).__name__}")
-    params = {name: _param_array(name, val) for name, val in doc["params"].items()}
+    params = {name: require_real_array(f"checkpoint param {name!r}", val, finite=True)
+              for name, val in doc["params"].items()}
     return (_upgrade_v1_config(doc["config"]) if version == 1 else doc["config"]), params
 

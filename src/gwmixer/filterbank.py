@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import require_int
+from .graphs import require_int, require_real_array
 from .serialize import fmt_float
 from .spectral import (
     LAMBDA_MAX,
@@ -154,16 +154,12 @@ def _bank_grad(bank: FilterBank, lam: np.ndarray, t: np.ndarray, y: np.ndarray, 
 
 
 def _finite_lambda(lam) -> np.ndarray:
-    """lam as a 1-D float64 array: a real scalar or a 1-D array of integer
-    or float dtype, all finite. Anything else is a ValueError naming it."""
-    arr = np.asarray(lam)
-    if arr.dtype.kind not in "iuf" or arr.ndim > 1:
-        raise ValueError(f"lambda must be a real scalar or 1-D array, got {arr.dtype} "
-                         f"of shape {arr.shape}")
-    arr = np.atleast_1d(arr.astype(np.float64, copy=False))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("lambda must be finite")
-    return arr
+    """lam, a finite real scalar or 1-D array (require_real_array), as a
+    1-D float64 array. Anything else is a ValueError naming it."""
+    arr = require_real_array("lambda", lam, finite=True)
+    if arr.ndim > 1:
+        raise ValueError(f"lambda must be a real scalar or 1-D array, got shape {arr.shape}")
+    return np.atleast_1d(arr)
 
 
 def _one_filter(f: FilterBank) -> FilterBank:
@@ -268,14 +264,14 @@ def wavelet_mix_backward(bank: FilterBank, tape: MixTape, upstream: np.ndarray):
     U and Lam are constants of the graph; gradients flow to x, alpha and,
     through _bank_grad, the filter parameters only. Anything but a MixTape
     (a chebyshev mix keeps none), a bank of another shape than the tape's
-    or an upstream not over the tape's rows is a ValueError before any
-    product.
+    or an upstream that is not a real array (require_real_array) over the
+    tape's rows is a ValueError before any product.
     """
     if not isinstance(tape, MixTape):
         raise ValueError("chebyshev mode is inference-only; no backward pass without the "
                          f"MixTape of an exact or truncated mix, got {type(tape).__name__}")
     operand, (k, _, h), d = tape.operand, tape.t.shape, tape.xhat.shape[1]
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = require_real_array("upstream", upstream)
     if bank.alpha.shape != (k, d) or upstream.shape != (operand.n, d):
         raise ValueError(f"tape mixed K={k} filters over {(operand.n, d)} signals; got alpha "
                          f"{bank.alpha.shape} and upstream {upstream.shape}")

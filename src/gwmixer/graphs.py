@@ -12,6 +12,7 @@ one CSR fill builds L and the Chebyshev operator A2 = 2(L - I) alike.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -173,6 +174,43 @@ def require_int_array(what: str, values) -> np.ndarray:
     if arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be an integer array, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
+
+
+def require_real(what: str, value, low, high=math.inf, strict: bool = False) -> float:
+    """value as a float; the check of every real scalar the package takes: a
+    finite int or float (NumPy's too; bools and strings are not numbers) in
+    [low, high], or with strict in (low, high). A miss raises ValueError
+    "<what> must be a finite number <bound>, got <value!r>"."""
+    real = _is_index(value) or isinstance(value, (float, np.floating))
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if not (math.isfinite(x) and (low < x < high if strict else low <= x <= high)):
+        if high == math.inf:
+            bound = f"{'>' if strict else '>='} {low}"
+        else:
+            bound = f"in {'(' if strict else '['}{low}, {high}{')' if strict else ']'}"
+        raise ValueError(f"{what} must be a finite number {bound}, got {value!r}")
+    return x
+
+
+def require_real_array(what: str, values, finite: bool = False) -> np.ndarray:
+    """values as a float64 array (the array itself if it is one), the check
+    of every real array the package takes. Integer and float dtypes pass;
+    bool, string, object (a None entry, a ragged nesting) and complex
+    arrays do not, so nothing is parsed or dropped on the way in. With
+    finite, a nan or inf entry is a ValueError too."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a real array, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
+    return arr
 
 
 def _require_nodes(n) -> int:
@@ -393,8 +431,8 @@ def _parse_chunk(text: str, first_line: int):
     tok, tab = rows[~skipped], tab[~skipped]  # token lines, in line order
     id_at = (starts[tok], tab[:, 0])
     head_at = (tab[:, 2] + 1, tab[:, 3])
-    tid, tid_ok, tid_exact = _field_ints(text, code, *id_at)
-    head, head_ok, head_exact = _field_ints(text, code, *head_at)
+    tid, tid_ok = _field_ints(text, code, *id_at)
+    head, head_ok = _field_ints(text, code, *head_at)
 
     # a sentence is the token lines between blank lines
     sentence = np.cumsum(blank)[tok]
@@ -415,7 +453,7 @@ def _parse_chunk(text: str, first_line: int):
         t = int(np.argmax(bad_head))
         closes = np.flatnonzero(blank[tok[t]:])
         if at is None or (len(closes) and tok[t] + closes[0] < at):
-            n, h, k = int(length[t]), head_exact.get(t, int(head[t])), int(tid[t])
+            n, h, k = int(length[t]), int(text[head_at[0][t]:head_at[1][t]]), int(tid[t])
             line = first_line + int(tok[t])
             if h < 0 or h > n:
                 raise ConlluParseError(line, f"head {h} out of range for sentence of {n} tokens")
@@ -428,7 +466,7 @@ def _parse_chunk(text: str, first_line: int):
         if not tid_ok[t]:
             raise ConlluParseError(line, f"bad token id {text[id_at[0][t]:id_at[1][t]]!r}")
         if tid[t] != ordinal[t]:
-            k = tid_exact.get(t, int(tid[t]))
+            k = int(text[id_at[0][t]:id_at[1][t]])
             raise ConlluParseError(line, f"token id {k} out of order (expected {ordinal[t]})")
         raise ConlluParseError(line, f"bad head {text[head_at[0][t]:head_at[1][t]]!r}")
 
@@ -440,10 +478,11 @@ def _parse_chunk(text: str, first_line: int):
 
 
 def _field_ints(text: str, code: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """int() of each field text[lo:hi]: values (int64), a mask of the fields
-    int() accepts, and {field: value} for values that do not fit int64
-    (stored as -1). Fields of 1 to _DIGITS_MAX ASCII digits are read with
-    array operations; int() reads the rest, so it decides what is valid."""
+    """int() of each field text[lo:hi]: values (int64; -1 for a value that
+    does not fit, which an error message reads again from the text) and a
+    mask of the fields int() accepts. Fields of 1 to _DIGITS_MAX ASCII
+    digits are read with array operations; int() reads the rest, so it
+    decides what is valid."""
     width = hi - lo
     ok = (width >= 1) & (width <= _DIGITS_MAX)
     value = np.zeros(len(lo), dtype=np.int64)
@@ -456,7 +495,6 @@ def _field_ints(text: str, code: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         digit = code[hi - 1 - j] - zero
         ok &= (digit < 10) | ~inside
         value += np.where(inside, digit, 0) * np.int64(10 ** j)
-    exact = {}
     for f in np.flatnonzero(~ok).tolist():
         try:
             v = int(text[lo[f]:hi[f]])
@@ -464,17 +502,15 @@ def _field_ints(text: str, code: np.ndarray, lo: np.ndarray, hi: np.ndarray):
             value[f] = 0
             continue
         ok[f] = True
-        if _INT64.min <= v <= _INT64.max:
-            value[f] = v
-        else:
-            value[f], exact[f] = -1, v
-    return value, ok, exact
+        value[f] = v if _INT64.min <= v <= _INT64.max else -1
+    return value, ok
 
 
 def to_conllu(g: TokenGraph) -> str:
     """Serialize a dependency forest back to CoNLL-U (round-trip helper).
 
-    Requires every node to have at most one incoming edge.
+    Requires every node to have at most one incoming edge, and every label
+    to hold no tab and no str.splitlines break, which would split its row.
     """
     head = [0] * g.n
     for s, d in g.edges.tolist():
@@ -484,6 +520,9 @@ def to_conllu(g: TokenGraph) -> str:
     lines = []
     for i in range(g.n):
         form = g.node_labels[i] if g.node_labels else f"w{i + 1}"
+        # a character after a trailing break makes it split the text too
+        if "\t" in form or len((form + ".").splitlines()) > 1:
+            raise ValueError(f"node {i} label {form!r} holds a tab or a line break")
         lines.append(
             "\t".join([str(i + 1), form, "_", "_", "_", "_", str(head[i]), "_", "_", "_"])
         )

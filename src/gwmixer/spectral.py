@@ -34,7 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from .graphs import NormalizedLaplacian, TokenGraph, normalized_laplacian, require_int
-from .graphs import _csr_fill, _undirected
+from .graphs import _csr_fill, _undirected, require_real_array
 
 SYMMETRY_TOL = 1e-12
 CLAMP_FLOOR = -1e-9  # round-off negatives above this are snapped to 0
@@ -58,12 +58,13 @@ class NumericalError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenSystem:
     """Eigenpairs of a normalized Laplacian.
 
     u: (n, m) orthonormal columns, lam: (m,) ascending: the m smoothest
-    modes, all of them (m == n) for a full system.
+    modes, all of them (m == n) for a full system. Frozen, as the cache
+    shares one system among all its readers.
     """
 
     u: np.ndarray
@@ -393,8 +394,9 @@ def eigendecompose(l: NormalizedLaplacian, m: int | None = None) -> EigenSystem:
 
 
 def as_signal(x, rows: int) -> np.ndarray:
-    """x as a float64 (rows, d) signal; any other shape is a ValueError."""
-    x = np.asarray(x, dtype=np.float64)
+    """x as a float64 (rows, d) signal, a real array (require_real_array,
+    with no finiteness scan); any other shape is a ValueError."""
+    x = require_real_array("signal", x)
     if x.ndim != 2 or x.shape[0] != rows:
         raise ValueError(f"expected signal of shape ({rows}, d), got {x.shape}")
     return x
@@ -410,20 +412,14 @@ def igft(eig: EigenSystem, xhat: np.ndarray) -> np.ndarray:
     return eig.synthesis(as_signal(xhat, eig.m))
 
 
-def _filter_values(h, lam: np.ndarray) -> np.ndarray:
-    """h(lam) as float64, which must be finite and shaped like lam."""
-    hv = np.asarray(h(lam), dtype=np.float64)
-    if hv.shape != lam.shape:
-        raise ValueError(f"filter returned shape {hv.shape}, expected {lam.shape}")
-    if not np.all(np.isfinite(hv)):
-        raise ValueError("filter returned non-finite values")
-    return hv
-
-
 def apply_filter_exact(eig: EigenSystem, h, x: np.ndarray) -> np.ndarray:
-    """h(L) x = U diag(h(lam)) U^T x for a scalar spectral response h."""
+    """h(L) x = U diag(h(lam)) U^T x for a scalar spectral response h,
+    whose output must be a finite real array shaped like lam."""
     x = as_signal(x, eig.n)
-    return eig.u @ (_filter_values(h, eig.lam)[:, None] * (eig.u.T @ x))
+    hv = require_real_array("filter output", h(eig.lam), finite=True)
+    if hv.shape != eig.lam.shape:
+        raise ValueError(f"filter returned shape {hv.shape}, expected {eig.lam.shape}")
+    return eig.u @ (hv[:, None] * (eig.u.T @ x))
 
 
 def chebyshev_nodes(order: int):
@@ -455,13 +451,19 @@ def chebyshev_fit(h, order: int):
     Uses the P+1 first-kind Chebyshev nodes mapped onto the interval.
     Returns (coeffs, max_err): the P+1 expansion coefficients and the
     maximum absolute expansion error at 1000 uniform test points. h must
-    give finite values shaped like its input, at the nodes and the points.
+    give finite real arrays shaped like its input, at the nodes and then at
+    the points.
     """
     lam_nodes, fit = chebyshev_nodes(order)
-    coeffs = fit @ _filter_values(h, lam_nodes)
     grid = np.linspace(0.0, LAMBDA_MAX, 1000)
+    at_nodes, on_grid = (require_real_array("filter output", h(lam), finite=True)
+                         for lam in (lam_nodes, grid))
+    for hv, lam in ((at_nodes, lam_nodes), (on_grid, grid)):
+        if hv.shape != lam.shape:
+            raise ValueError(f"filter returned shape {hv.shape}, expected {lam.shape}")
+    coeffs = fit @ at_nodes
     approx = np.polynomial.chebyshev.chebval(2.0 * grid / LAMBDA_MAX - 1.0, coeffs)
-    max_err = float(np.max(np.abs(approx - _filter_values(h, grid))))
+    max_err = float(np.max(np.abs(approx - on_grid)))
     return coeffs, max_err
 
 
@@ -497,17 +499,14 @@ def chebyshev_apply(l: NormalizedLaplacian, coeffs, x: np.ndarray) -> np.ndarray
     """f(L) x for the expansion coeffs of f (from chebyshev_fit), via the
     chebyshev_series kernel on A2 = 2(L - I) formed from l. Never touches
     eigenvectors. l must be a NormalizedLaplacian and coeffs a non-empty,
-    1-D, finite array of numbers, checked before any product; anything
-    else is a ValueError."""
+    1-D, finite real array (require_real_array), checked before any
+    product; anything else is a ValueError."""
     if not isinstance(l, NormalizedLaplacian):
         raise ValueError(f"chebyshev_apply needs a NormalizedLaplacian, got {type(l).__name__}")
-    try:
-        w = np.asarray(coeffs, dtype=np.float64)
-    except (TypeError, ValueError):
-        w = None
-    if w is None or w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
-        raise ValueError("chebyshev coefficients must be a non-empty 1-D array of finite "
-                         f"numbers, got {coeffs!r}")
+    w = require_real_array("chebyshev coefficients", coeffs, finite=True)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("chebyshev coefficients must be a non-empty 1-D array, "
+                         f"got shape {w.shape}")
     a2 = 2.0 * l.matrix - 2.0 * sparse.eye_array(l.n, format="csr")
     return chebyshev_series(a2, w[:, None], as_signal(x, l.n))
 

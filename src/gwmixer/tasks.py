@@ -9,11 +9,10 @@ dependency parses. Generation is deterministic per (spec, seed).
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 
-from .graphs import TokenGraph, _scan_conllu, build_chain_graph, require_int
+from .graphs import TokenGraph, _scan_conllu, build_chain_graph, require_int, require_real
 from .spectral import MixMode
 
 TASK_KINDS = ("copy", "reverse", "masked_recovery")
@@ -39,8 +38,9 @@ SENTENCE_FILES = 4  # scanned CoNLL-U files kept by _conllu_sentences
 class TaskSpec:
     """What a run's samples are drawn from, and the one owner of its rules:
     task in TASK_KINDS, n (a chain's length) and vocab integers >= 2,
-    mask_rate in (0, 1), conllu a non-empty path or None for a chain of n
-    nodes. Anything else raises a ValueError that starts with the field."""
+    mask_rate a number in (0, 1), kept as a float, conllu a non-empty path
+    or None for a chain of n nodes. Anything else raises a ValueError that
+    starts with the field."""
 
     task: str
     n: int
@@ -53,9 +53,8 @@ class TaskSpec:
             raise ValueError(f"task must be one of {', '.join(TASK_KINDS)}, got {self.task!r}")
         for name in ("n", "vocab"):
             require_int(name, getattr(self, name), 2)
-        rate = self.mask_rate
-        if isinstance(rate, bool) or not isinstance(rate, Real) or not 0.0 < rate < 1.0:
-            raise ValueError(f"mask_rate must be a number in (0, 1), got {rate!r}")
+        object.__setattr__(self, "mask_rate", require_real("mask_rate", self.mask_rate, 0, 1,
+                                                          strict=True))
         if self.conllu is not None and not (isinstance(self.conllu, str) and self.conllu):
             raise ValueError(f"conllu must be a non-empty path or null, got {self.conllu!r}")
 

@@ -9,7 +9,6 @@ identical runs produce byte-identical checkpoints and metric traces.
 import os
 from dataclasses import dataclass, fields
 from itertools import islice
-from numbers import Real
 
 import numpy as np
 
@@ -36,7 +35,8 @@ from .filterbank import (
     wavelet_mix,
     wavelet_mix_backward,
 )
-from .graphs import build_chain_graph, require_int, require_int_array
+from .graphs import build_chain_graph, require_int, require_int_array, require_real
+from .graphs import require_real_array
 from .serialize import fmt_float, write_text_atomic
 from .spectral import SpectrumCache, parse_mix_mode
 from .tasks import TaskSpec, check_mode, fixed_samples, gen_task_batch, task_stream
@@ -46,21 +46,16 @@ VAL_BATCHES = 16
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def _require_rate(what: str, value) -> None:
-    """A learning rate is a finite number >= 0 (0 freezes the model), not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    if not np.isfinite(value) or value < 0:
-        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ScheduleConfig:
+    """base_lr is a finite number >= 0 (0 freezes the model), kept as a
+    float; warmup_steps an integer >= 1."""
+
     base_lr: float = 5e-4
     warmup_steps: int = 4000
 
     def __post_init__(self):
-        _require_rate("base_lr", self.base_lr)
+        object.__setattr__(self, "base_lr", require_real("base_lr", self.base_lr, 0))
         require_int("warmup_steps", self.warmup_steps, 1)
 
 
@@ -102,7 +97,9 @@ def init_train_state(params: dict) -> TrainState:
 def adam_step(state: TrainState, lr: float) -> TrainState:
     """Standard Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with bias
     correction, one update over the flat buffers. Increments step, zeroes
-    grads. Non-finite gradients abort, naming the offending tensor."""
+    grads. lr is a finite number >= 0. Non-finite gradients abort, naming
+    the offending tensor. Both are checked before anything is updated."""
+    lr = require_real("lr", lr, 0)
     g = state.grad_buf
     if not np.all(np.isfinite(g)):
         bad = next(name for name, gv in state.grads.items() if not np.all(np.isfinite(gv)))
@@ -125,11 +122,11 @@ def adam_step(state: TrainState, lr: float) -> TrainState:
 
 
 def _check_scored(logits: np.ndarray, targets, mask):
-    """logits (N, V), targets (N,) integer ids below V and mask (N,) bool
-    (not cast: 0.2 would score its row) as arrays, checked as
+    """logits (N, V) real, targets (N,) integer ids below V and mask (N,)
+    bool (not cast: 0.2 would score its row) as arrays, checked as
     cross_entropy_loss and token_accuracy take them."""
     targets = require_int_array("targets", targets)
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = require_real_array("logits", logits)
     mask = np.asarray(mask)
     if mask.dtype != bool:
         raise ValueError(f"mask must be a bool array, got dtype {mask.dtype}")
@@ -221,7 +218,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in INT_MINIMUMS.items():
             require_int(name, getattr(self, name), low)
-        _require_rate("lr", self.lr)
+        require_real("lr", self.lr, 0)
         spec = self.task_spec()  # task, n, vocab, mask_rate and conllu
         try:
             mix = parse_mix_mode(self.mode)
@@ -235,6 +232,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -255,7 +254,8 @@ def model_from_params(config: dict, params: dict) -> WaveletModel:
     """Rebuild a model from a checkpoint's config and params. The config is
     read by TrainConfig.from_dict, so it answers to every rule a training
     config does (keys it leaves out take their defaults); param names and
-    shapes must match the architecture it describes."""
+    shapes must match the architecture it describes, and each param be a
+    real array (require_real_array)."""
     cfg = TrainConfig.from_dict(config)
     model = build_model(cfg.d, cfg.k, cfg.layers, cfg.ffn_mult, cfg.vocab, seed=0)
     live = model_params(model)
@@ -264,7 +264,7 @@ def model_from_params(config: dict, params: dict) -> WaveletModel:
     if missing or extra:
         raise ValueError(f"parameter name mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
     for name, arr in live.items():
-        src = np.asarray(params[name], dtype=np.float64)
+        src = require_real_array(f"param {name!r}", params[name])
         if src.shape != arr.shape:
             raise ValueError(f"{name}: shape {src.shape} != expected {arr.shape}")
         arr[...] = src
@@ -467,10 +467,8 @@ def grad_check(selector: str = "model", seed: int = 0, step: float = 1e-5,
     comparison. step must be finite and > 0, tol finite and >= 0 and seed
     an integer >= 0; each is checked before anything is evaluated.
     """
-    if isinstance(step, bool) or not isinstance(step, Real) or not np.isfinite(step) or step <= 0:
-        raise ValueError(f"step must be a finite number > 0, got {step!r}")
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not np.isfinite(tol) or tol < 0:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    step = require_real("step", step, 0, strict=True)
+    tol = require_real("tol", tol, 0)
     rng = np.random.default_rng(require_int("seed", seed, 0))
     if selector == "filter":
         f = build_filter_bank(1, 1, seed=seed)

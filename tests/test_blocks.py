@@ -366,12 +366,12 @@ class TestCheckpoint:
         ('{"version": 2, "params": {}}', "no 'config'"),
         ('{"version": 2, "config": {}, "params": [1.0]}', "'params' must be a JSON object"),
         ('{"version": 2, "config": [], "params": {}}', "'config' must be a JSON object"),
-        ('{"version": 2, "config": {}, "params": {"w": [1.0, [2.0]]}}', "'w' is not a numeric"),
-        ('{"version": 2, "config": {}, "params": {"w": {"a": 1}}}', "'w' is not a numeric"),
-        ('{"version": 2, "config": {}, "params": {"w": [1.0, NaN]}}', "'w' has non-finite"),
-        ('{"version": 2, "config": {}, "params": {"w": null}}', "'w' is not a numeric"),
-        ('{"version": 2, "config": {}, "params": {"w": ["1.5"]}}', "'w' is not a numeric"),
-        ('{"version": 2, "config": {}, "params": {"w": [true]}}', "'w' is not a numeric"),
+        ('{"version": 2, "config": {}, "params": {"w": [1.0, [2.0]]}}', "'w' must be a real array"),
+        ('{"version": 2, "config": {}, "params": {"w": {"a": 1}}}', "'w' must be a real array"),
+        ('{"version": 2, "config": {}, "params": {"w": [1.0, NaN]}}', "'w' must be finite, got nan"),
+        ('{"version": 2, "config": {}, "params": {"w": null}}', "'w' must be a real array"),
+        ('{"version": 2, "config": {}, "params": {"w": ["1.5"]}}', "'w' must be a real array"),
+        ('{"version": 2, "config": {}, "params": {"w": [true]}}', "'w' must be a real array"),
         ('{"version": 3, "config": {}, "params": {}}', "version 3"),
         ('{"version": 0, "config": {}, "params": {}}', "version 0"),
         ('{"version": true, "config": {}, "params": {}}', "version True"),

@@ -166,6 +166,16 @@ class TestTrainEvalCommands:
                          "--out", str(tmp_path / "run")]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("null", "NoneType"),
+                                            ('"cfg"', "str"), ("3", "int")])
+    def test_a_config_that_is_not_a_json_object_fails_with_one_line(self, tmp_path, capsys,
+                                                                     text, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: config must be a JSON object, got {kind}\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("bad, field", [({"d": "32"}, "d"), ({"k": 0}, "k"),
                                             ({"accum": 0}, "accum"), ({"lr": float("nan")}, "lr"),
                                             ({"conllu": "", "mode": "truncated:20"}, "conllu")])

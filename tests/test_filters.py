@@ -126,19 +126,18 @@ class TestFilterMlp:
                 assert np.allclose(g_flat[:, i], fd, atol=1e-7)
 
     @pytest.mark.parametrize("fn", [filter_eval, filter_eval_grad, bank_responses])
-    @pytest.mark.parametrize("lam, named", [
-        ("0.5", "<U3 of shape ()"),
-        (None, "object of shape ()"),
-        (True, "bool of shape ()"),
-        (0.5 + 0j, "complex128 of shape ()"),
-        (np.ones((1, 1)), "float64 of shape (1, 1)"),
-        (np.ones((2, 3)), "float64 of shape (2, 3)"),
+    @pytest.mark.parametrize("lam, message", [
+        ("0.5", "lambda must be a real array, got dtype <U3"),
+        (None, "lambda must be a real array, got dtype object"),
+        (True, "lambda must be a real array, got dtype bool"),
+        (0.5 + 0j, "lambda must be a real array, got dtype complex128"),
+        (np.ones((1, 1)), "lambda must be a real scalar or 1-D array, got shape (1, 1)"),
+        (np.ones((2, 3)), "lambda must be a real scalar or 1-D array, got shape (2, 3)"),
     ])
-    def test_lambda_is_a_real_scalar_or_1d_array(self, fn, lam, named):
+    def test_lambda_is_a_real_scalar_or_1d_array(self, fn, lam, message):
         f = draw_filter_bank(np.random.default_rng(4), 1, 1)
         assert np.array_equal(fn(f, np.arange(3))[0], fn(f, np.arange(3.0))[0])  # ints are real
-        with pytest.raises(ValueError, match="^lambda must be a real scalar or 1-D array, got "
-                                             + re.escape(named) + "$"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             fn(f, lam)
 
 

@@ -339,6 +339,20 @@ class TestToConllu:
         assert again.edges.tolist() == g.edges.tolist()
         assert again.node_labels == g.node_labels
 
+    # a tab or any str.splitlines break would split the token's row
+    @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\r", "\x0bb", "\x0c", "a\x1cb",
+                                       "\x1d", "\x1e", "a\x85", "\u2028b", "b\u2029"])
+    def test_a_label_the_format_cannot_hold_is_rejected(self, label):
+        g = TokenGraph(2, [(0, 1)], ("c", label))
+        with pytest.raises(ValueError, match=f"^node 1 label {re.escape(repr(label))} holds a "
+                                             "tab or a line break$"):
+            to_conllu(g)
+
+    @pytest.mark.parametrize("label", ["", " ", "a b", "#", "1-2", "é", "\u00a0"])
+    def test_a_label_without_tab_or_break_round_trips(self, label):
+        g = TokenGraph(2, [(0, 1)], ("c", label))
+        assert parse_conllu(to_conllu(g)) == [g]
+
     def test_ten_columns(self):
         g = TokenGraph(2, ((0, 1),), node_labels=("a", "b"))
         for line in to_conllu(g).strip("\n").split("\n"):

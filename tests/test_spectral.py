@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -262,7 +263,7 @@ class TestTransforms:
 
     def test_filter_returning_nan_rejected(self):
         eig = eigendecompose(chain_lap(3))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^filter output must be finite, got nan$"):
             apply_filter_exact(eig, lambda lam: np.full_like(lam, np.nan),
                                np.zeros((3, 1)))
 
@@ -338,7 +339,7 @@ class TestChebyshev:
             on = "nodes" if np.array_equal(lam, nodes) else "grid"
             return np.full_like(lam, bad) if where in (on, "both") else np.exp(-lam)
 
-        with pytest.raises(ValueError, match="^filter returned non-finite values$"):
+        with pytest.raises(ValueError, match=f"^filter output must be finite, got {bad!r}$"):
             chebyshev_fit(h, 4)
 
     def test_apply_matches_exact_path(self):
@@ -399,6 +400,17 @@ class TestSpectrumCache:
         eig2 = cache.get_or_compute(symmetrize(directed))
         assert eig1 is eig2
         assert len(cache) == 1
+
+    @pytest.mark.parametrize("field", ["u", "lam"])
+    def test_a_cached_system_cannot_be_rebound(self, field):
+        cache = SpectrumCache()
+        g = build_chain_graph(5)
+        eig = cache.get_or_compute(g)
+        before = eig.u.tobytes(), eig.lam.tobytes()
+        with pytest.raises(FrozenInstanceError):
+            setattr(eig, field, np.zeros_like(getattr(eig, field)))
+        again = cache.get_or_compute(g)
+        assert again is eig and (again.u.tobytes(), again.lam.tobytes()) == before
 
     def test_distinct_graphs_distinct_entries(self):
         cache = SpectrumCache()

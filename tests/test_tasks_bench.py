@@ -53,8 +53,8 @@ class TestTaskSpec:
         ("n", 4.0, "n must be an integer >= 2, got 4.0"),
         ("n", True, "n must be an integer >= 2, got True"),
         ("vocab", 16.5, "vocab must be an integer >= 2, got 16.5"),
-        ("mask_rate", "0.5", "mask_rate must be a number in \\(0, 1\\), got '0.5'"),
-        ("mask_rate", True, "mask_rate must be a number in \\(0, 1\\), got True"),
+        ("mask_rate", "0.5", "mask_rate must be a finite number in \\(0, 1\\), got '0.5'"),
+        ("mask_rate", True, "mask_rate must be a finite number in \\(0, 1\\), got True"),
     ])
     def test_rejected_naming_the_field(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
