@@ -130,15 +130,15 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
     wavelet modes share one bank and input per size, so their checksums
     agree up to mode error. Each size's operands come from a SpectrumCache
     of its own, outside all timed regions. Before any timing, repeats and
-    each size must be an integer >= 1 (seed >= 0), sizes and modes must list at
-    least one entry and none twice, and every mode must fit every size (ValueError).
+    each size must be an integer >= 1 (seed >= 0), each mode a mode string
+    (parse_mix_mode) or "attention", sizes and modes must list at least one
+    entry and none twice, and every mode must fit every size (ValueError).
     """
     repeats = require_int("repeats", repeats, 1)
     seed = require_int("seed", seed, 0)
     sizes = tuple(require_int(f"sizes[{i}]", n, 1) for i, n in enumerate(sizes))
     modes = tuple(modes)  # read twice: a generator would leave nothing to time
-    parsed = [m if isinstance(m, MixMode) else None if m == "attention" else parse_mix_mode(m)
-              for m in modes]
+    parsed = [None if m == "attention" else parse_mix_mode(m) for m in modes]
     for what, items in (("sizes", sizes), ("modes", [str(m or "attention") for m in parsed])):
         if not items:
             raise ValueError(f"{what} must list at least one entry")
@@ -167,13 +167,13 @@ def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,
                 _verify_mode(mode, out, bank, cache.operand([graph], MixMode.exact()), x)
             seconds = _time_call(fn, repeats)
             peak = _peak_bytes(fn)
-            records.append(BenchRecord(n, d, k, str(mode_str), seconds, peak,
+            records.append(BenchRecord(n, d, k, mode_str, seconds, peak,
                                        float(np.linalg.norm(out))))
     slopes = {}
     for mode_str in modes:
-        rows = [r for r in records if r.mode == str(mode_str)]
+        rows = [r for r in records if r.mode == mode_str]
         if len(rows) >= 2:
-            slopes[str(mode_str)] = fit_loglog_slope([r.n for r in rows],
+            slopes[mode_str] = fit_loglog_slope([r.n for r in rows],
                                                      [r.seconds for r in rows])
     return records, slopes
 

@@ -6,8 +6,9 @@ Spectral code sees only its undirected structure (edge direction and
 duplicates dropped), through the normalized Laplacian
 L = I - D^{-1/2} A D^{-1/2}, held as one sparse CSR matrix, and the
 content hash that keys the spectrum cache. Both are built from the same
-array of undirected edge codes, so no symmetrized copy of a graph is made;
-one CSR fill builds L and the Chebyshev operator A2 = 2(L - I) alike.
+array of undirected edge codes (TokenGraph.undirected, computed once per
+graph), so no symmetrized copy of a graph is made; one CSR fill builds L
+and the Chebyshev operator A2 = 2(L - I) alike.
 """
 
 import hashlib
@@ -38,13 +39,14 @@ class TokenGraph:
 
     n is an integer in [1, MAX_NODES]. edges is stored as a read-only
     (E, 2) int64 array of (src, dst) rows. It may be given as an (E, 2)
-    integer array, or as a sequence of (src, dst) tuples, lists or arrays
-    of two integer indices (NumPy integers included, bools not);
+    integer array, or as a list, tuple or array of (src, dst) tuples, lists
+    or arrays of two integer indices (NumPy integers included, bools not);
     anything else raises ValueError, and so does the first edge that is out
     of range or a self loop. Duplicates collapse to their first occurrence.
     Two graphs are equal when their n, edge rows (in order) and labels are.
-    Optional node_labels (e.g. word forms) are a sequence of n strings, kept
-    as given: a label that is not a string raises ValueError.
+    Optional node_labels (e.g. word forms) are a list, tuple or array of n
+    strings, kept in order: anything else, or a label that is not a string,
+    raises ValueError.
     """
 
     n: int
@@ -56,7 +58,7 @@ class TokenGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", _edge_array(self.edges, n))
         if self.node_labels is not None:
-            if isinstance(self.node_labels, str):
+            if not isinstance(self.node_labels, _SEQUENCES):  # a str, set or dict included
                 raise ValueError(f"node labels must be a sequence of strings, "
                                  f"got {self.node_labels!r}")
             labels = tuple(self.node_labels)
@@ -82,9 +84,21 @@ class TokenGraph:
         return TokenGraph, (self.n, self.edges, self.node_labels)
 
     def is_symmetric(self) -> bool:
-        rev = self.edges[:, ::-1]
-        # both are duplicate free: the same set iff they sort to the same rows
-        return np.array_equal(self.edges[_first_rows(self.edges)], rev[_first_rows(rev)])
+        # edges are distinct and loop free: each undirected edge is one row or two
+        return len(self.edges) == 2 * len(self.undirected)
+
+    @cached_property
+    def undirected(self) -> np.ndarray:
+        """Ascending read-only int64 codes a*n + b, a < b, one per undirected
+        edge (an edge given in both directions counts once), computed on
+        first use: what the hash, the Laplacian, the Chebyshev operator,
+        symmetrize and is_symmetric read. Codes are below n**2 < 2**62."""
+        codes = np.sort(self.edges.min(axis=1) * self.n + self.edges.max(axis=1))
+        keep = np.ones(len(codes), dtype=bool)
+        keep[1:] = codes[1:] != codes[:-1]
+        codes = codes[keep]
+        codes.flags.writeable = False
+        return codes
 
     @cached_property
     def spectral_key(self) -> str:
@@ -93,11 +107,14 @@ class TokenGraph:
 
 
 _INT64 = np.iinfo(np.int64)
+_SEQUENCES = (list, tuple, np.ndarray)  # the containers edges and labels are taken from
 
 
 def _edge_array(edges, n: int) -> np.ndarray:
     """edges as a new read-only (E, 2) int64 array, duplicates dropped after
     their first occurrence. The first bad edge in order raises ValueError."""
+    if not isinstance(edges, _SEQUENCES):
+        raise ValueError(f"edges must be a list, tuple or array of (src, dst) pairs, got {edges!r}")
     if (isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 2
             and edges.dtype.kind in "iu"):
         arr, malformed = edges, None
@@ -115,9 +132,9 @@ def _edge_array(edges, n: int) -> np.ndarray:
         raise malformed
     # rows whose dst strictly increases (parsed trees, chains) are distinct
     if len(out) > 1 and not (out[1:, 1] > out[:-1, 1]).all():
-        keep = _first_rows(out)
-        if len(keep) < len(out):
-            out = out[np.sort(keep)]
+        first = np.unique(out[:, 0] * n + out[:, 1], return_index=True)[1]
+        if len(first) < len(out):
+            out = out[np.sort(first)]
     out.flags.writeable = False
     return out
 
@@ -144,16 +161,6 @@ def _scan_pairs(edges, n: int):
     return np.array(pairs, dtype=np.int64).reshape(-1, 2), error
 
 
-def _first_rows(e: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct row of the (E, 2)
-    array e, in lexicographic order of the rows."""
-    order = np.lexsort((e[:, 1], e[:, 0]))  # stable: equal rows keep their order
-    rows = e[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return order[first]
-
-
 def _is_index(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
@@ -169,10 +176,12 @@ def require_int(what: str, value, low: int) -> int:
 def require_int_array(what: str, values) -> np.ndarray:
     """values as an int64 array, the check of every array of ids the package
     takes. NumPy integer dtypes pass; bool, float, string and object arrays
-    do not, so nothing is truncated or parsed on the way in."""
+    do not, nor does a list or tuple holding a bool (_reject_bool_entry), so
+    nothing is truncated or parsed on the way in."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be an integer array, got dtype {arr.dtype}")
+    _reject_bool_entry(what, "an integer", values)
     return arr.astype(np.int64, copy=False)
 
 
@@ -199,18 +208,33 @@ def require_real_array(what: str, values, finite: bool = False) -> np.ndarray:
     """values as a float64 array (the array itself if it is one), the check
     of every real array the package takes. Integer and float dtypes pass;
     bool, string, object (a None entry, a ragged nesting) and complex
-    arrays do not, so nothing is parsed or dropped on the way in. With
-    finite, a nan or inf entry is a ValueError too."""
+    arrays do not, nor does a list or tuple holding a bool (_reject_bool_entry),
+    so nothing is parsed or dropped on the way in. With finite, a nan or
+    inf entry is a ValueError too."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
         arr = np.empty(0, dtype=object)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be a real array, got dtype {arr.dtype}")
+    _reject_bool_entry(what, "a real", values)
     arr = arr.astype(np.float64, copy=False)
     if finite and not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
     return arr
+
+
+def _reject_bool_entry(what: str, kind: str, values) -> None:
+    """ValueError "<what> must be <kind> array, got bool entry <entry!r>" for
+    the first bool, Python's or NumPy's, in values if it is a list or tuple,
+    nested lists and tuples included: NumPy reads [1.0, True] as [1.0, 1.0].
+    An array is not scanned. (The nesting is shallow: NumPy has already
+    read values as an array of at most 64 dimensions.)"""
+    if isinstance(values, (list, tuple)):
+        for v in values:
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"{what} must be {kind} array, got bool entry {v!r}")
+            _reject_bool_entry(what, kind, v)
 
 
 def _require_nodes(n) -> int:
@@ -239,26 +263,18 @@ def _chain_graph(n: int) -> TokenGraph:
 
 
 def symmetrize(g: TokenGraph) -> TokenGraph:
-    """Close the edge set under reversal. Node labels carry over."""
-    both = np.concatenate((g.edges, g.edges[:, ::-1]))
-    return TokenGraph(g.n, both[_first_rows(both)], g.node_labels)
-
-
-def _undirected(g: TokenGraph) -> np.ndarray:
-    """Ascending int64 codes a*n + b, a < b, one per undirected edge of g
-    (an edge given in both directions, or twice, counts once)."""
-    codes = g.edges.min(axis=1) * g.n + g.edges.max(axis=1)
-    codes.sort()
-    keep = np.ones(len(codes), dtype=bool)
-    keep[1:] = codes[1:] != codes[:-1]
-    return codes[keep]
+    """Close the edge set under reversal, rows in (src, dst) order. Node
+    labels carry over."""
+    a, b = np.divmod(g.undirected, g.n)
+    both = np.sort(np.concatenate((g.undirected, b * g.n + a)))
+    return TokenGraph(g.n, np.stack(np.divmod(both, g.n), axis=1), g.node_labels)
 
 
 def content_hash(g: TokenGraph) -> str:
     """Deterministic hash of n and g's undirected structure: labels, edge
     order, direction and duplicates are ignored, so
     content_hash(g) == content_hash(symmetrize(g))."""
-    return hashlib.sha256(np.int64(g.n).tobytes() + _undirected(g).tobytes()).hexdigest()
+    return hashlib.sha256(np.int64(g.n).tobytes() + g.undirected.tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -282,7 +298,7 @@ class NormalizedLaplacian:
 def normalized_laplacian(g: TokenGraph) -> NormalizedLaplacian:
     """L = I - D^{-1/2} A D^{-1/2} of g's undirected structure (A its 0/1
     adjacency) by _csr_fill, the Laplacian of symmetrize(g) for a directed g."""
-    return NormalizedLaplacian(*_csr_fill(g.n, *np.divmod(_undirected(g), g.n), chebyshev=False))
+    return NormalizedLaplacian(*_csr_fill(g.n, *np.divmod(g.undirected, g.n), chebyshev=False))
 
 
 def _csr_fill(n: int, a: np.ndarray, b: np.ndarray, chebyshev: bool):
@@ -542,12 +558,4 @@ def graph_from_json(text: str) -> TokenGraph:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ValueError('graph JSON must be an object with "n" and "edges"')
-    n, edges, labels = doc["n"], doc["edges"], doc.get("labels")
-    if type(n) is not int:
-        raise ValueError(f'graph "n" must be an integer, got {n!r}')
-    if not isinstance(edges, list):
-        raise ValueError(f'graph "edges" must be a list of [src, dst] pairs, got {edges!r}')
-    if labels is not None and not (isinstance(labels, list)
-                                   and all(isinstance(x, str) for x in labels)):
-        raise ValueError(f'graph "labels" must be a list of strings, got {labels!r}')
-    return TokenGraph(n, tuple(edges), None if labels is None else tuple(labels))
+    return TokenGraph(doc["n"], doc["edges"], doc.get("labels"))

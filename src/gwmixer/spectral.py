@@ -34,7 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from .graphs import NormalizedLaplacian, TokenGraph, normalized_laplacian, require_int
-from .graphs import _csr_fill, _undirected, require_real_array
+from .graphs import _csr_fill, require_real_array
 
 SYMMETRY_TOL = 1e-12
 CLAMP_FLOOR = -1e-9  # round-off negatives above this are snapped to 0
@@ -139,7 +139,7 @@ class ChebyshevOperator:
 
     @classmethod
     def of(cls, graphs) -> "ChebyshevOperator":
-        codes = [_undirected(g) for g in graphs]
+        codes = [g.undirected for g in graphs]
         sizes, counts = [g.n for g in graphs], [len(c) for c in codes]
         a, b = np.divmod(np.concatenate(codes), np.repeat(sizes, counts))
         shift = np.repeat(list(accumulate(sizes[:-1], initial=0)), counts)

@@ -191,6 +191,8 @@ class TestTrainEvalCommands:
     @pytest.mark.parametrize("checkpoint, mode, message", [
         ("[1, 2]", None, "error: checkpoint must be a JSON object, got list"),
         ('{"version": 2, "config": {}}', None, "error: checkpoint has no 'params' section"),
+        ('{"version": 2, "config": {}, "params": {"w": [1.0, true]}}', None,
+         "error: checkpoint param 'w' must be a real array, got bool entry True"),
         (None, "bogus", "error: mode 'bogus' is invalid"),
         (None, "truncated:7", "error: mode truncated:7 needs m <= n"),
         (None, "truncated:x", "error: mode 'truncated:x' is invalid"),

@@ -5,12 +5,15 @@ import json
 import math
 import pickle
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from gwmixer import (
     ConlluParseError,
+    MixMode,
+    SpectrumCache,
     TokenGraph,
     build_chain_graph,
     content_hash,
@@ -22,6 +25,7 @@ from gwmixer import (
     to_conllu,
 )
 from gwmixer.graphs import MAX_NODES
+from gwmixer.spectral import ChebyshevOperator
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -90,6 +94,41 @@ class TestTokenGraph:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TokenGraph(3, (), node_labels=labels)
 
+    # a set has no order (its labels would follow the hash seed) and a dict
+    # or a generator is not a sequence of labels: none is taken
+    @pytest.mark.parametrize("labels", [{"x", "y", "z"}, {"x": 0, "y": 1, "z": 2},
+                                        frozenset("xyz"), 3])
+    def test_node_labels_are_taken_only_from_a_list_tuple_or_array(self, labels):
+        with pytest.raises(ValueError, match=re.escape(
+                f"node labels must be a sequence of strings, got {labels!r}")):
+            TokenGraph(3, [(0, 1), (1, 2)], labels)
+
+    @pytest.mark.parametrize("labels", [["x", "y", "z"], ("x", "y", "z"),
+                                        np.array(["x", "y", "z"])], ids=type)
+    def test_node_labels_kept_in_order(self, labels):
+        g = TokenGraph(3, [(0, 1), (1, 2)], labels)
+        assert g.node_labels == ("x", "y", "z")
+        assert json.loads(graph_to_json(g))["labels"] == ["x", "y", "z"]
+
+    @pytest.mark.parametrize("edges", [5, None, "01", {(0, 1): 1}, {(0, 1), (1, 2)},
+                                       frozenset({(0, 1)}), 1.5], ids=repr)
+    def test_edges_are_taken_only_from_a_list_tuple_or_array(self, edges):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"edges must be a list, tuple or array of (src, dst) pairs, got {edges!r}") + "$"):
+            TokenGraph(3, edges)
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (2, 1)], ((0, 1), (2, 1)), np.array([[0, 1], [2, 1]]),
+                                       np.array([(0, 1), (2, 1)], dtype=object)], ids=type)
+    def test_edges_from_a_list_tuple_or_array(self, edges):
+        assert TokenGraph(3, edges).edges.tolist() == [[0, 1], [2, 1]]
+
+    def test_dedupe_at_the_largest_node_count_keeps_first_occurrences_in_order(self):
+        top = MAX_NODES - 1
+        g = TokenGraph(MAX_NODES, ((top, 0), (0, top), (top, 0)))
+        assert g.edges.tolist() == [[top, 0], [0, top]]
+        assert g.undirected.tolist() == [top] and g.is_symmetric()
+        assert symmetrize(g).edges.tolist() == [[0, top], [top, 0]]
+
     def test_single_node_no_edges(self):
         g = TokenGraph(1)
         assert g.n == 1 and g.edges.shape == (0, 2)
@@ -98,6 +137,8 @@ class TestTokenGraph:
     def test_is_symmetric(self):
         assert not TokenGraph(2, ((0, 1),)).is_symmetric()
         assert TokenGraph(2, ((0, 1), (1, 0))).is_symmetric()
+        assert not TokenGraph(4, ((0, 1), (1, 0), (2, 3))).is_symmetric()
+        assert TokenGraph(4, ((3, 2), (0, 1), (2, 3), (1, 0), (0, 1))).is_symmetric()
 
     def test_immutable(self):
         g = TokenGraph(2, ((0, 1),))
@@ -151,6 +192,72 @@ class TestTokenGraph:
         assert a != TokenGraph(4, ((0, 1), (1, 2)), ("a", "b", "c", "d"))
         assert TokenGraph(2) != TokenGraph(2, ((0, 1),))
         assert a != "graph"
+
+
+def _count_codes(monkeypatch):
+    """The graphs whose undirected codes are computed, one entry each time."""
+    computed = []
+    prop = TokenGraph.__dict__["undirected"]
+
+    def counted(g):
+        computed.append(g)
+        return prop.func(g)
+
+    counting = cached_property(counted)
+    counting.__set_name__(TokenGraph, "undirected")
+    monkeypatch.setattr(TokenGraph, "undirected", counting)
+    return computed
+
+
+class TestUndirectedCodes:
+    def test_codes_are_ascending_distinct_and_read_only(self):
+        g = TokenGraph(4, ((3, 0), (0, 3), (1, 2), (2, 1), (0, 1)))
+        assert g.undirected.tolist() == [0 * 4 + 1, 0 * 4 + 3, 1 * 4 + 2]
+        assert g.undirected.dtype == np.int64 and not g.undirected.flags.writeable
+        with pytest.raises(ValueError):
+            g.undirected[0] = 5
+        assert TokenGraph(3).undirected.shape == (0,)
+
+    def test_every_structural_reader_computes_the_codes_once(self, monkeypatch):
+        computed = _count_codes(monkeypatch)
+        g = TokenGraph(5, ((0, 1), (2, 1), (1, 2), (3, 4)))
+        h = TokenGraph(4, ((0, 1), (1, 2), (2, 3)))
+        assert computed == []  # built lazily
+        content_hash(g)
+        g.spectral_key
+        normalized_laplacian(g)
+        g.is_symmetric()
+        symmetrize(g)
+        cache = SpectrumCache()
+        for mode in (MixMode.chebyshev(4), MixMode.exact()):
+            for _ in range(2):  # cold, then warm
+                cache.operand([g, h], mode)
+                cache.operand([g], mode)
+        assert computed.count(g) == 1 and computed.count(h) == 1
+        # symmetrize(g) is a new graph, which computes its own codes only when asked
+        assert len(computed) == 2
+
+    def test_structural_readers_read_the_cached_codes(self):
+        # a graph whose cached codes are another graph's answers as that graph
+        g, other = TokenGraph(4, ((0, 1),)), TokenGraph(4, ((2, 1), (3, 2)))
+        g.__dict__["undirected"] = other.undirected
+        assert content_hash(g) == content_hash(other)
+        assert symmetrize(g).edges.tolist() == symmetrize(other).edges.tolist()
+        for have, want in ((normalized_laplacian(g).matrix, normalized_laplacian(other).matrix),
+                           (ChebyshevOperator.of([g, g]).matrix,
+                            ChebyshevOperator.of([other, other]).matrix)):
+            assert (have != want).nnz == 0
+
+    def test_copies_and_pickles_rebuild_their_codes(self):
+        g = TokenGraph(4, ((2, 0), (0, 2), (1, 3)))
+        pickled = pickle.dumps(g)
+        codes = g.undirected
+        assert pickle.dumps(g) == pickled  # the cached codes are not shipped
+        for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert "undirected" not in h.__dict__
+            assert h.undirected is not codes and h.undirected.tobytes() == codes.tobytes()
+            assert not h.undirected.flags.writeable
+            assert content_hash(h) == content_hash(g)
 
 
 class TestChainAndSymmetrize:
@@ -383,11 +490,11 @@ class TestGraphJson:
         ('{"n": 3, "edges": [[0, 1, 2]]}', "edge \\[0, 1, 2\\] is not a"),
         ('{"n": 3, "edges": [[0, 1.5]]}', "edge \\[0, 1.5\\] is not a"),
         ('{"n": 3, "edges": [5]}', "edge 5 is not a"),
-        ('{"n": 3, "edges": 5}', '"edges" must be a list'),
-        ('{"n": "3", "edges": []}', '"n" must be an integer'),
-        ('{"n": true, "edges": []}', '"n" must be an integer'),
-        ('{"n": 3, "edges": [], "labels": "abc"}', '"labels" must be a list of strings'),
-        ('{"n": 3, "edges": [], "labels": ["a", 2, "c"]}', '"labels" must be a list of strings'),
+        ('{"n": 3, "edges": 5}', "^edges must be a list, tuple or array of \\(src, dst\\) pairs, got 5$"),
+        ('{"n": "3", "edges": []}', "^n must be an integer >= 1, got '3'$"),
+        ('{"n": true, "edges": []}', "^n must be an integer >= 1, got True$"),
+        ('{"n": 3, "edges": [], "labels": "abc"}', "^node labels must be a sequence of strings, got 'abc'$"),
+        ('{"n": 3, "edges": [], "labels": ["a", 2, "c"]}', "^node label 2 is not a string$"),
         ('[3]', "must be an object"),
         ('{"n": 3, "edges": [[0, 3]]}', "out of range"),
     ])

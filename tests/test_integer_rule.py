@@ -226,6 +226,35 @@ def test_targets_must_be_an_integer_array(targets):
             score(logits, targets, np.ones(3, dtype=bool))
 
 
+# NumPy reads a list that mixes a bool with integers as integers ([0, True,
+# 2] as [0, 1, 2]), so list and tuple input is scanned for bools, nested
+# lists included; an array is not
+MIXED_BOOL = [([0, True, 2], True), ((0, 1, np.True_), np.True_), ([[0, 1], [False, 2]], False)]
+
+
+@pytest.mark.parametrize("values, entry", MIXED_BOOL, ids=repr)
+def test_a_list_that_mixes_a_bool_with_integers_is_rejected(values, entry):
+    message = f"ids must be an integer array, got bool entry {entry!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        graphs_mod.require_int_array("ids", values)
+
+
+def test_mixed_bool_ids_and_targets_are_rejected_before_any_work(monkeypatch):
+    started = []
+    monkeypatch.setattr(SpectrumCache, "get_or_compute", lambda *a: started.append(a))
+    model = build_model(4, 2, 1, 2, 7)
+    with pytest.raises(ValueError, match="^token ids must be an integer array, got bool entry True$"):
+        model_forward(model, build_chain_graph(3), [0, True, 2], MixMode.exact())
+    for score in (cross_entropy_loss, token_accuracy):
+        with pytest.raises(ValueError, match="^targets must be an integer array, got bool entry True$"):
+            score(np.zeros((3, 4)), [0, True, 2], np.ones(3, dtype=bool))
+    assert started == []
+
+
+def test_nested_lists_of_integers_pass():
+    assert graphs_mod.require_int_array("ids", [[0, 1], (2, 3)]).tolist() == [[0, 1], [2, 3]]
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
 def test_numpy_integer_ids_and_targets_pass(dtype):
     model = build_model(4, 2, 1, 2, 7)

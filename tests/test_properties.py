@@ -74,15 +74,33 @@ def test_graph_json_round_trip(g):
 
 @st.composite
 def directed_graphs(draw, max_n=12):
-    """Edges drawn with repeats, often in both directions, and room left
-    for isolated nodes."""
+    """(n, the edges given, the graph): edges drawn with repeats, often in
+    both directions (reversals repeated too), and room left for isolated
+    nodes, given as a tuple of pairs or as an (E, 2) array."""
     n = draw(st.integers(1, max_n))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     edges = draw(st.lists(pairs, max_size=2 * n))
     back = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     edges += [(d, s) for (s, d), b in zip(edges, back) if b]
-    edges += draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
-    return TokenGraph(n, tuple(draw(st.permutations(edges))))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    edges = draw(st.permutations(edges))
+    given = np.array(edges, dtype=np.int64).reshape(-1, 2) if draw(st.booleans()) else tuple(edges)
+    return n, edges, TokenGraph(n, given)
+
+
+@PROPERTY
+@given(directed_graphs())
+def test_the_undirected_codes_answer_every_structural_question(case):
+    n, edges, g = case
+    assert g.edges.tolist() == [list(e) for e in dict.fromkeys(edges)]  # first occurrences
+    distinct = set(edges)
+    undirected = {min(s, d) * n + max(s, d) for s, d in distinct}
+    assert g.undirected.dtype == np.int64 and g.undirected.tolist() == sorted(undirected)
+    reversed_ = {(d, s) for s, d in distinct}
+    assert g.is_symmetric() == (distinct == reversed_)
+    sym = symmetrize(g)
+    assert sym.edges.tolist() == [list(e) for e in sorted(distinct | reversed_)]
+    assert sym.is_symmetric() and sym.undirected.tobytes() == g.undirected.tobytes()
 
 
 def dense_laplacian(g):
@@ -99,7 +117,8 @@ def dense_laplacian(g):
 
 @PROPERTY
 @given(directed_graphs())
-def test_directed_graph_has_the_laplacian_and_key_of_its_symmetrization(g):
+def test_directed_graph_has_the_laplacian_and_key_of_its_symmetrization(case):
+    g = case[2]
     sym = symmetrize(g)
     assert content_hash(g) == content_hash(sym)
     lap, ref = normalized_laplacian(g), normalized_laplacian(sym)

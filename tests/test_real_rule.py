@@ -200,6 +200,19 @@ class TestRequireRealArray:
         with _raises_exactly(f"x must be a real array, got dtype {dtype}"):
             graphs_mod.require_real_array("x", values)
 
+    # NumPy reads [1.0, True] as [1.0, 1.0], so list and tuple input is
+    # scanned for bools, nested lists included; an array is not
+    @pytest.mark.parametrize("values, entry", [
+        ([1.0, True], True), ((2, np.False_), np.False_), ([[1.0, 2.0], (3.0, False)], False),
+        ([[[0.5]], [[True]]], True),
+    ], ids=repr)
+    def test_a_list_that_mixes_a_bool_with_numbers_is_rejected(self, values, entry):
+        with _raises_exactly(f"x must be a real array, got bool entry {entry!r}"):
+            graphs_mod.require_real_array("x", values)
+
+    def test_nested_lists_of_numbers_pass(self):
+        assert graphs_mod.require_real_array("x", [[1, 2.5], (3, 4)]).tolist() == [[1, 2.5], [3, 4]]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_finiteness_is_checked_only_when_asked(self, bad):
         arr = np.array([1.0, bad, 2.0])
@@ -245,6 +258,14 @@ def test_a_loaded_param_that_is_not_real_is_rejected(tmp_path, param, dtype):
     path = tmp_path / "checkpoint.json"
     path.write_text(f'{{"version": 2, "config": {{}}, "params": {{"w": {param}}}}}')
     with _raises_exactly(f"checkpoint param 'w' must be a real array, got dtype {dtype}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("param, entry", [("[1.0, true]", "True"), ("[[0, 1], [false, 2]]", "False")])
+def test_a_loaded_param_that_mixes_a_bool_with_numbers_is_rejected(tmp_path, param, entry):
+    path = tmp_path / "checkpoint.json"
+    path.write_text(f'{{"version": 2, "config": {{}}, "params": {{"w": {param}}}}}')
+    with _raises_exactly(f"checkpoint param 'w' must be a real array, got bool entry {entry}"):
         load_checkpoint(path)
 
 

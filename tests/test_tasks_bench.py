@@ -18,6 +18,7 @@ from gwmixer.bench import BenchRecord, _verify_mode
 from gwmixer.filterbank import MixMode, build_filter_bank
 from gwmixer.graphs import build_chain_graph, normalized_laplacian, symmetrize
 from gwmixer.spectral import eigendecompose
+import gwmixer.bench as bench_mod
 import gwmixer.tasks as tasks_mod
 from gwmixer.tasks import (
     COUNTER_BASE,
@@ -304,6 +305,14 @@ class TestBench:
         records, _ = bench_scaling(sizes=(8,), d=4, k=1, modes=(m for m in ("exact",)),
                                    repeats=1)
         assert [r.mode for r in records] == ["exact"]
+
+    def test_a_mode_object_is_rejected_before_any_timing(self, monkeypatch):
+        timed = []
+        monkeypatch.setattr(bench_mod, "_time_call", lambda *a: timed.append(a))
+        with pytest.raises(ValueError, match="^mix mode must be a string such as 'truncated:16', "
+                                             "got MixMode"):
+            bench_scaling(sizes=(8,), d=4, k=1, modes=("exact", MixMode.exact()), repeats=1)
+        assert timed == []
 
     def test_single_size_yields_no_slope(self):
         records, slopes = bench_scaling(sizes=(8,), d=4, k=1,
