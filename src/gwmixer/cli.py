@@ -44,11 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4)
 
     p = sub.add_parser("spectrum", help="write filter responses on [0,2] as CSV")
+    p.set_defaults(usage_error=p.error)  # for the option rules argparse cannot state
     src = p.add_mutually_exclusive_group()
     src.add_argument("--checkpoint", help="read filters from a checkpoint")
     src.add_argument("--seed", type=int, default=0, help="seed for a fresh bank")
-    p.add_argument("--layer", type=int, default=0, help="layer index (checkpoint source)")
-    p.add_argument("--k", type=int, default=4, help="filter count (fresh bank)")
+    p.add_argument("--layer", type=int, help="layer index (checkpoint source; default 0)")
+    p.add_argument("--k", type=int, help="filter count (fresh bank; default 4)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bench", help="scaling benchmark with verified outputs")
@@ -109,14 +110,15 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.checkpoint:
+    if args.checkpoint is not None:
         config, params = load_checkpoint(args.checkpoint)
         model = model_from_params(config, params)
-        if not 0 <= args.layer < len(model.layers):
-            raise ValueError(f"layer {args.layer} out of range (model has {len(model.layers)})")
-        bank = model.layers[args.layer].bank
+        layer = 0 if args.layer is None else args.layer
+        if not 0 <= layer < len(model.layers):
+            raise ValueError(f"layer {layer} out of range (model has {len(model.layers)})")
+        bank = model.layers[layer].bank
     else:
-        bank = build_filter_bank(args.k, d=1, seed=args.seed)
+        bank = build_filter_bank(4 if args.k is None else args.k, d=1, seed=args.seed)
     write_text_atomic(args.out, spectrum_csv(bank))
     print(f"wrote {args.out} ({bank.k} filters, 512 samples)")
     return 0
@@ -168,6 +170,10 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "spectrum" and args.checkpoint is None and args.layer is not None:
+            args.usage_error("argument --layer: not allowed without argument --checkpoint")
+        if args.command == "spectrum" and args.checkpoint is not None and args.k is not None:
+            args.usage_error("argument --k: not allowed with argument --checkpoint")
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code) if exc.code is not None else 0
     try:

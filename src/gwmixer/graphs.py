@@ -174,15 +174,9 @@ def require_int(what: str, value, low: int) -> int:
 
 
 def require_int_array(what: str, values) -> np.ndarray:
-    """values as an int64 array, the check of every array of ids the package
-    takes. NumPy integer dtypes pass; bool, float, string and object arrays
-    do not, nor does a list or tuple holding a bool (_reject_bool_entry), so
-    nothing is truncated or parsed on the way in."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be an integer array, got dtype {arr.dtype}")
-    _reject_bool_entry(what, "an integer", values)
-    return arr.astype(np.int64, copy=False)
+    """values as an int64 array: the array rule (_require_array) of every
+    array of ids, targets and sample sizes the package takes."""
+    return _require_array(what, values, "iu", "an integer").astype(np.int64, copy=False)
 
 
 def require_real(what: str, value, low, high=math.inf, strict: bool = False) -> float:
@@ -205,36 +199,36 @@ def require_real(what: str, value, low, high=math.inf, strict: bool = False) -> 
 
 
 def require_real_array(what: str, values, finite: bool = False) -> np.ndarray:
-    """values as a float64 array (the array itself if it is one), the check
-    of every real array the package takes. Integer and float dtypes pass;
-    bool, string, object (a None entry, a ragged nesting) and complex
-    arrays do not, nor does a list or tuple holding a bool (_reject_bool_entry),
-    so nothing is parsed or dropped on the way in. With finite, a nan or
-    inf entry is a ValueError too."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # ragged nesting
-        arr = np.empty(0, dtype=object)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be a real array, got dtype {arr.dtype}")
-    _reject_bool_entry(what, "a real", values)
-    arr = arr.astype(np.float64, copy=False)
+    """values as a float64 array (the array itself if it is one): the array
+    rule (_require_array) of every real array the package takes, integer
+    dtypes included. With finite, a nan or inf entry is a ValueError too."""
+    arr = _require_array(what, values, "iuf", "a real").astype(np.float64, copy=False)
     if finite and not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
     return arr
 
 
-def _reject_bool_entry(what: str, kind: str, values) -> None:
-    """ValueError "<what> must be <kind> array, got bool entry <entry!r>" for
-    the first bool, Python's or NumPy's, in values if it is a list or tuple,
-    nested lists and tuples included: NumPy reads [1.0, True] as [1.0, 1.0].
-    An array is not scanned. (The nesting is shallow: NumPy has already
-    read values as an array of at most 64 dimensions.)"""
-    if isinstance(values, (list, tuple)):
-        for v in values:
-            if isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"{what} must be {kind} array, got bool entry {v!r}")
-            _reject_bool_entry(what, kind, v)
+def _require_array(what: str, values, kinds: str, kind: str) -> np.ndarray:
+    """values as an array whose dtype kind is in kinds, never cast: the one
+    array rule, and the package's only np.asarray of a caller's value. Any
+    other dtype, a ragged nesting's object included, is ValueError "<what>
+    must be <kind> array, got dtype <dtype>", and a bool entry (Python's or
+    NumPy's) in a list or tuple read as numbers is "..., got bool entry <v!r>"."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in kinds:
+        raise ValueError(f"{what} must be {kind} array, got dtype {arr.dtype}")
+    # NumPy reads [1.0, True] as [1.0, 1.0]; an array is not scanned
+    pending = [values] if isinstance(values, (list, tuple)) and arr.dtype.kind != "b" else []
+    while pending:  # nested lists and tuples, first entry first
+        v = pending.pop()
+        if isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"{what} must be {kind} array, got bool entry {v!r}")
+        if isinstance(v, (list, tuple)):
+            pending.extend(reversed(v))
+    return arr
 
 
 def _require_nodes(n) -> int:

@@ -35,8 +35,8 @@ from .filterbank import (
     wavelet_mix,
     wavelet_mix_backward,
 )
-from .graphs import build_chain_graph, require_int, require_int_array, require_real
-from .graphs import require_real_array
+from .graphs import _require_array, build_chain_graph, require_int, require_int_array
+from .graphs import require_real, require_real_array
 from .serialize import fmt_float, write_text_atomic
 from .spectral import SpectrumCache, parse_mix_mode
 from .tasks import TaskSpec, check_mode, fixed_samples, gen_task_batch, task_stream
@@ -123,13 +123,12 @@ def adam_step(state: TrainState, lr: float) -> TrainState:
 
 def _check_scored(logits: np.ndarray, targets, mask):
     """logits (N, V) real, targets (N,) integer ids below V and mask (N,)
-    bool (not cast: 0.2 would score its row) as arrays, checked as
-    cross_entropy_loss and token_accuracy take them."""
+    bool as arrays, checked as cross_entropy_loss and token_accuracy take
+    them, each by the one array rule (graphs._require_array): none is cast,
+    as a float mask's 0.2 would score its row."""
     targets = require_int_array("targets", targets)
     logits = require_real_array("logits", logits)
-    mask = np.asarray(mask)
-    if mask.dtype != bool:
-        raise ValueError(f"mask must be a bool array, got dtype {mask.dtype}")
+    mask = _require_array("mask", mask, "b", "a bool")
     if logits.ndim != 2 or targets.shape != (logits.shape[0],) or mask.shape != targets.shape:
         raise ValueError(
             f"shape mismatch: logits {logits.shape}, targets {targets.shape}, mask {mask.shape}"
@@ -157,8 +156,8 @@ def _sample_losses(logits, targets, mask, sizes, grad: bool):
     None): the loss bytes are the same either way."""
     logits, targets, mask = _check_scored(logits, targets, mask)
     sizes = [len(targets)] if sizes is None else sizes
-    # [] reads as float64: it gets the shape message below
-    sizes = require_int_array("sample sizes", sizes) if np.size(sizes) else np.zeros(0, np.int64)
+    empty = isinstance(sizes, (list, tuple)) and not sizes  # [] (float64 to NumPy): shape message
+    sizes = np.zeros(0, np.int64) if empty else require_int_array("sample sizes", sizes)
     if sizes.ndim != 1 or len(sizes) == 0 or sizes.min() < 1 or sizes.sum() != len(targets):
         raise ValueError(f"shape mismatch: sample sizes {sizes.tolist()} for {len(targets)} rows")
     bounds = np.concatenate(([0], np.cumsum(sizes)))
@@ -441,7 +440,7 @@ def _fd_check(params: dict, loss_fn, analytic: dict, step: float) -> list:
             down = loss_fn()
             flat_p[i] = orig
             flat_n[i] = (up - down) / (2.0 * step)
-        err = _rel_errors(np.asarray(analytic[name], dtype=np.float64), num)
+        err = _rel_errors(require_real_array(f"gradient {name}", analytic[name]), num)
         entries.append(GradCheckEntry(name, float(err.max()) if err.size else 0.0))
     return entries
 

@@ -49,6 +49,26 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    # each is an option of one source only: given with the other, it would be ignored
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "1", "--layer", "5"],
+         "argument --layer: not allowed without argument --checkpoint"),
+        (["--layer", "0"], "argument --layer: not allowed without argument --checkpoint"),
+        (["--checkpoint", "ck.json", "--k", "9"],
+         "argument --k: not allowed with argument --checkpoint"),
+    ])
+    def test_spectrum_option_of_the_other_source(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "s.csv"
+        assert cli_main(["spectrum", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(f"gwmixer spectrum: error: {message}\n")
+        assert not out.exists()
+
+    def test_spectrum_fresh_bank_defaults_to_four_filters(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli_main(["spectrum", "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "lambda,g_1,g_2,g_3,g_4"
+        capsys.readouterr()
+
 
 class TestGradcheckCommand:
     def test_pass_prints_entries_and_status(self, capsys):

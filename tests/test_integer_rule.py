@@ -2,9 +2,12 @@
 checked by graphs.require_int, so a bad one raises ValueError
 "<what> must be an integer >= <low>, got <value!r>" before any work is
 done: nothing drawn, solved, evaluated or timed. Every seed is such an
-integer (>= 0). Arrays of token ids and targets answer to
-graphs.require_int_array: an integer dtype or a ValueError, never a
-cast; a mask is a bool array, likewise never cast."""
+integer (>= 0). Arrays of token ids, targets and sample sizes, and masks,
+answer to the one array rule (graphs._require_array, through
+require_int_array for the integer ones): an integer dtype (a bool one for
+a mask) or a ValueError naming the field, never a cast. A ragged nesting
+reads as dtype object, and a list or tuple that holds a bool among
+numbers is rejected."""
 
 import re
 
@@ -130,12 +133,21 @@ DEFECTS = {
     "cross_entropy_loss-sizes-True": (lambda: cross_entropy_loss(
         np.zeros((4, 3)), [0, 1, 2, 0], np.ones(4, dtype=bool), [True] * 4), (np, "exp"),
         "sample sizes must be an integer array, got dtype bool"),
+    "cross_entropy_loss-sizes-ragged": (lambda: cross_entropy_loss(
+        np.zeros((4, 3)), [0, 1, 2, 0], np.ones(4, dtype=bool), [[2], [1, 1]]), (np, "exp"),
+        "sample sizes must be an integer array, got dtype object"),
     # a float or int mask is not cast: 0.2 and 2 would score their rows
     "cross_entropy_loss-mask-0.2": (lambda: cross_entropy_loss(
         np.zeros((3, 4)), [0, 1, 2], [0.2, 0, 0]), (np, "exp"),
         "mask must be a bool array, got dtype float64"),
     "token_accuracy-mask-2": (lambda: token_accuracy(np.zeros((3, 4)), [0, 1, 2], [2, 0, 0]),
                               (np, "argmax"), "mask must be a bool array, got dtype int64"),
+    "cross_entropy_loss-mask-ragged": (lambda: cross_entropy_loss(
+        np.zeros((3, 4)), [0, 1, 2], [[True], [True, False]]), (np, "exp"),
+        "mask must be a bool array, got dtype object"),
+    "token_accuracy-mask-ragged": (lambda: token_accuracy(
+        np.zeros((3, 4)), [0, 1, 2], [[True], [True, False]]), (np, "argmax"),
+        "mask must be a bool array, got dtype object"),
     "build_model-seed--1": (_build_model(seed=-1), (np.random, "default_rng"),
                             "seed must be an integer >= 0, got -1"),
     "build_model-seed-1.5": (_build_model(seed=1.5), (np.random, "default_rng"),
@@ -196,19 +208,21 @@ def test_chain_memo_never_answers_a_non_integer(n, bad):
 
 
 # token ids and targets are integer arrays: a bool, float or string array is
-# not cast (1.7 would become 1) but rejected before any spectrum or layer work
-NOT_INTEGER = [[0.0, 1.7, 2.2], [True, False, True], ["1", "2", "3"],
-               np.array([0.0, 1.0, 2.0])]
+# not cast (1.7 would become 1) but rejected before any spectrum or layer
+# work, and so is a ragged nesting, which NumPy cannot read as one array
+NOT_INTEGER = [pytest.param(values, dtype, id=repr(values)) for values, dtype in [
+    ([0.0, 1.7, 2.2], "float64"), ([True, False, True], "bool"), (["1", "2", "3"], "<U1"),
+    (np.array([0.0, 1.0, 2.0]), "float64"), ([[0, 1], [2]], "object"),
+    ([0, [1, 2], 2], "object")]]
 
 
-@pytest.mark.parametrize("ids", NOT_INTEGER, ids=repr)
-def test_token_ids_must_be_an_integer_array(monkeypatch, ids):
+@pytest.mark.parametrize("ids, dtype", NOT_INTEGER)
+def test_token_ids_must_be_an_integer_array(monkeypatch, ids, dtype):
     started = []
     monkeypatch.setattr(SpectrumCache, "get_or_compute", lambda *a: started.append(a))
     monkeypatch.setattr(blocks_mod, "layer_forward", lambda *a: started.append(a))
     model = build_model(4, 2, 1, 2, 7)
     chain = build_chain_graph(3)
-    dtype = np.asarray(ids).dtype
     message = f"token ids must be an integer array, got dtype {dtype}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         model_forward(model, chain, ids, MixMode.exact())
@@ -217,13 +231,17 @@ def test_token_ids_must_be_an_integer_array(monkeypatch, ids):
     assert started == []
 
 
-@pytest.mark.parametrize("targets", NOT_INTEGER, ids=repr)
-def test_targets_must_be_an_integer_array(targets):
+@pytest.mark.parametrize("targets, dtype", NOT_INTEGER)
+def test_targets_must_be_an_integer_array(monkeypatch, targets, dtype):
+    started = []
+    for work in ("exp", "argmax"):
+        monkeypatch.setattr(np, work, lambda *a, **k: started.append(a))
     logits = np.zeros((3, 4))
-    message = f"targets must be an integer array, got dtype {np.asarray(targets).dtype}"
+    message = f"targets must be an integer array, got dtype {dtype}"
     for score in (cross_entropy_loss, token_accuracy):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             score(logits, targets, np.ones(3, dtype=bool))
+    assert started == []
 
 
 # NumPy reads a list that mixes a bool with integers as integers ([0, True,
