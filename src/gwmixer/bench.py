@@ -33,14 +33,15 @@ def make_attention_params(d: int, seed: int = 0):
 
 def attention_baseline_forward(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
                                wv: np.ndarray) -> np.ndarray:
-    """Single-head softmax((XWq)(XWk)^T / sqrt(d)) (XWv), row-stabilized;
-    x is a real array (require_real_array)."""
+    """Single-head softmax((XWq)(XWk)^T / sqrt(d)) (XWv), row-stabilized; x (n, d)
+    and wq, wk, wv (d, d) are real arrays (require_real_array), else ValueError."""
     x = require_real_array("x", x)
     if x.ndim != 2:
         raise ValueError(f"expected (n, d) input, got shape {x.shape}")
     d = x.shape[1]
+    wq, wk, wv = (require_real_array(name, w) for name, w in (("wq", wq), ("wk", wk), ("wv", wv)))
     if wq.shape != (d, d) or wk.shape != (d, d) or wv.shape != (d, d):
-        raise ValueError("projection shapes must all be (d, d)")
+        raise ValueError(f"wq, wk and wv must be {(d, d)}, got {wq.shape}, {wk.shape}, {wv.shape}")
     q = x @ wq
     k = x @ wk
     scores = (q @ k.T) / np.sqrt(d)
@@ -116,9 +117,15 @@ def _peak_bytes(fn):
 
 
 def fit_loglog_slope(ns, ts) -> float:
-    """Least-squares slope of log(t) against log(n), both real arrays."""
-    return float(np.polyfit(np.log(require_real_array("ns", ns)),
-                            np.log(require_real_array("ts", ts)), 1)[0])
+    """Least-squares slope of log(t) against log(n), ns and ts finite 1-D real arrays
+    of one length, values > 0, two sizes distinct at least; else ValueError."""
+    ns, ts = require_real_array("ns", ns, finite=True), require_real_array("ts", ts, finite=True)
+    for what, v in (("ns", ns), ("ts", ts)):
+        if v.ndim != 1 or len(v) != ns.size or not (v > 0).all():
+            raise ValueError(f"{what} must be 1-D with len(ns) values > 0, got {v.tolist()}")
+    if len(np.unique(ns)) < 2:
+        raise ValueError(f"ns must hold at least two distinct sizes, got {ns.tolist()}")
+    return float(np.polyfit(np.log(ns), np.log(ts), 1)[0])
 
 
 def bench_scaling(sizes=DEFAULT_SIZES, d: int = 32, k: int = 4,

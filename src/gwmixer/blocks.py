@@ -101,7 +101,13 @@ def layer_forward(layer: WaveletLayer, operand: EigenSystem | EigenStack | Cheby
 def layer_backward(layer: WaveletLayer, tape: LayerTape, upstream: np.ndarray):
     """Gradients from the tape alone, the mix's over the operand its tape
     records: (grad_x, WaveletLayer of the gradients of the layer's
-    arrays)."""
+    arrays). A tape that is not a LayerTape, or an upstream that is not a real
+    array of the tape's shape (require_real_array), raises ValueError before any product."""
+    if not isinstance(tape, LayerTape):
+        raise ValueError(f"layer_backward needs a LayerTape, got {type(tape).__name__}")
+    upstream = require_real_array("upstream", upstream)
+    if upstream.shape != tape.r.shape:
+        raise ValueError(f"upstream must match the tape's {tape.r.shape}, got {upstream.shape}")
     ffn = layer.ffn
     d_pre = upstream @ ffn.w2.T
     d_pre *= tape.h > 0.0  # in place: one (rows, f) temporary less over a step's stacked rows
@@ -214,7 +220,13 @@ def model_backward(model: WaveletModel, tape: ModelTape,
                    grad_logits: np.ndarray) -> dict:
     """Gradients for every named parameter, keyed and ordered like
     model_params, which names them. A batch_forward tape gives the
-    gradient summed over its samples' rows."""
+    gradient summed over its samples' rows. A tape that is not a ModelTape, or
+    grad_logits that is not a real (rows, vocab) array, raises ValueError before any product."""
+    if not isinstance(tape, ModelTape):
+        raise ValueError(f"model_backward needs a ModelTape, got {type(tape).__name__}")
+    grad_logits = require_real_array("grad_logits", grad_logits)
+    if grad_logits.shape != (shape := (len(tape.h_final), model.vocab)):
+        raise ValueError(f"grad_logits must be {shape}, got {grad_logits.shape}")
     grad_readout = tape.h_final.T @ grad_logits
     d_x = grad_logits @ model.readout.T
     grad_layers = [None] * len(model.layers)

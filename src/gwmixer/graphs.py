@@ -38,11 +38,11 @@ class TokenGraph:
     """Immutable directed graph over n token positions.
 
     n is an integer in [1, MAX_NODES]. edges is stored as a read-only
-    (E, 2) int64 array of (src, dst) rows. It may be given as an (E, 2)
-    integer array, or as a list, tuple or array of (src, dst) tuples, lists
-    or arrays of two integer indices (NumPy integers included, bools not);
-    anything else raises ValueError, and so does the first edge that is out
-    of range or a self loop. Duplicates collapse to their first occurrence.
+    (E, 2) int64 array of (src, dst) rows. It is given as a list, tuple or
+    array that has no rows or reads as an (E, 2) integer array by the array
+    rule token ids meet (bools rejected); else ValueError. Then the first
+    edge in order that is out of range or a self loop raises ValueError.
+    Duplicates collapse to their first occurrence.
     Two graphs are equal when their n, edge rows (in order) and labels are.
     Optional node_labels (e.g. word forms) are a list, tuple or array of n
     strings, kept in order: anything else, or a label that is not a string,
@@ -66,9 +66,7 @@ class TokenGraph:
                 if not isinstance(x, str):
                     raise ValueError(f"node label {x!r} is not a string")
             if len(labels) != self.n:
-                raise ValueError(
-                    f"got {len(labels)} node labels for {self.n} nodes"
-                )
+                raise ValueError(f"got {len(labels)} node labels for {self.n} nodes")
             object.__setattr__(self, "node_labels", labels)
 
     def __eq__(self, other):
@@ -106,20 +104,20 @@ class TokenGraph:
         return content_hash(self)
 
 
-_INT64 = np.iinfo(np.int64)
 _SEQUENCES = (list, tuple, np.ndarray)  # the containers edges and labels are taken from
 
 
 def _edge_array(edges, n: int) -> np.ndarray:
-    """edges as a new read-only (E, 2) int64 array, duplicates dropped after
-    their first occurrence. The first bad edge in order raises ValueError."""
+    """edges as a new read-only (E, 2) int64 array, first occurrences kept, as
+    TokenGraph documents: type (_require_array) and shape are checked first,
+    then range and self loops, naming the first such edge in order."""
     if not isinstance(edges, _SEQUENCES):
         raise ValueError(f"edges must be a list, tuple or array of (src, dst) pairs, got {edges!r}")
-    if (isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 2
-            and edges.dtype.kind in "iu"):
-        arr, malformed = edges, None
-    else:
-        arr, malformed = _scan_pairs(edges, n)
+    if getattr(edges, "ndim", 1) and not len(edges):  # no rows ([] reads as float64)
+        edges = _EMPTY.reshape(0, 2)
+    arr = _require_array("edges", edges, "iu", "an integer")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must be (src, dst) pairs, got shape {arr.shape}")
     out = arr.astype(np.int64)  # a copy, so the caller's array stays theirs
     # as uint64 a negative index (or a wrapped uint64 one) is past any n
     if out.view(np.uint64).max(initial=0) >= n or (out[:, 0] == out[:, 1]).any():
@@ -128,8 +126,6 @@ def _edge_array(edges, n: int) -> np.ndarray:
         if s == d and 0 <= s < n:
             raise ValueError(f"self loop ({s}, {d}) not allowed")
         raise ValueError(f"edge ({s}, {d}) out of range for n={n}")
-    if malformed is not None:
-        raise malformed
     # rows whose dst strictly increases (parsed trees, chains) are distinct
     if len(out) > 1 and not (out[1:, 1] > out[:-1, 1]).all():
         first = np.unique(out[:, 0] * n + out[:, 1], return_index=True)[1]
@@ -137,28 +133,6 @@ def _edge_array(edges, n: int) -> np.ndarray:
             out = out[np.sort(first)]
     out.flags.writeable = False
     return out
-
-
-def _scan_pairs(edges, n: int):
-    """The edges before the first one that is not a pair of integer indices
-    (or does not fit int64), as an (E, 2) int64 array, and the ValueError
-    for that edge (None if there is none)."""
-    pairs = []
-    error = None
-    for e in edges:
-        try:
-            s, d = e
-        except (TypeError, ValueError):  # not a pair
-            s = d = None
-        if not (isinstance(e, (tuple, list, np.ndarray)) and _is_index(s) and _is_index(d)):
-            error = ValueError(f"edge {e!r} is not a (src, dst) pair of integers")
-            break
-        s, d = int(s), int(d)
-        if not (_INT64.min <= s <= _INT64.max and _INT64.min <= d <= _INT64.max):
-            error = ValueError(f"edge ({s}, {d}) out of range for n={n}")
-            break
-        pairs.append((s, d))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2), error
 
 
 def _is_index(x) -> bool:
@@ -384,6 +358,7 @@ CONLLU_CHUNK = 1 << 20  # characters per CoNLL-U scan; bounds its transient arra
 
 _DIGITS_MAX = 18  # longer fields, or fields not all ASCII digits, go through int()
 _EMPTY = np.zeros(0, dtype=np.int64)
+_INT64 = np.iinfo(np.int64)
 
 
 def _chunk_end(text: str, pos: int) -> int:

@@ -84,7 +84,13 @@ class TrainState:
 
 
 def init_train_state(params: dict) -> TrainState:
-    size = sum(np.size(p) for p in params.values())
+    """A step-0 state; each param must be a writable float64 array, else ValueError."""
+    for name, p in params.items():
+        if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.flags.writeable):
+            got = (f"{'' if p.flags.writeable else 'read-only '}{p.dtype} array"
+                   if isinstance(p, np.ndarray) else type(p).__name__)
+            raise ValueError(f"param {name!r} must be a writable float64 array, got {got}")
+    size = sum(p.size for p in params.values())
     grad_buf = np.zeros(size)
     grads = {}
     start = 0
@@ -98,7 +104,7 @@ def adam_step(state: TrainState, lr: float) -> TrainState:
     """Standard Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with bias
     correction, one update over the flat buffers. Increments step, zeroes
     grads. lr is a finite number >= 0. Non-finite gradients abort, naming
-    the offending tensor. Both are checked before anything is updated."""
+    the offending tensor. Both, and the params (init_train_state), are checked first."""
     lr = require_real("lr", lr, 0)
     g = state.grad_buf
     if not np.all(np.isfinite(g)):

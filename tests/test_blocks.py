@@ -1,6 +1,7 @@
 """Layers, the full model, parameter naming, and checkpoint serialization."""
 
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -25,6 +26,7 @@ from gwmixer import (
     symmetrize,
     wavelet_mix,
 )
+import gwmixer.blocks as blocks_mod
 from gwmixer.blocks import WaveletLayer, checkpoint_text
 from gwmixer.filterbank import build_filter_bank
 import gwmixer.serialize as serialize_mod
@@ -287,6 +289,46 @@ class TestModelBackward:
             flat[i] = orig
             fd = (up - dn) / (2 * eps)
             assert grads[name].reshape(-1)[i] == pytest.approx(fd, abs=5e-5), name
+
+
+def _backward_defects():
+    """(call, expected message) of each backward given a tape of the wrong
+    type or an upstream of the wrong shape: a 6-node layer of d=4 and a
+    5-token model of vocab 9."""
+    _, eig, layer, x = small_layer()
+    _, layer_tape = layer_forward(layer, eig, x, MixMode.exact())
+    model = build_model(4, 2, 2, 2, 9, seed=0)
+    logits, tape = model_forward(model, build_chain_graph(5), [0, 1, 2, 3, 4], MixMode.exact(),
+                                 return_tape=True)
+    return {
+        "layer-None-tape": (lambda: layer_backward(layer, None, x),
+                            "layer_backward needs a LayerTape, got NoneType"),
+        "layer-model-tape": (lambda: layer_backward(layer, tape, x),
+                             "layer_backward needs a LayerTape, got ModelTape"),
+        "layer-upstream-rows": (lambda: layer_backward(layer, layer_tape, x[:5]),
+                                "upstream must match the tape's (6, 4), got (5, 4)"),
+        "layer-upstream-1d": (lambda: layer_backward(layer, layer_tape, x[0]),
+                              "upstream must match the tape's (6, 4), got (4,)"),
+        "model-None-tape": (lambda: model_backward(model, None, logits),
+                            "model_backward needs a ModelTape, got NoneType"),
+        "model-layer-tape": (lambda: model_backward(model, layer_tape, logits),
+                             "model_backward needs a ModelTape, got LayerTape"),
+        "model-grad-vocab": (lambda: model_backward(model, tape, logits[:, :8]),
+                             "grad_logits must be (5, 9), got (5, 8)"),
+        "model-grad-transposed": (lambda: model_backward(model, tape, logits.T),
+                                  "grad_logits must be (5, 9), got (9, 5)"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_backward_defects()))
+def test_backward_checks_its_tape_and_upstream_before_any_product(monkeypatch, case):
+    call, message = _backward_defects()[case]
+    started = []
+    for name in ("layer_backward", "wavelet_mix_backward"):  # model_backward calls both
+        monkeypatch.setattr(blocks_mod, name, lambda *a, **k: started.append(a))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+    assert started == []
 
 
 class TestCheckpoint:

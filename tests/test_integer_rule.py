@@ -2,13 +2,14 @@
 checked by graphs.require_int, so a bad one raises ValueError
 "<what> must be an integer >= <low>, got <value!r>" before any work is
 done: nothing drawn, solved, evaluated or timed. Every seed is such an
-integer (>= 0). Arrays of token ids, targets and sample sizes, and masks,
-answer to the one array rule (graphs._require_array, through
-require_int_array for the integer ones): an integer dtype (a bool one for
-a mask) or a ValueError naming the field, never a cast. A ragged nesting
-reads as dtype object, and a list or tuple that holds a bool among
-numbers is rejected."""
+integer (>= 0). Arrays of token ids, targets, sample sizes and graph
+edges (given to TokenGraph or read by graph_from_json), and masks, answer
+to the one array rule (graphs._require_array): an integer dtype (a bool
+one for a mask) or a ValueError naming the field, never a cast. A ragged
+nesting reads as dtype object, and a list or tuple that holds a bool
+among numbers is rejected."""
 
+import json
 import re
 
 import numpy as np
@@ -25,6 +26,7 @@ from gwmixer import (
     ScheduleConfig,
     SpectrumCache,
     TaskSpec,
+    TokenGraph,
     bench_scaling,
     build_chain_graph,
     build_filter_bank,
@@ -33,6 +35,7 @@ from gwmixer import (
     eigendecompose,
     fixed_samples,
     gen_task_batch,
+    graph_from_json,
     grad_check,
     lr_at,
     make_attention_params,
@@ -244,6 +247,21 @@ def test_targets_must_be_an_integer_array(monkeypatch, targets, dtype):
     assert started == []
 
 
+def _edge_readers():
+    """Edges given to TokenGraph, and the same values read from graph JSON
+    (an array written as its list, a NumPy bool as JSON's)."""
+    return [lambda e: TokenGraph(3, e),
+            lambda e: graph_from_json(json.dumps({"n": 3, "edges": e}, default=lambda v: v.tolist()))]
+
+
+@pytest.mark.parametrize("edges, dtype", NOT_INTEGER)
+def test_edges_must_be_an_integer_array(edges, dtype):
+    message = f"edges must be an integer array, got dtype {dtype}"
+    for read in _edge_readers():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(edges)
+
+
 # NumPy reads a list that mixes a bool with integers as integers ([0, True,
 # 2] as [0, 1, 2]), so list and tuple input is scanned for bools, nested
 # lists included; an array is not
@@ -255,6 +273,15 @@ def test_a_list_that_mixes_a_bool_with_integers_is_rejected(values, entry):
     message = f"ids must be an integer array, got bool entry {entry!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         graphs_mod.require_int_array("ids", values)
+
+
+@pytest.mark.parametrize("values, entry", MIXED_BOOL, ids=repr)
+def test_edges_that_mix_a_bool_with_integers_are_rejected(values, entry):
+    direct, via_json = _edge_readers()
+    for read, named in ((direct, entry), (via_json, bool(entry))):
+        message = f"edges must be an integer array, got bool entry {named!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(values)
 
 
 def test_mixed_bool_ids_and_targets_are_rejected_before_any_work(monkeypatch):

@@ -46,11 +46,14 @@ from gwmixer import (
     grad_check,
     igft,
     init_train_state,
+    layer_backward,
     layer_forward,
     load_checkpoint,
     lr_at,
     make_attention_params,
     metrics_csv,
+    model_backward,
+    model_forward,
     model_from_params,
     model_params,
     normalized_laplacian,
@@ -70,7 +73,10 @@ LAP = normalized_laplacian(GRAPH)
 BANK = build_filter_bank(2, 3, seed=1)
 X = np.random.default_rng(0).standard_normal((5, 3))
 TAPE = wavelet_mix(BANK, EIG, X, EXACT, return_tape=True)[1]
-LAYER = build_model(3, 2, 1, 2, 7, seed=2).layers[0]
+MODEL = build_model(3, 2, 1, 2, 7, seed=2)
+LAYER = MODEL.layers[0]
+LAYER_TAPE = layer_forward(LAYER, EIG, X, EXACT)[1]
+LOGITS, MODEL_TAPE = model_forward(MODEL, GRAPH, [0, 1, 2, 3, 4], EXACT, return_tape=True)
 ATTENTION = make_attention_params(3)
 LAM = np.array([0.1, 0.7, 1.9])
 NODES = chebyshev_nodes(4)[0]
@@ -112,8 +118,18 @@ ARRAY_SITES = {
                                       "upstream", (EigenSystem, "analysis")),
     "layer_forward-x": (X, lambda v: layer_forward(LAYER, EIG, v, EXACT)[0], "x",
                         (blocks_mod, "wavelet_mix")),
+    "layer_backward-upstream": (X, lambda v: layer_backward(LAYER, LAYER_TAPE, v), "upstream",
+                                (blocks_mod, "wavelet_mix_backward")),
+    "model_backward-grad_logits": (LOGITS, lambda v: model_backward(MODEL, MODEL_TAPE, v),
+                                   "grad_logits", (blocks_mod, "layer_backward")),
     "attention_baseline_forward-x": (X, lambda v: attention_baseline_forward(v, *ATTENTION),
                                      "x", None),
+    "attention_baseline_forward-wq": (ATTENTION[0], lambda v: attention_baseline_forward(
+        X, v, *ATTENTION[1:]), "wq", None),
+    "attention_baseline_forward-wk": (ATTENTION[1], lambda v: attention_baseline_forward(
+        X, ATTENTION[0], v, ATTENTION[2]), "wk", None),
+    "attention_baseline_forward-wv": (ATTENTION[2], lambda v: attention_baseline_forward(
+        X, *ATTENTION[:2], v), "wv", None),
     "cross_entropy_loss-logits": (X[:4], lambda v: cross_entropy_loss(v, TARGETS, MASK),
                                   "logits", (np, "exp")),
     "token_accuracy-logits": (X[:4], lambda v: token_accuracy(v, TARGETS, MASK), "logits",

@@ -1,5 +1,7 @@
 """Task generation (streams, masking, token structure) and the scaling bench."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,12 @@ class TestAttentionBaseline:
             attention_baseline_forward(np.zeros((3, 4)), np.zeros((2, 2)),
                                        np.zeros((4, 4)), np.zeros((4, 4)))
 
+    def test_projections_given_as_lists_give_the_same_output(self):
+        x = np.random.default_rng(2).standard_normal((5, 3))
+        att = make_attention_params(3, seed=4)
+        want = attention_baseline_forward(x, *att)
+        assert np.array_equal(attention_baseline_forward(x, *[w.tolist() for w in att]), want)
+
     def test_params_deterministic_and_bounded(self):
         a = make_attention_params(9, seed=3)
         b = make_attention_params(9, seed=3)
@@ -284,6 +292,27 @@ class TestBench:
         ns = np.array([32, 64, 128, 256])
         ts = 1e-6 * ns.astype(float) ** 2.5
         assert fit_loglog_slope(ns, ts) == pytest.approx(2.5, abs=1e-12)
+
+    # one point, unequal lengths, a size or time <= 0, a repeated size and
+    # a non-finite or 2-D array are named before any fit (one point made
+    # LAPACK print to stderr)
+    @pytest.mark.parametrize("ns, ts, message", [
+        ([8], [1.0], "ns must hold at least two distinct sizes, got [8.0]"),
+        ([8, 8], [1.0, 2.0], "ns must hold at least two distinct sizes, got [8.0, 8.0]"),
+        ([8, 16], [1.0], "ts must be 1-D with len(ns) values > 0, got [1.0]"),
+        ([8, 16, 32], [1.0, 2.0], "ts must be 1-D with len(ns) values > 0, got [1.0, 2.0]"),
+        ([8, 16], [1.0, 0.0], "ts must be 1-D with len(ns) values > 0, got [1.0, 0.0]"),
+        ([8, 16], [-1.0, 2.0], "ts must be 1-D with len(ns) values > 0, got [-1.0, 2.0]"),
+        ([0, 16], [1.0, 2.0], "ns must be 1-D with len(ns) values > 0, got [0.0, 16.0]"),
+        ([[8, 16]], [1.0, 2.0], "ns must be 1-D with len(ns) values > 0, got [[8.0, 16.0]]"),
+        ([8, 16], [1.0, np.inf], "ts must be finite, got inf"),
+    ])
+    def test_slope_rejects_points_it_cannot_fit(self, monkeypatch, capfd, ns, ts, message):
+        started = []
+        monkeypatch.setattr(np, "polyfit", lambda *a, **k: started.append(a))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_loglog_slope(ns, ts)
+        assert started == [] and capfd.readouterr().err == ""
 
     def test_small_run_shape_and_gates(self):
         records, slopes = bench_scaling(sizes=(8, 16), d=4, k=2,

@@ -125,6 +125,18 @@ class TestAdam:
         with pytest.raises(ValueError, match="bad"):
             adam_step(state, lr=0.01)
 
+    # adam_step updates params in place, so a param it could not update
+    # (a list, an int or float32 array, a read-only array) is rejected when
+    # the state is made, before any moment or gradient is touched
+    @pytest.mark.parametrize("param, got", [
+        ([0.0, 1.0], "list"), (np.zeros(2, dtype=np.int64), "int64 array"),
+        (np.zeros(2, dtype=np.float32), "float32 array"), (2.0, "float"),
+        (np.broadcast_to(np.zeros(1), 2), "read-only float64 array")], ids=repr)
+    def test_a_param_adam_cannot_update_is_rejected(self, param, got):
+        with pytest.raises(ValueError, match=f"^param 'a' must be a writable float64 array, "
+                                             f"got {got}$"):
+            init_train_state({"w": np.zeros(3), "a": param})
+
     def test_updates_params_in_place(self):
         arr = np.ones(3)
         state = init_train_state({"w": arr})
